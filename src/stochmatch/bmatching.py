@@ -4,15 +4,16 @@ The base problem: given the free multiset T of servers over a metric on
 n points, spread each server's 1/|T| of mass over locations so every
 location receives exactly 1/n (weighted variants replace 1/n by p_j).
 All arithmetic is exact: demands are scaled to integers (servers supply
-n units each, locations demand |T| units), solved as an integral
-min-cost flow, and divided back, so entries and values are Fractions
-with denominator n*|T|.
+n units each, locations demand |T| units), solved by the integral
+transportation solve ``flows.transport``, and divided back, so entries
+and values are Fractions with denominator n*|T|.
 
-Two solve routes exist on purpose.  solve_min_cost runs successive
-shortest paths on any instance; tree_plan builds the canonical optimal
-plan directly on tree-backed instances by self-matching co-located mass
-first and then pairing surplus against deficit bottom-up.  Tests pin
-the two routes to the same value.
+Two solve routes exist on purpose.  solve_min_cost runs ``transport``
+on any instance; tree_plan builds the canonical optimal plan directly
+on tree-backed instances by self-matching co-located mass first and
+then pairing surplus against deficit bottom-up.  Its columns are the
+shared ``flows.column`` sampling columns.  Tests pin the two routes to
+the same value.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flows import MinCostFlow
+from .flows import Column, column, column_units, transport
 from .metrics import MetricInstance, WeightedTree
 
 
@@ -31,18 +32,6 @@ class DemandProfile:
 
     left: tuple[tuple[int, Fraction], ...]
     right: tuple[tuple[int, Fraction], ...]
-
-    def left_demand(self, i: int) -> Fraction:
-        for p, d in self.left:
-            if p == i:
-                return d
-        return Fraction(0)
-
-    def right_demand(self, j: int) -> Fraction:
-        for p, d in self.right:
-            if p == j:
-                return d
-        return Fraction(0)
 
     def check_balanced(self) -> None:
         ls = sum(d for _, d in self.left)
@@ -174,7 +163,8 @@ def _forestify(
             signs.append(sign)
             sign = -sign
         alt = sum(s * cost_of(e) for s, e in zip(signs, cycle))
-        assert alt == 0, "support cycle with nonzero alternating cost"
+        if alt != 0:
+            raise RuntimeError("support cycle with nonzero alternating cost")
         eps = min(flow[e] for s, e in zip(signs, cycle) if s < 0)
         for s, e in zip(signs, cycle):
             flow[e] += s * eps if s > 0 else -eps
@@ -196,23 +186,12 @@ def solve_min_cost(instance: MetricInstance, T) -> FractionalMatching:
     k = sum(counts.values())
     scale = n * k
     lefts = sorted(counts)
-    m = len(lefts)
-    # nodes: 0 source, 1..m lefts, m+1..m+n rights, m+n+1 sink
-    g = MinCostFlow(m + n + 2)
-    sink = m + n + 1
-    for a, i in enumerate(lefts):
-        g.add_edge(0, 1 + a, n * counts[i], 0)
-    arc_of: dict[tuple[int, int], int] = {}
-    for a, i in enumerate(lefts):
-        row = instance.matrix[i]
-        for j in range(n):
-            arc_of[(i, j)] = g.add_edge(1 + a, 1 + m + j, scale, row[j])
-    for j in range(n):
-        g.add_edge(1 + m + j, sink, k, 0)
-    _, cost = g.min_cost_flow(0, sink, scale)
-    flow = {
-        key: g.flow_on(idx) for key, idx in arc_of.items() if g.flow_on(idx) > 0
-    }
+    cost, flows = transport(
+        [n * counts[i] for i in lefts],
+        [k] * n,
+        [instance.matrix[i] for i in lefts],
+    )
+    flow = {(lefts[a], j): f for (a, j), f in flows.items()}
     flow = _forestify(flow, lambda e: instance.matrix[e[0]][e[1]])
     profile = DemandProfile(
         tuple((i, Fraction(counts[i], k)) for i in lefts),
@@ -285,36 +264,19 @@ def solve_max_weight(
     if W <= 0:
         raise ValueError("location weights must have positive total")
     lefts = sorted(counts)
-    m = len(lefts)
+    spots = [j for j in range(n) if location_weights[j] > 0]
     shift = max(max(weights[i]) for i in lefts)
     scale = k * W
-    g = MinCostFlow(m + n + 2)
-    sink = m + n + 1
-    for a, i in enumerate(lefts):
-        g.add_edge(0, 1 + a, counts[i] * W, 0)
-    arc_of: dict[tuple[int, int], int] = {}
-    for a, i in enumerate(lefts):
-        for j in range(n):
-            if location_weights[j] == 0:
-                continue
-            arc_of[(i, j)] = g.add_edge(
-                1 + a, 1 + m + j, scale, shift - weights[i][j]
-            )
-    for j in range(n):
-        if location_weights[j] > 0:
-            g.add_edge(1 + m + j, sink, k * location_weights[j], 0)
-    _, cost = g.min_cost_flow(0, sink, scale)
-    flow = {
-        key: g.flow_on(idx) for key, idx in arc_of.items() if g.flow_on(idx) > 0
-    }
+    cost, flows = transport(
+        [counts[i] * W for i in lefts],
+        [k * location_weights[j] for j in spots],
+        [[shift - weights[i][j] for j in spots] for i in lefts],
+    )
+    flow = {(lefts[a], spots[b]): f for (a, b), f in flows.items()}
     flow = _forestify(flow, lambda e: shift - weights[e[0]][e[1]])
     profile = DemandProfile(
         tuple((i, Fraction(counts[i], k)) for i in lefts),
-        tuple(
-            (j, Fraction(location_weights[j], W))
-            for j in range(n)
-            if location_weights[j] > 0
-        ),
+        tuple((j, Fraction(location_weights[j], W)) for j in spots),
     )
     entries = tuple(
         (i, j, Fraction(f, scale)) for (i, j), f in sorted(flow.items())
@@ -372,37 +334,16 @@ def tree_context(tree: WeightedTree) -> TreeContext:
     return ctx
 
 
-def tree_value_scaled(ctx: TreeContext, counts: dict[int, int], k: int, n: int) -> int:
-    """n*k-scaled optimal value: sum over edges of length * |net imbalance|."""
-    net = [0] * ctx.tree.num_nodes
-    node_point = ctx.node_point
-    parent = ctx.parent
-    parent_len = ctx.parent_len
-    total = 0
-    for x in ctx.bottom_up:
-        p = node_point[x]
-        if p >= 0:
-            net[x] += n * counts.get(p, 0) - k
-        par = parent[x]
-        if par >= 0:
-            w = parent_len[x]
-            if w and net[x]:
-                total += w * abs(net[x])
-            net[par] += net[x]
-    assert net[ctx.bottom_up[-1]] == 0, "excesses must balance"
-    return total
-
-
 def tree_plan(
     ctx: TreeContext, counts: dict[int, int], k: int, n: int
-) -> tuple[int, dict[int, tuple[list[int], list[int]]]]:
+) -> tuple[int, dict[int, Column]]:
     """Canonical optimal plan on a tree, in n*k-scaled integer units.
 
     Self-matches first (maximal co-located mass), then surplus meets
     deficit at the lowest common node, paired FIFO, so every recorded
     pair crosses exactly its tree path.  Returns (scaled value, columns)
-    where columns[r] = (servers, cumulative units) for each point r
-    whose demand is not covered by its own supply.
+    where columns[r] is the sampling column (servers, cumulative units)
+    of each point r whose demand is not covered by its own supply.
     """
     num_nodes = ctx.tree.num_nodes
     node_point = ctx.node_point
@@ -434,7 +375,8 @@ def tree_plan(
                         own, own_sign, own_tot, deque([[p, u]]), s, u, columns
                     )
         if x == root:
-            assert not own, "excesses must balance at the root"
+            if own:
+                raise RuntimeError("excesses must balance at the root")
             continue
         if own:
             w = parent_len[x]
@@ -451,16 +393,7 @@ def tree_plan(
                     pend[par], sign[par], tot[par], own, own_sign, own_tot, columns
                 )
             pend[x] = None
-    cols = {}
-    for r, pairs in columns.items():
-        servers = [s for s, _ in pairs]
-        cum = []
-        acc = 0
-        for _, u in pairs:
-            acc += u
-            cum.append(acc)
-        cols[r] = (servers, cum)
-    return value, cols
+    return value, {r: column(pairs) for r, pairs in columns.items()}
 
 
 def _pair_off(
@@ -505,11 +438,9 @@ def solve_min_cost_tree(instance: MetricInstance, T) -> FractionalMatching:
         self_units = min(n * c, k)
         if self_units:
             entries[(i, i)] = self_units
-    for r, (servers, cum) in cols.items():
-        prev = 0
-        for s, acc in zip(servers, cum):
-            entries[(s, r)] = entries.get((s, r), 0) + (acc - prev)
-            prev = acc
+    for r, col in cols.items():
+        for s, u in column_units(col):
+            entries[(s, r)] = entries.get((s, r), 0) + u
     profile = DemandProfile(
         tuple((i, Fraction(counts[i], k)) for i in sorted(counts)),
         tuple((j, Fraction(1, n)) for j in range(n)),
@@ -520,5 +451,6 @@ def solve_min_cost_tree(instance: MetricInstance, T) -> FractionalMatching:
     check = sum(
         f * instance.matrix[i][j] for (i, j), f in entries.items()
     )
-    assert check == value_scaled, "plan cost must match the edge-cut value"
+    if check != value_scaled:
+        raise RuntimeError("plan cost must match the edge-cut value")
     return FractionalMatching(profile, out, Fraction(value_scaled, scale))

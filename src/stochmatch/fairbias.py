@@ -3,29 +3,31 @@
 At every arrival the algorithm re-solves the fractional matching of the
 current free set, canonicalized so co-located mass matches itself, and
 assigns the request to free server s with probability n * x[s][r].  The
-sampling distribution is carried as integer units with an exact total,
-so a single uniform integer draw per step implements inverse-CDF
-sampling with no floating point.
+sampling distribution is carried as a ``flows.column`` of integer units
+with an exact total, so one ``flows.draw`` per step implements
+inverse-CDF sampling with no floating point.
 
 A plan provider per backing keeps this fast: tree-backed instances use
 the bottom-up canonical plan, checked matrix metrics solve the reduced
-surplus/deficit flow (self-matches are implicit), unchecked instances
-solve the full program and sample its raw columns.  Providers memoize
-plans per free set; the solver is deterministic, so memoization cannot
-change behavior, it only skips identical re-solves.
+surplus/deficit transportation problem with ``flows.transport``
+(self-matches are implicit), unchecked instances solve the full program
+and sample its raw columns.  Providers memoize plans per free set; the
+solver is deterministic, so memoization cannot change behavior, it only
+skips identical re-solves.
+
+The maximum-weight variant is the same loop over a different provider:
+every provider exposes ``columns(free)``, the cost-or-gain ``matrix``,
+the expected ``column_mass(r, k)`` and ``canonical``.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .bmatching import solve_max_weight, solve_min_cost, tree_context, tree_plan
-from .flows import MinCostFlow
+from .flows import Column, column, draw, transport
 from .metrics import MetricInstance
-
-Column = tuple[list[int], list[int]]  # servers, cumulative units
 
 
 @dataclass
@@ -66,6 +68,7 @@ class PlanProvider:
             )
         self.instance = instance
         self.n = instance.n
+        self.matrix = instance.matrix
         self.canonical = instance.verified_metric
         self._ctx = (
             tree_context(instance.tree)
@@ -75,6 +78,10 @@ class PlanProvider:
         self._cache: dict[tuple[int, ...], dict[int, Column]] | None = (
             {} if cache else None
         )
+
+    def column_mass(self, request: int, k: int) -> int:
+        """Units in column ``request`` when k servers are free."""
+        return k
 
     def columns(self, free: tuple[int, ...]) -> dict[int, Column]:
         if self._cache is not None:
@@ -96,12 +103,7 @@ class PlanProvider:
         if self.canonical:
             return self._build_reduced(free)
         full = solve_min_cost(self.instance, list(free))
-        raw: dict[int, list[tuple[int, int]]] = {}
-        for i, j, f in full.entries:
-            units = f * n * k
-            assert units.denominator == 1
-            raw.setdefault(j, []).append((i, int(units)))
-        return {r: _cumulative(pairs) for r, pairs in raw.items()}
+        return _by_location((i, j, int(f * n * k)) for i, j, f in full.entries)
 
     def _build_reduced(self, free: tuple[int, ...]) -> dict[int, Column]:
         # surplus n-k per free server vs deficit k per occupied location,
@@ -110,36 +112,25 @@ class PlanProvider:
         k = len(free)
         if k == n:
             return {}
-        occupied = [p for p in range(n) if p not in set(free)]
-        m = len(occupied)
-        g = MinCostFlow(k + m + 2)
-        sink = k + m + 1
-        matrix = self.instance.matrix
-        arc_of = {}
-        for a, s in enumerate(free):
-            g.add_edge(0, 1 + a, n - k, 0)
-            row = matrix[s]
-            for b, r in enumerate(occupied):
-                arc_of[(s, r)] = g.add_edge(1 + a, 1 + k + b, k, row[r])
-        for b in range(m):
-            g.add_edge(1 + k + b, sink, k, 0)
-        g.min_cost_flow(0, sink, k * (n - k))
-        raw: dict[int, list[tuple[int, int]]] = {}
-        for (s, r), idx in sorted(arc_of.items()):
-            f = g.flow_on(idx)
-            if f > 0:
-                raw.setdefault(r, []).append((s, f))
-        return {r: _cumulative(pairs) for r, pairs in raw.items()}
+        free_set = set(free)
+        occupied = [p for p in range(n) if p not in free_set]
+        matrix = self.matrix
+        _, flows = transport(
+            [n - k] * k,
+            [k] * len(occupied),
+            [[matrix[s][r] for r in occupied] for s in free],
+        )
+        return _by_location(
+            (free[a], occupied[b], f) for (a, b), f in flows.items()
+        )
 
 
-def _cumulative(pairs: list[tuple[int, int]]) -> Column:
-    servers = [s for s, _ in pairs]
-    cum = []
-    acc = 0
-    for _, u in pairs:
-        acc += u
-        cum.append(acc)
-    return servers, cum
+def _by_location(triples) -> dict[int, Column]:
+    """Sampling columns from (server, location, units) triples."""
+    raw: dict[int, list[tuple[int, int]]] = {}
+    for s, r, u in triples:
+        raw.setdefault(r, []).append((s, u))
+    return {r: column(pairs) for r, pairs in raw.items()}
 
 
 def init_state(n: int) -> OnlineState:
@@ -161,15 +152,37 @@ def step(
         # canonical plans put the full column on the co-located server
         server = request
     else:
-        cols = provider.columns(state.free)
-        servers, cum = cols[request]
-        assert cum[-1] == k, "column mass must be exactly the free count"
-        t = rng.randrange(k)
-        server = servers[bisect_right(cum, t)]
-    cost = provider.instance.matrix[server][request]
+        mass = provider.column_mass(request, k)
+        server = draw(provider.columns(state.free)[request], mass, rng)
+    cost = provider.matrix[server][request]
     state.free_set.discard(server)
     state.free = tuple(p for p in state.free if p != server)
     return server, cost
+
+
+def _play(
+    algorithm: str,
+    provider: PlanProvider,
+    stream: list[int],
+    seed: int | None,
+    rng: random.Random | None,
+) -> MatchingResult:
+    """Serve every arrival of the stream with ``step``."""
+    n = provider.n
+    if len(stream) != n:
+        raise ValueError(f"stream must have exactly n={n} requests")
+    if any(not 0 <= r < n for r in stream):
+        raise ValueError("request location outside the instance")
+    if rng is None:
+        rng = random.Random(seed)
+    state = init_state(n)
+    assignments = []
+    costs = []
+    for r in stream:
+        s, c = step(provider, state, r, rng)
+        assignments.append((r, s))
+        costs.append(c)
+    return MatchingResult(algorithm, seed, assignments, costs, sum(costs))
 
 
 def run_episode(
@@ -182,32 +195,20 @@ def run_episode(
     allow_unchecked: bool = False,
 ) -> MatchingResult:
     """Play one full episode (n arrivals against n servers)."""
-    n = instance.n
-    if len(stream) != n:
-        raise ValueError(f"stream must have exactly n={n} requests")
-    if any(not 0 <= r < n for r in stream):
-        raise ValueError("request location outside the instance")
-    if rng is None:
-        rng = random.Random(seed)
     if provider is None:
         provider = PlanProvider(instance, allow_unchecked=allow_unchecked)
-    state = init_state(n)
-    provider.columns(state.free)  # full free set: value 0, empty columns
-    assignments = []
-    costs = []
-    for r in stream:
-        s, c = step(provider, state, r, rng)
-        assignments.append((r, s))
-        costs.append(c)
-    return MatchingResult("fair-bias", seed, assignments, costs, sum(costs))
+    provider.columns(tuple(range(provider.n)))  # full free set: empty columns
+    return _play("fair-bias", provider, stream, seed, rng)
 
 
 # ---------------------------------------------------------------------------
 # maximum-weight variant
 
 
-class MaxWeightProvider:
-    """Plan columns for the weighted-gain variant."""
+class MaxWeightProvider(PlanProvider):
+    """Plan columns for the weighted-gain variant, memoized per free set."""
+
+    canonical = False
 
     def __init__(
         self,
@@ -217,30 +218,21 @@ class MaxWeightProvider:
         cache: bool = True,
     ):
         self.n = len(weights)
-        self.weights = weights
+        self.matrix = self.weights = weights
         self.location_weights = list(location_weights)
         self.total_weight = sum(self.location_weights)
-        self._cache: dict[tuple[int, ...], dict[int, Column]] | None = (
-            {} if cache else None
-        )
+        self._cache = {} if cache else None
 
-    def columns(self, free: tuple[int, ...]) -> dict[int, Column]:
-        if self._cache is not None:
-            hit = self._cache.get(free)
-            if hit is not None:
-                return hit
-        k = len(free)
-        scale = k * self.total_weight
+    def column_mass(self, request: int, k: int) -> int:
+        w_r = self.location_weights[request]
+        if w_r <= 0:
+            raise ValueError(f"arrival at zero-probability location {request}")
+        return k * w_r
+
+    def _build(self, free: tuple[int, ...]) -> dict[int, Column]:
         sol = solve_max_weight(self.weights, list(free), self.location_weights)
-        raw: dict[int, list[tuple[int, int]]] = {}
-        for i, j, f in sol.entries:
-            units = f * scale
-            assert units.denominator == 1
-            raw.setdefault(j, []).append((i, int(units)))
-        cols = {r: _cumulative(pairs) for r, pairs in raw.items()}
-        if self._cache is not None:
-            self._cache[free] = cols
-        return cols
+        scale = len(free) * self.total_weight
+        return _by_location((i, j, int(f * scale)) for i, j, f in sol.entries)
 
 
 def run_episode_max_weight(
@@ -253,28 +245,6 @@ def run_episode_max_weight(
     provider: MaxWeightProvider | None = None,
 ) -> MatchingResult:
     """Weighted episode: server s serves r with probability x[s][r] / p_r."""
-    n = len(weights)
-    if len(stream) != n:
-        raise ValueError(f"stream must have exactly n={n} requests")
-    if rng is None:
-        rng = random.Random(seed)
     if provider is None:
         provider = MaxWeightProvider(weights, location_weights)
-    state = init_state(n)
-    assignments = []
-    gains = []
-    for r in stream:
-        k = state.k
-        w_r = provider.location_weights[r]
-        if w_r <= 0:
-            raise ValueError(f"arrival at zero-probability location {r}")
-        cols = provider.columns(state.free)
-        servers, cum = cols[r]
-        assert cum[-1] == k * w_r, "column mass must be exactly k * w_r"
-        t = rng.randrange(k * w_r)
-        server = servers[bisect_right(cum, t)]
-        state.free_set.discard(server)
-        state.free = tuple(p for p in state.free if p != server)
-        assignments.append((r, server))
-        gains.append(weights[server][r])
-    return MatchingResult("max-weight", seed, assignments, gains, sum(gains))
+    return _play("max-weight", provider, stream, seed, rng)

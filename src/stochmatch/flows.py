@@ -1,19 +1,32 @@
-"""Exact integral min-cost flow via successive shortest paths with potentials.
+"""Exact transportation solves and exact sampling from integer columns.
 
-Internal engine shared by the fractional-matching solver, the offline
-benchmarks and the distribution-coupling solver.  Everything is integer
-arithmetic: capacities, costs and flows are Python ints, so results are
-exact at any magnitude.
+``transport`` solves the uncapacitated transportation problem (rows with
+integer supplies, columns with integer demands, a cost per row/column
+pair) as a min-cost flow.  It is the one solve behind the fractional
+matchings, the reduced per-arrival plans, the distribution coupling and
+the offline optima.  ``MinCostFlow`` is its engine: successive shortest
+paths with potentials.  Everything is integer arithmetic: capacities,
+costs and flows are Python ints, so results are exact at any magnitude.
 
 Determinism: arcs keep insertion order, Dijkstra breaks ties by node
 index, so identical inputs produce identical flows.
+
+A plan's column is carried as ``(items, cumulative units)``.  ``column``
+builds one from (item, units) pairs, ``column_units`` decodes it back,
+and ``draw`` samples an item with probability units / total from one
+uniform integer draw, so sampling involves no floating point.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import random
+from collections.abc import Iterable, Iterator, Sequence
 
 _INF = float("inf")
+
+Column = tuple[list, list[int]]  # items, cumulative units
 
 
 class MinCostFlow:
@@ -126,3 +139,70 @@ class MinCostFlow:
             if not changed:
                 return False
         return changed
+
+
+def transport(
+    supplies: Sequence[int],
+    demands: Sequence[int],
+    cost_rows: Sequence[Sequence[int]],
+) -> tuple[int, dict[tuple[int, int], int]]:
+    """Min-cost transportation plan; returns (cost, flows).
+
+    Row a ships supplies[a] units, column b receives demands[b] units,
+    and a unit from a to b costs cost_rows[a][b] (non-negative).  Every
+    row/column arc is uncapacitated.  flows maps (row index, column
+    index) to its positive integer flow, in row-major order.
+    """
+    total = sum(supplies)
+    if total != sum(demands):
+        raise ValueError(
+            f"supplies ({total}) and demands ({sum(demands)}) must balance"
+        )
+    m, n = len(supplies), len(demands)
+    # nodes: 0 source, 1..m rows, m+1..m+n columns, m+n+1 sink
+    g = MinCostFlow(m + n + 2)
+    sink = m + n + 1
+    for a, units in enumerate(supplies):
+        g.add_edge(0, 1 + a, units, 0)
+    arcs = [
+        [g.add_edge(1 + a, 1 + m + b, total, row[b]) for b in range(n)]
+        for a, row in enumerate(cost_rows)
+    ]
+    for b, units in enumerate(demands):
+        g.add_edge(1 + m + b, sink, units, 0)
+    _, cost = g.min_cost_flow(0, sink, total)
+    flows = {}
+    for a, row_arcs in enumerate(arcs):
+        for b, idx in enumerate(row_arcs):
+            f = g.flow_on(idx)
+            if f > 0:
+                flows[(a, b)] = f
+    return cost, flows
+
+
+def column(pairs: Iterable[tuple[object, int]]) -> Column:
+    """Sampling column of (item, units) pairs, in the given order."""
+    items = []
+    cum = []
+    acc = 0
+    for item, units in pairs:
+        acc += units
+        items.append(item)
+        cum.append(acc)
+    return items, cum
+
+
+def column_units(col: Column) -> Iterator[tuple[object, int]]:
+    """The (item, units) pairs a column was built from."""
+    prev = 0
+    for item, acc in zip(*col):
+        yield item, acc - prev
+        prev = acc
+
+
+def draw(col: Column, total: int, rng: random.Random):
+    """Item drawn with probability units / total; the column must hold total."""
+    items, cum = col
+    if cum[-1] != total:
+        raise ValueError(f"column holds {cum[-1]} units, expected {total}")
+    return items[bisect.bisect_right(cum, rng.randrange(total))]

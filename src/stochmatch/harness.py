@@ -24,8 +24,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
-from scipy.stats import chi2
 
+from .ballsbins import _mean_stderr
 from .bmatching import (
     canonicalize,
     scaling_identity_check,
@@ -333,13 +333,15 @@ def run_trials(sc: Scenario) -> tuple[list[TrialRecord], RunSummary]:
 
         if alg == "max-weight":
             opt = opt_max_weight(weights, stream)
-            assert result.total_cost <= opt, "online gain above the offline optimum"
+            if result.total_cost > opt:
+                raise RuntimeError("online gain above the offline optimum")
         else:
             if instance.tree is not None:
                 opt = opt_tree(instance, stream)
             else:
                 opt = opt_general(instance, stream)
-            assert result.total_cost >= opt, "online cost below the offline optimum"
+            if result.total_cost < opt:
+                raise RuntimeError("online cost below the offline optimum")
         millis = (time.perf_counter() - t0) * 1000.0
         records.append(
             TrialRecord(
@@ -350,14 +352,6 @@ def run_trials(sc: Scenario) -> tuple[list[TrialRecord], RunSummary]:
     if sc.output:
         write_csv(records, sc.output)
     return records, summarize(records, sc.seed)
-
-
-def run_frt_variant(sc: Scenario) -> RunSummary:
-    """Embed, match on the sampled tree, charge true distances."""
-    if sc.algorithm != "fair-bias-on-frt":
-        raise ValueError("scenario does not use the embedding variant")
-    _, summary = run_trials(sc)
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +405,6 @@ def gen_nonmetric_scenario(n: int, trials: int = 400, seed: int = 1) -> Scenario
 # verifiers
 
 
-def _mean_stderr(values: list[float]) -> tuple[float, float]:
-    t = len(values)
-    mean = sum(values) / t
-    if t < 2:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (t - 1)
-    return mean, math.sqrt(var / t)
-
-
 def _matching_value(instance: MetricInstance, T, memo: dict) -> Fraction:
     key = tuple(sorted(T))
     hit = memo.get(key)
@@ -456,6 +441,8 @@ def verify_structure_lemma(
     n: int, trials: int, seed: int, instance: MetricInstance | None = None
 ) -> StructureReport:
     """Chi-square test that each free set is uniform over its k-subsets."""
+    from scipy.stats import chi2  # slow to import; only this verifier needs it
+
     if n > 8:
         raise ValueError("subset space too large to tabulate beyond n=8")
     if instance is None:
@@ -523,7 +510,8 @@ def verify_replacement(
             w = Fraction(perms, n**k)
             total_w += w
             e_iid += w * _matching_value(instance, ms, memo)
-        assert total_w == 1, "multiset weights must sum to one"
+        if total_w != 1:
+            raise RuntimeError("multiset weights must sum to one")
         rows.append(ReplacementRow(k, e_sub, e_iid, e_sub <= e_iid))
     return ReplacementReport(n, tuple(rows))
 

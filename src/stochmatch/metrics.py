@@ -198,6 +198,8 @@ class MetricInstance:
     backing is "matrix", "line" or "tree"; tree/line instances expose a
     WeightedTree view used by the tree-aware solvers.  verified_metric
     records whether the instance came through the checked constructor.
+    Negative entries are rejected for every instance: the exact solvers
+    need non-negative costs.
     """
 
     def __init__(
@@ -211,6 +213,8 @@ class MetricInstance:
     ):
         self.n = len(matrix)
         self.matrix = [list(map(int, row)) for row in matrix]
+        if any(min(row) < 0 for row in self.matrix if row):
+            raise ValueError("distances must be >= 0")
         self.backing = backing
         self._tree = tree
         self.verified_metric = verified_metric

@@ -1,10 +1,12 @@
 """Offline benchmarks: optimal cost of a realized request stream.
 
-opt_general solves the assignment by exact min-cost flow (requests
-collapsed by location, servers with unit capacity).  opt_tree uses the
-closed form on trees: sum over edges of length times |requests in the
-cut - servers in the cut|, which equals the assignment optimum there.
-opt_max_weight is the mirrored maximization.
+opt_general solves the assignment as an exact transportation problem
+with ``flows.transport`` (requests collapsed by location, one unit per
+server), priced like the online loop: server s serving a request at r
+costs matrix[s][r].  opt_tree uses the closed form on trees: sum over
+edges of length times |requests in the cut - servers in the cut|, which
+equals the assignment optimum there.  opt_max_weight is the mirrored
+maximization through the same solve.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .bmatching import tree_context
-from .flows import MinCostFlow
+from .flows import transport
 from .metrics import MetricInstance, WeightedTree
 
 
@@ -31,17 +33,12 @@ def opt_general(instance: MetricInstance, requests) -> int:
     n = instance.n
     counts = _request_counts(n, requests)
     spots = sorted(counts)
-    m = len(spots)
-    g = MinCostFlow(m + n + 2)
-    sink = m + n + 1
-    for a, r in enumerate(spots):
-        g.add_edge(0, 1 + a, counts[r], 0)
-        row = instance.matrix[r]
-        for s in range(n):
-            g.add_edge(1 + a, 1 + m + s, counts[r], row[s])
-    for s in range(n):
-        g.add_edge(1 + m + s, sink, 1, 0)
-    _, cost = g.min_cost_flow(0, sink, n)
+    matrix = instance.matrix
+    cost, _ = transport(
+        [counts[r] for r in spots],
+        [1] * n,
+        [[matrix[s][r] for s in range(n)] for r in spots],
+    )
     return cost
 
 
@@ -71,7 +68,8 @@ def opt_tree(tree_or_instance: WeightedTree | MetricInstance, requests) -> int:
             if parent_len[x] and bal[x]:
                 total += parent_len[x] * abs(bal[x])
             bal[par] += bal[x]
-    assert bal[ctx.bottom_up[-1]] == 0
+    if bal[ctx.bottom_up[-1]] != 0:
+        raise RuntimeError("requests and servers must balance at the root")
     return total
 
 
@@ -83,15 +81,10 @@ def opt_max_weight(weights: list[list[int]], requests) -> int:
     n = len(weights)
     counts = _request_counts(n, requests)
     spots = sorted(counts)
-    m = len(spots)
     shift = max(max(row) for row in weights)
-    g = MinCostFlow(m + n + 2)
-    sink = m + n + 1
-    for a, r in enumerate(spots):
-        g.add_edge(0, 1 + a, counts[r], 0)
-        for s in range(n):
-            g.add_edge(1 + a, 1 + m + s, counts[r], shift - weights[s][r])
-    for s in range(n):
-        g.add_edge(1 + m + s, sink, 1, 0)
-    _, cost = g.min_cost_flow(0, sink, n)
+    cost, _ = transport(
+        [counts[r] for r in spots],
+        [1] * n,
+        [[shift - weights[s][r] for s in range(n)] for r in spots],
+    )
     return n * shift - cost

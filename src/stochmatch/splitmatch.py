@@ -78,10 +78,11 @@ class HierarchicalDecomposition:
     edge_levels: dict[int, int] = field(default_factory=dict)
     # (level, parent server count, side server counts) per split, for audits
     balance_audit: list[tuple[int, int, int, int]] = field(default_factory=list)
+    top_level: int = 0  # deepest region level, recorded as regions are added
 
     @property
     def max_level(self) -> int:
-        return max((r.level for r in self.regions), default=0)
+        return self.top_level
 
 
 def split_decomposition(tree: WeightedTree) -> HierarchicalDecomposition:
@@ -166,13 +167,13 @@ def _split(
         leaves_b = tuple(sorted(leaves - side_a))
         if len(leaves) >= 2:
             # balance contract: neither side exceeds 2/3 of the servers here
-            assert 3 * max(len(leaves_a), len(leaves_b)) <= 2 * len(leaves), (
-                f"unbalanced split at level {level}"
-            )
+            if 3 * max(len(leaves_a), len(leaves_b)) > 2 * len(leaves):
+                raise RuntimeError(f"unbalanced split at level {level}")
         decomp.balance_audit.append(
             (level, len(leaves), len(leaves_a), len(leaves_b))
         )
         decomp.edge_levels[e] = level
+        decomp.top_level = max(decomp.top_level, level)
         ra = Region(len(decomp.regions), level, leaves_a, edge_index=e)
         decomp.regions.append(ra)
         rb = Region(len(decomp.regions), level, leaves_b, edge_index=e)
@@ -219,7 +220,7 @@ def hmatch(
     rng: random.Random,
 ) -> int:
     """Find the leaf whose server takes a request arriving at ``leaf``."""
-    guard = decomp.max_level + 2
+    guard = decomp.top_level + 2
     u = leaf
     for _ in range(guard):
         if occ.is_vacant(u):

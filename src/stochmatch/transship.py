@@ -6,17 +6,21 @@ relocated to j with probability x[r][j] / p_r; the relocated sequence
 is then exactly uniform, and the online matcher runs on the relocated
 requests while true costs are charged against the original locations.
 The plan's mass moved, M = n * (plan LP value), prices the relocation.
+
+The plan is solved by ``flows.transport``; its rows, and the arrival
+distribution itself, are ``flows.column`` sampling columns drawn from
+with ``flows.draw``.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .fairbias import MatchingResult, PlanProvider, init_state, step
-from .flows import MinCostFlow
+from .flows import Column, column, column_units, draw, transport
 from .metrics import MetricInstance
 
 
@@ -38,24 +42,19 @@ class RequestDistribution:
     def n(self) -> int:
         return len(self.weights)
 
-    @property
+    @cached_property
     def total(self) -> int:
         return sum(self.weights)
 
     def prob(self, i: int) -> Fraction:
         return Fraction(self.weights[i], self.total)
 
-    def cumulative(self) -> list[int]:
-        cum = []
-        acc = 0
-        for w in self.weights:
-            acc += w
-            cum.append(acc)
-        return cum
+    @cached_property
+    def _column(self) -> Column:
+        return column(enumerate(self.weights))
 
     def sample(self, rng: random.Random) -> int:
-        t = rng.randrange(self.total)
-        return bisect_right(self.cumulative(), t)
+        return draw(self._column, self.total, rng)
 
 
 def uniform_distribution(n: int) -> RequestDistribution:
@@ -92,7 +91,7 @@ class CouplingPlan:
 
     n: int
     dist: RequestDistribution
-    rows: dict[int, tuple[list[int], list[int]]]  # r -> (targets, cum units)
+    rows: dict[int, Column]  # r -> (targets, cumulative units)
     value: Fraction  # LP optimum (mass-weighted distance)
 
     @property
@@ -101,13 +100,11 @@ class CouplingPlan:
         return self.n * self.value
 
     def entry_units(self) -> dict[tuple[int, int], int]:
-        out = {}
-        for r, (targets, cum) in self.rows.items():
-            prev = 0
-            for j, acc in zip(targets, cum):
-                out[(r, j)] = acc - prev
-                prev = acc
-        return out
+        return {
+            (r, j): u
+            for r, col in self.rows.items()
+            for j, u in column_units(col)
+        }
 
     def validate(self) -> None:
         W = self.dist.total
@@ -137,30 +134,15 @@ def solve_transshipment(
     W = dist.total
     scale = n * W
     rows = [i for i in range(n) if dist.weights[i] > 0]
-    m = len(rows)
-    g = MinCostFlow(m + n + 2)
-    sink = m + n + 1
-    arc_of = {}
-    for a, i in enumerate(rows):
-        g.add_edge(0, 1 + a, n * dist.weights[i], 0)
-        row = instance.matrix[i]
-        for j in range(n):
-            arc_of[(i, j)] = g.add_edge(1 + a, 1 + m + j, scale, row[j])
-    for j in range(n):
-        g.add_edge(1 + m + j, sink, W, 0)
-    _, cost = g.min_cost_flow(0, sink, scale)
-    plan_rows: dict[int, tuple[list[int], list[int]]] = {}
-    for i in rows:
-        targets = []
-        cum = []
-        acc = 0
-        for j in range(n):
-            f = g.flow_on(arc_of[(i, j)])
-            if f > 0:
-                targets.append(j)
-                acc += f
-                cum.append(acc)
-        plan_rows[i] = (targets, cum)
+    cost, flows = transport(
+        [n * dist.weights[i] for i in rows],
+        [W] * n,
+        [instance.matrix[i] for i in rows],
+    )
+    raw: dict[int, list[tuple[int, int]]] = {i: [] for i in rows}
+    for (a, j), f in flows.items():
+        raw[rows[a]].append((j, f))
+    plan_rows = {i: column(pairs) for i, pairs in raw.items()}
     return CouplingPlan(n, dist, plan_rows, Fraction(cost, scale))
 
 
@@ -169,11 +151,7 @@ def relocate(plan: CouplingPlan, r: int, rng: random.Random) -> int:
     w_r = plan.dist.weights[r]
     if w_r <= 0:
         raise ValueError(f"arrival at zero-probability location {r}")
-    targets, cum = plan.rows[r]
-    total = plan.n * w_r
-    assert cum[-1] == total, "row mass must be exactly n * w_r"
-    t = rng.randrange(total)
-    return targets[bisect_right(cum, t)]
+    return draw(plan.rows[r], plan.n * w_r, rng)
 
 
 @dataclass
@@ -219,7 +197,8 @@ def run_wrapped(
         b = relocate(plan, a, rng)
         s, c_rel = step(provider, state, b, rng)
         true_cost = matrix[s][a]
-        assert true_cost <= matrix[a][b] + matrix[b][s], "triangle accounting"
+        if true_cost > matrix[a][b] + matrix[b][s]:
+            raise RuntimeError("triangle accounting")
         assignments.append((a, s))
         true_costs.append(true_cost)
         relocated_cost += c_rel

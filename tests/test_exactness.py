@@ -1,0 +1,74 @@
+"""Exact optima on every input the public constructors accept."""
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stochmatch.metrics import load_metric, matrix_unchecked, random_recursive_tree
+from stochmatch.offline import opt_general, opt_max_weight
+from stochmatch.splitmatch import split_decomposition, ternarize
+from stochmatch.transship import RequestDistribution
+
+
+def _assignments(requests):
+    # every way to give the requests distinct servers; server s serves r
+    return itertools.permutations(range(len(requests)))
+
+
+@st.composite
+def _asymmetric_case(draw, low):
+    n = draw(st.integers(1, 5))
+    entry = st.integers(low, 30)
+    matrix = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    requests = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return matrix, requests
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_asymmetric_case(0))
+def test_opt_general_matches_brute_force_on_unchecked_matrices(case):
+    matrix, requests = case
+    brute = min(
+        sum(matrix[s][r] for r, s in zip(requests, perm))
+        for perm in _assignments(requests)
+    )
+    assert opt_general(matrix_unchecked(matrix), requests) == brute
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_asymmetric_case(-30))
+def test_opt_max_weight_matches_brute_force_on_asymmetric_weights(case):
+    weights, requests = case
+    brute = max(
+        sum(weights[s][r] for r, s in zip(requests, perm))
+        for perm in _assignments(requests)
+    )
+    assert opt_max_weight(weights, requests) == brute
+
+
+def test_negative_entries_rejected(tmp_path):
+    with pytest.raises(ValueError, match=">= 0"):
+        matrix_unchecked([[0, -1], [2, 0]])
+    path = tmp_path / "neg.metric"
+    path.write_text("kind matrix\nn 2\nscale 1\n0 3\n-1 0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=">= 0"):
+        load_metric(str(path))
+
+
+def test_max_level_is_recorded_once():
+    tree = ternarize(random_recursive_tree(40, random.Random(5)))
+    decomp = split_decomposition(tree)
+    assert decomp.max_level == max(r.level for r in decomp.regions)
+    assert decomp.max_level == decomp.top_level
+
+
+def test_distribution_sample_is_one_inverse_cdf_draw():
+    dist = RequestDistribution((0, 3, 1, 0, 4))
+    for seed in range(40):
+        t = random.Random(seed).randrange(8)
+        want = 1 if t < 3 else 2 if t < 4 else 4
+        assert dist.sample(random.Random(seed)) == want

@@ -1,0 +1,76 @@
+"""The transportation kernel and the integer column sampler."""
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stochmatch.flows import MinCostFlow, column, column_units, draw, transport
+
+
+def _hand_built(supplies, demands, cost_rows):
+    # the source -> rows -> columns -> sink graph, arcs capped by total supply
+    m, n = len(supplies), len(demands)
+    total = sum(supplies)
+    f = MinCostFlow(m + n + 2)
+    arcs = {}
+    for a, s in enumerate(supplies):
+        f.add_edge(0, 1 + a, s, 0)
+    for a, row in enumerate(cost_rows):
+        for b in range(n):
+            arcs[(a, b)] = f.add_edge(1 + a, 1 + m + b, total, row[b])
+    for b, d in enumerate(demands):
+        f.add_edge(1 + m + b, m + n + 1, d, 0)
+    _, cost = f.min_cost_flow(0, m + n + 1, total)
+    assert not f.residual_has_negative_cycle()
+    flows = {key: f.flow_on(idx) for key, idx in arcs.items() if f.flow_on(idx)}
+    return cost, flows
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_transport_matches_hand_built_graph(data):
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 4))
+    supplies = data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
+    total = sum(supplies)
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    demands = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    cost_rows = data.draw(
+        st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+    cost, flows = transport(supplies, demands, cost_rows)
+    assert (cost, flows) == _hand_built(supplies, demands, cost_rows)
+    assert all(f > 0 for f in flows.values())
+    assert cost == sum(cost_rows[a][b] * f for (a, b), f in flows.items())
+    for a, s in enumerate(supplies):
+        assert sum(f for (i, _), f in flows.items() if i == a) == s
+    for b, d in enumerate(demands):
+        assert sum(f for (_, j), f in flows.items() if j == b) == d
+
+
+def test_transport_rejects_unbalanced_totals():
+    with pytest.raises(ValueError, match="balance"):
+        transport([2, 1], [2], [[0], [0]])
+
+
+def test_column_round_trip():
+    pairs = [(4, 2), (1, 0), (7, 3)]
+    col = column(pairs)
+    assert col == ([4, 1, 7], [2, 2, 5])
+    assert list(column_units(col)) == pairs
+
+
+def test_draw_is_inverse_cdf_on_one_randrange():
+    col = column([("a", 2), ("b", 0), ("c", 3)])
+    for seed in range(30):
+        t = random.Random(seed).randrange(5)
+        want = "a" if t < 2 else "c"
+        assert draw(col, 5, random.Random(seed)) == want
+
+
+def test_draw_rejects_wrong_total():
+    with pytest.raises(ValueError, match="holds 5 units, expected 4"):
+        draw(column([(0, 2), (1, 3)]), 4, random.Random(0))
