@@ -11,9 +11,9 @@ A plan provider per backing keeps this fast: tree-backed instances use
 the bottom-up canonical plan, checked matrix metrics solve the reduced
 surplus/deficit transportation problem with ``flows.transport``
 (self-matches are implicit), unchecked instances solve the full program
-and sample its raw columns.  Providers memoize plans per free set; the
-solver is deterministic, so memoization cannot change behavior, it only
-skips identical re-solves.
+and sample its raw columns.  Providers memoize plans per free set up to
+``memo_max_n`` points, past which free sets rarely recur; the solver is
+deterministic, so memoization cannot change behavior.
 
 The maximum-weight variant is the same loop over a different provider:
 every provider exposes ``columns(free)``, the cost-or-gain ``matrix``,
@@ -54,13 +54,9 @@ class OnlineState:
 class PlanProvider:
     """Sampling columns of the canonical plan for each free set."""
 
-    def __init__(
-        self,
-        instance: MetricInstance,
-        *,
-        allow_unchecked: bool = False,
-        cache: bool = True,
-    ):
+    memo_max_n = 20
+
+    def __init__(self, instance: MetricInstance, *, allow_unchecked: bool = False):
         if not instance.verified_metric and not allow_unchecked:
             raise ValueError(
                 "instance is not a checked metric; pass allow_unchecked=True "
@@ -75,22 +71,20 @@ class PlanProvider:
             if instance.verified_metric and instance.tree is not None
             else None
         )
-        self._cache: dict[tuple[int, ...], dict[int, Column]] | None = (
-            {} if cache else None
-        )
+        self._memo = {} if self.n <= self.memo_max_n else None  # free set -> columns
 
     def column_mass(self, request: int, k: int) -> int:
         """Units in column ``request`` when k servers are free."""
         return k
 
     def columns(self, free: tuple[int, ...]) -> dict[int, Column]:
-        if self._cache is not None:
-            hit = self._cache.get(free)
+        if self._memo is not None:
+            hit = self._memo.get(free)
             if hit is not None:
                 return hit
         cols = self._build(free)
-        if self._cache is not None:
-            self._cache[free] = cols
+        if self._memo is not None:
+            self._memo[free] = cols
         return cols
 
     def _build(self, free: tuple[int, ...]) -> dict[int, Column]:
@@ -160,6 +154,17 @@ def step(
     return server, cost
 
 
+def checked_rng(
+    n: int, stream: list[int], seed: int | None, rng: random.Random | None
+) -> random.Random:
+    """Check an episode's stream against n points; default rng from seed."""
+    if len(stream) != n:
+        raise ValueError(f"stream must have exactly n={n} requests")
+    if any(not 0 <= r < n for r in stream):
+        raise ValueError("request location outside the instance")
+    return random.Random(seed) if rng is None else rng
+
+
 def _play(
     algorithm: str,
     provider: PlanProvider,
@@ -169,12 +174,7 @@ def _play(
 ) -> MatchingResult:
     """Serve every arrival of the stream with ``step``."""
     n = provider.n
-    if len(stream) != n:
-        raise ValueError(f"stream must have exactly n={n} requests")
-    if any(not 0 <= r < n for r in stream):
-        raise ValueError("request location outside the instance")
-    if rng is None:
-        rng = random.Random(seed)
+    rng = checked_rng(n, stream, seed, rng)
     state = init_state(n)
     assignments = []
     costs = []
@@ -197,7 +197,6 @@ def run_episode(
     """Play one full episode (n arrivals against n servers)."""
     if provider is None:
         provider = PlanProvider(instance, allow_unchecked=allow_unchecked)
-    provider.columns(tuple(range(provider.n)))  # full free set: empty columns
     return _play("fair-bias", provider, stream, seed, rng)
 
 
@@ -209,19 +208,14 @@ class MaxWeightProvider(PlanProvider):
     """Plan columns for the weighted-gain variant, memoized per free set."""
 
     canonical = False
+    memo_max_n = 12
 
-    def __init__(
-        self,
-        weights: list[list[int]],
-        location_weights: list[int],
-        *,
-        cache: bool = True,
-    ):
+    def __init__(self, weights: list[list[int]], location_weights: list[int]):
         self.n = len(weights)
         self.matrix = self.weights = weights
         self.location_weights = list(location_weights)
         self.total_weight = sum(self.location_weights)
-        self._cache = {} if cache else None
+        self._memo = {} if self.n <= self.memo_max_n else None
 
     def column_mass(self, request: int, k: int) -> int:
         w_r = self.location_weights[request]

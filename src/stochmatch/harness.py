@@ -1,10 +1,12 @@
 """Scenario files, seeded trial runs, and the lemma verifiers.
 
 A scenario is a small key-value text file (``key = value`` lines, ``#``
-comments).  ``run_trials`` replays it deterministically: trial t uses
-``random.Random(seed + t)``, so reruns produce identical CSV rows apart
-from the wall-time column.  Summaries report the ratio of sample means
-E[ALG]/E[OPT] with a bootstrap 95% interval, never a mean of ratios.
+comments).  ``run_trials`` replays it deterministically through a table
+of per-algorithm episode runners: trial t makes one ``random.Random(seed
++ t)``, which draws the n arrivals and then drives the episode, so reruns
+produce identical CSV rows apart from the wall-time column.  Summaries
+report the ratio of sample means E[ALG]/E[OPT] with a bootstrap 95%
+interval, never a mean of ratios.
 
 The verify_* functions are the checkable counterparts of the structural
 facts the matcher relies on: free-set uniformity, cost decomposition
@@ -67,9 +69,6 @@ _TREE_SALT = 0x7E11
 _FRT_SALT = 0x0F47
 _SUBSET_SALT = 0xD150
 
-ALGORITHMS = ("fair-bias", "split-match", "fair-bias-on-frt", "max-weight")
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 
@@ -110,6 +109,8 @@ def parse_scenario(path: str) -> Scenario:
             if "=" not in line:
                 raise ValueError(f"bad scenario line {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in fields:
+                raise ValueError(f"duplicate scenario key {key!r}")
             fields[key] = value
     if "metric" not in fields:
         raise ValueError("scenario needs a metric line")
@@ -206,9 +207,13 @@ def ratio_of_means(
     if mo == 0.0:
         return math.inf, math.inf, math.inf, False
     gen = np.random.default_rng(seed)
-    idx = gen.integers(0, len(a), size=(resamples, len(a)))
-    am = a[idx].mean(axis=1)
-    om = o[idx].mean(axis=1)
+    # ~1M indices at a time, in blocks of rows: the same indices as one draw
+    block = max(1, (1 << 20) // len(a))
+    am, om = np.empty(resamples), np.empty(resamples)
+    for lo in range(0, resamples, block):
+        idx = gen.integers(0, len(a), size=(min(block, resamples - lo), len(a)))
+        am[lo : lo + block] = a[idx].mean(axis=1)
+        om[lo : lo + block] = o[idx].mean(axis=1)
     ratios = np.where(
         (am == 0.0) & (om == 0.0),
         1.0,
@@ -246,100 +251,99 @@ def write_csv(records: list[TrialRecord], path: str) -> None:
             )
 
 
+# A runner checks the instance, does the algorithm's setup and returns the
+# episode, (stream, rng) -> (result, relocation cost), which looks the
+# episode functions up as module globals at call time.
+
+
+def _fair_bias(sc: Scenario, instance: MetricInstance, dist):
+    provider = PlanProvider(instance, allow_unchecked=not instance.verified_metric)
+    if sc.distribution == "uniform":
+        return lambda stream, rng: (
+            run_episode(instance, stream, rng=rng, provider=provider), 0
+        )
+    plan = solve_transshipment(instance, dist)
+
+    def episode(stream, rng):
+        wres = run_wrapped(
+            instance, dist, rng=rng, stream=stream, plan=plan, provider=provider
+        )
+        return wres.result, wres.relocation_cost
+
+    return episode
+
+
+def _split_match(sc: Scenario, instance: MetricInstance, dist):
+    if instance.tree is None:
+        raise ValueError("split-match needs a tree-backed metric")
+    if sc.distribution != "uniform":
+        raise ValueError("split-match scenarios are uniform-arrival only")
+    decomp = split_decomposition(ternarize(instance.tree))
+    return lambda stream, rng: (
+        run_episode_hier(instance.tree, stream, rng=rng, decomp=decomp), 0
+    )
+
+
+def _fair_bias_on_frt(sc: Scenario, instance: MetricInstance, dist):
+    if not instance.verified_metric:
+        raise ValueError("the embedding variant needs a checked metric")
+    if sc.distribution != "uniform":
+        raise ValueError("the embedding variant is uniform-arrival only")
+    once = None
+    if sc.frt_mode == "once":
+        ftree = frt_embed(instance, random.Random(sc.seed ^ _FRT_SALT))
+        once = PlanProvider(tree_metric(ftree))
+
+    def episode(stream, rng):
+        prov = once or PlanProvider(tree_metric(frt_embed(instance, rng)))
+        on_tree = run_episode(prov.instance, stream, rng=rng, provider=prov)
+        true_steps = [instance.matrix[s][r] for r, s in on_tree.assignments]
+        return MatchingResult(
+            "fair-bias-on-frt", None, on_tree.assignments, true_steps, sum(true_steps)
+        ), 0
+
+    return episode
+
+
+def _max_weight(sc: Scenario, instance: MetricInstance, dist):
+    gains, weights = instance.matrix, list(dist.weights)
+    provider = MaxWeightProvider(gains, weights)
+    return lambda stream, rng: (
+        run_episode_max_weight(gains, weights, stream, rng=rng, provider=provider), 0
+    )
+
+
+# name -> (runner, whether the result is a gain the optimum bounds above)
+_RUNNERS = {
+    "fair-bias": (_fair_bias, False),
+    "split-match": (_split_match, False),
+    "fair-bias-on-frt": (_fair_bias_on_frt, False),
+    "max-weight": (_max_weight, True),
+}
+ALGORITHMS = tuple(_RUNNERS)
+
+
 def run_trials(sc: Scenario) -> tuple[list[TrialRecord], RunSummary]:
     """Replay a scenario; returns per-trial records and the summary."""
     instance = build_instance(sc)
     n = instance.n
-    alg = sc.algorithm
-    if alg == "split-match":
-        if instance.tree is None:
-            raise ValueError("split-match needs a tree-backed metric")
-        if sc.distribution != "uniform":
-            raise ValueError("split-match scenarios are uniform-arrival only")
-    if alg == "fair-bias-on-frt":
-        if not instance.verified_metric:
-            raise ValueError("the embedding variant needs a checked metric")
-        if sc.distribution != "uniform":
-            raise ValueError("the embedding variant is uniform-arrival only")
-
     dist = build_distribution(sc, n)
-    wrapped = alg == "fair-bias" and sc.distribution != "uniform"
-    cache = n <= 20
-
-    provider = None
-    plan = None
-    decomp = None
-    frt_provider = None
-    mw_provider = None
-    weights = instance.matrix
-    if alg == "fair-bias":
-        provider = PlanProvider(
-            instance, allow_unchecked=not instance.verified_metric, cache=cache
-        )
-        if wrapped:
-            plan = solve_transshipment(instance, dist)
-    elif alg == "split-match":
-        decomp = split_decomposition(ternarize(instance.tree))
-    elif alg == "fair-bias-on-frt" and sc.frt_mode == "once":
-        ftree = frt_embed(instance, random.Random(sc.seed ^ _FRT_SALT))
-        frt_provider = PlanProvider(tree_metric(ftree), cache=cache)
-    elif alg == "max-weight":
-        mw_provider = MaxWeightProvider(
-            weights, list(dist.weights), cache=n <= 12
-        )
-
+    runner, gain = _RUNNERS[sc.algorithm]
+    episode = runner(sc, instance, dist)
     records: list[TrialRecord] = []
     for t in range(sc.trials):
         ep_seed = sc.seed + t
         rng = random.Random(ep_seed)
         t0 = time.perf_counter()
-        reloc = 0
-        if alg == "fair-bias" and not wrapped:
-            stream = [rng.randrange(n) for _ in range(n)]
-            result = run_episode(instance, stream, rng=rng, provider=provider)
-        elif alg == "fair-bias":
-            wres = run_wrapped(
-                instance, dist, rng=rng, plan=plan, provider=provider
-            )
-            result = wres.result
-            stream = [a for a, _ in result.assignments]
-            reloc = wres.relocation_cost
-        elif alg == "split-match":
-            stream = [rng.randrange(n) for _ in range(n)]
-            result = run_episode_hier(
-                instance.tree, stream, rng=rng, decomp=decomp
-            )
-        elif alg == "fair-bias-on-frt":
-            stream = [rng.randrange(n) for _ in range(n)]
-            if sc.frt_mode == "once":
-                prov = frt_provider
-            else:
-                ftree = frt_embed(instance, rng)
-                prov = PlanProvider(tree_metric(ftree), cache=False)
-            on_tree = run_episode(prov.instance, stream, rng=rng, provider=prov)
-            true_steps = [instance.matrix[s][r] for r, s in on_tree.assignments]
-            result = MatchingResult(
-                "fair-bias-on-frt",
-                ep_seed,
-                on_tree.assignments,
-                true_steps,
-                sum(true_steps),
-            )
-        else:  # max-weight
-            stream = [dist.sample(rng) for _ in range(n)]
-            result = run_episode_max_weight(
-                weights, list(dist.weights), stream, rng=rng, provider=mw_provider
-            )
-
-        if alg == "max-weight":
-            opt = opt_max_weight(weights, stream)
+        stream = [dist.sample(rng) for _ in range(n)]
+        result, reloc = episode(stream, rng)
+        if gain:
+            opt = opt_max_weight(instance.matrix, stream)
             if result.total_cost > opt:
                 raise RuntimeError("online gain above the offline optimum")
         else:
-            if instance.tree is not None:
-                opt = opt_tree(instance, stream)
-            else:
-                opt = opt_general(instance, stream)
+            optimum = opt_tree if instance.tree is not None else opt_general
+            opt = optimum(instance, stream)
             if result.total_cost < opt:
                 raise RuntimeError("online cost below the offline optimum")
         millis = (time.perf_counter() - t0) * 1000.0
@@ -447,7 +451,7 @@ def verify_structure_lemma(
         raise ValueError("subset space too large to tabulate beyond n=8")
     if instance is None:
         instance = uniform_metric(n)
-    provider = PlanProvider(instance, cache=True)
+    provider = PlanProvider(instance)
     counts: dict[int, Counter] = {k: Counter() for k in range(1, n)}
     for t in range(trials):
         rng = random.Random(seed + t)
@@ -546,7 +550,7 @@ def verify_cost_decomposition(
     total should decompose into.
     """
     n = instance.n
-    provider = PlanProvider(instance, cache=True)
+    provider = PlanProvider(instance)
     totals = []
     for t in range(trials):
         rng = random.Random(seed + t)

@@ -20,7 +20,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 
-from .fairbias import MatchingResult
+from .fairbias import MatchingResult, checked_rng
 from .metrics import WeightedTree
 
 log = logging.getLogger(__name__)
@@ -252,15 +252,11 @@ def run_episode_hier(
     decomp: HierarchicalDecomposition | None = None,
 ) -> MatchingResult:
     """One episode of the hierarchical matcher on a (any-degree) tree."""
-    n = tree.n_points
-    if len(stream) != n:
-        raise ValueError(f"stream must have exactly n={n} requests")
-    if rng is None:
-        rng = random.Random(seed)
+    rng = checked_rng(tree.n_points, stream, seed, rng)
     if decomp is None:
         decomp = split_decomposition(ternarize(tree))
     tern = decomp.tree
-    matrix = tern.leaf_distance_matrix()
+    matrix = tree.leaf_distance_matrix()  # same point distances as tern's
     occ = OccupancyState(decomp)
     assignments = []
     costs = []

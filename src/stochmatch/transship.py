@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .fairbias import MatchingResult, PlanProvider, init_state, step
+from .fairbias import MatchingResult, PlanProvider, checked_rng, init_state, step
 from .flows import Column, column, column_units, draw, transport
 from .metrics import MetricInstance
 
@@ -53,7 +53,13 @@ class RequestDistribution:
     def _column(self) -> Column:
         return column(enumerate(self.weights))
 
+    @cached_property
+    def _flat(self) -> bool:
+        return len(set(self.weights)) == 1
+
     def sample(self, rng: random.Random) -> int:
+        if self._flat:  # the same randrange(total) draw, without the search
+            return rng.randrange(self.total) // self.weights[0]
         return draw(self._column, self.total, rng)
 
 
@@ -177,16 +183,15 @@ def run_wrapped(
     if not instance.verified_metric:
         raise ValueError("the wrapper's accounting needs a checked metric")
     n = instance.n
-    if rng is None:
-        rng = random.Random(seed)
+    if stream is None:
+        if rng is None:
+            rng = random.Random(seed)
+        stream = [dist.sample(rng) for _ in range(n)]
+    rng = checked_rng(n, stream, seed, rng)
     if plan is None:
         plan = solve_transshipment(instance, dist)
     if provider is None:
         provider = PlanProvider(instance)
-    if stream is None:
-        stream = [dist.sample(rng) for _ in range(n)]
-    elif len(stream) != n:
-        raise ValueError(f"stream must have exactly n={n} requests")
     state = init_state(n)
     matrix = instance.matrix
     assignments = []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochmatch import flows
 from stochmatch.metrics import load_metric, matrix_unchecked, random_recursive_tree
 from stochmatch.offline import opt_general, opt_max_weight
 from stochmatch.splitmatch import split_decomposition, ternarize
@@ -72,3 +73,12 @@ def test_distribution_sample_is_one_inverse_cdf_draw():
         t = random.Random(seed).randrange(8)
         want = 1 if t < 3 else 2 if t < 4 else 4
         assert dist.sample(random.Random(seed)) == want
+
+
+@pytest.mark.parametrize("weights", [(1,) * 7, (3,) * 5, (2,)])
+def test_flat_distribution_sample_is_the_column_draw(weights):
+    dist = RequestDistribution(weights)
+    for seed in range(40):
+        a, b = random.Random(seed), random.Random(seed)
+        assert dist.sample(a) == flows.draw(dist._column, dist.total, b)
+        assert a.getstate() == b.getstate()

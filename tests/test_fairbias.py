@@ -125,15 +125,29 @@ class TestSamplingLaw:
 
 class TestProviders:
     def test_cache_does_not_change_episodes(self):
+        # one shared memo against a fresh provider per episode, which never
+        # sees a free set twice
         inst = random_metric(5, random.Random(8))
-        hot = PlanProvider(inst, cache=True)
-        cold = PlanProvider(inst, cache=False)
+        hot = PlanProvider(inst)
+        fresh = []
         for seed in range(15):
             stream = [random.Random(seed ^ 0xA5).randrange(5) for _ in range(5)]
+            cold = PlanProvider(inst)
+            fresh.append(cold)
             a = run_episode(inst, stream, seed=seed, provider=hot)
             b = run_episode(inst, stream, seed=seed, provider=cold)
             assert a.assignments == b.assignments
             assert a.total_cost == b.total_cost
+        # the shared memo served hits: fewer plans than the fresh ones solved
+        assert len(hot._memo) < sum(len(p._memo) for p in fresh)
+
+    def test_memo_follows_instance_size(self):
+        assert PlanProvider(line_metric(20))._memo is not None
+        assert PlanProvider(line_metric(21))._memo is None
+        w = [[1] * 12 for _ in range(12)]
+        assert MaxWeightProvider(w, [1] * 12)._memo is not None
+        w = [[1] * 13 for _ in range(13)]
+        assert MaxWeightProvider(w, [1] * 13)._memo is None
 
     def test_tree_and_matrix_backings_agree_on_cost_law(self):
         # same metric with and without the tree backing; episode totals

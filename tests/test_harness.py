@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import stochmatch.harness as harness
 from stochmatch.harness import (
+    ALGORITHMS,
     Scenario,
     build_distribution,
     build_instance,
@@ -86,6 +88,11 @@ class TestParseScenario:
                     tmp_path, "metric = line 4\nalgorithm = greedy\n"
                 )
             )
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        text = "metric = line 4\ntrials = 5\ntrials = 6\n"
+        with pytest.raises(ValueError, match="duplicate scenario key 'trials'"):
+            parse_scenario(_scenario_file(tmp_path, text))
 
     def test_scenario_validation_direct(self):
         with pytest.raises(ValueError, match="trials"):
@@ -173,6 +180,17 @@ class TestRatioOfMeans:
     def test_tight_interval_on_constant_data(self):
         ratio, lo, hi, _ = ratio_of_means([4.0] * 50, [2.0] * 50, seed=0)
         assert (ratio, lo, hi) == (2.0, 2.0, 2.0)
+
+    def test_pinned_interval_on_many_trials(self):
+        # figures of the one-array draw; drawing in blocks must not move them
+        algs = [float((i * 37) % 50) for i in range(5000)]
+        opts = [float((i * i) % 39 + 1) for i in range(5000)]
+        assert ratio_of_means(algs, opts, seed=9) == (
+            1.5641559303854846,
+            1.5276126884420482,
+            1.6031712880500966,
+            False,
+        )
 
 
 class TestCsv:
@@ -360,3 +378,90 @@ class TestVerifiers:
         for _ in range(5):
             inst = random_metric(rng.randint(2, 8), rng)
             assert inst.verified_metric
+
+
+# per-trial (alg_cost, opt_cost, reloc_cost, step_costs) of four trials
+# from seed 41, one route of each runner
+GOLDEN_ROUTES = {
+    "fair-bias-tree": (
+        dict(metric_kind="random", metric_arg="7"),
+        [(242, 60, 0, [0, 0, 0, 91, 30, 121, 0]),
+         (334, 334, 0, [0, 0, 30, 137, 0, 91, 76]),
+         (96, 96, 0, [0, 0, 0, 0, 0, 0, 96]),
+         (96, 96, 0, [0, 0, 96, 0, 0, 0, 0])],
+    ),
+    "fair-bias-unchecked": (
+        dict(metric_kind="nonmetric", metric_arg="6"),
+        [(2, 2, 0, [0, 0, 0, 1, 1, 0]),
+         (4, 2, 0, [0, 0, 1, 1, 1, 1]),
+         (1, 1, 0, [0, 0, 0, 0, 0, 1]),
+         (1, 1, 0, [0, 0, 1, 0, 0, 0])],
+    ),
+    "wrapped-geometric": (
+        dict(metric_kind="random", metric_arg="6", distribution="geometric"),
+        [(233, 173, 0, [0, 96, 0, 106, 0, 31]),
+         (339, 97, 31, [31, 0, 91, 0, 96, 121]),
+         (37, 37, 0, [0, 0, 0, 1, 0, 36]),
+         (464, 68, 261, [167, 31, 36, 1, 122, 107])],
+    ),
+    "split-match": (
+        dict(metric_kind="random", metric_arg="7", algorithm="split-match"),
+        [(244, 60, 0, [0, 0, 0, 91, 30, 122, 1]),
+         (344, 334, 0, [0, 0, 35, 122, 5, 106, 76]),
+         (96, 96, 0, [0, 0, 0, 0, 0, 0, 96]),
+         (96, 96, 0, [0, 0, 91, 0, 0, 0, 5])],
+    ),
+    "frt-per-trial": (
+        dict(metric_kind="line", metric_arg="7", spacing=3,
+             algorithm="fair-bias-on-frt"),
+        [(36, 12, 0, [0, 0, 0, 9, 9, 3, 15]),
+         (27, 21, 0, [0, 0, 18, 3, 0, 0, 6]),
+         (6, 6, 0, [0, 0, 0, 0, 0, 0, 6]),
+         (18, 6, 0, [0, 0, 6, 0, 12, 0, 0])],
+    ),
+    "frt-once": (
+        dict(metric_kind="line", metric_arg="6", algorithm="fair-bias-on-frt",
+             frt_mode="once"),
+        [(3, 3, 0, [0, 0, 0, 1, 2, 0]),
+         (6, 4, 0, [0, 0, 2, 1, 1, 2]),
+         (2, 2, 0, [0, 0, 0, 0, 0, 2]),
+         (2, 2, 0, [0, 0, 2, 0, 0, 0])],
+    ),
+    "max-weight": (
+        dict(metric_kind="line", metric_arg="5", distribution="geometric",
+             algorithm="max-weight"),
+        [(7, 9, 0, [0, 1, 1, 1, 4]),
+         (13, 13, 0, [3, 2, 3, 4, 1]),
+         (12, 12, 0, [3, 1, 3, 4, 1]),
+         (9, 11, 0, [1, 4, 3, 1, 0])],
+    ),
+}
+
+
+class TestTrialLoop:
+    @pytest.mark.parametrize("route", sorted(GOLDEN_ROUTES))
+    def test_golden_records(self, route):
+        fields, expected = GOLDEN_ROUTES[route]
+        records, _ = run_trials(Scenario(trials=4, seed=41, **fields))
+        got = [(r.alg_cost, r.opt_cost, r.reloc_cost, r.step_costs) for r in records]
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "metric, algorithm",
+        [("line", a) for a in ALGORITHMS]
+        + [("uniform", a) for a in ALGORITHMS if a != "split-match"],
+    )
+    def test_one_generator_per_trial(self, monkeypatch, metric, algorithm):
+        seeds = []
+
+        class CountingRandom:
+            @staticmethod
+            def Random(seed):
+                seeds.append(seed)
+                return random.Random(seed)
+
+        monkeypatch.setattr(harness, "random", CountingRandom)
+        sc = Scenario(metric, "5", algorithm=algorithm, trials=6, seed=30)
+        records, _ = run_trials(sc)
+        assert len(records) == 6
+        assert seeds == list(range(30, 36))

@@ -201,6 +201,23 @@ class TestEpisodes:
         with pytest.raises(ValueError, match="exactly n=3"):
             run_episode_hier(star_tree(3), [0], seed=0)
 
+    @pytest.mark.parametrize("stream", [[0, 1, 5], [0, 1, -1]])
+    def test_stream_range_checked(self, stream):
+        tree = line_metric(3).tree
+        with pytest.raises(ValueError, match="outside the instance"):
+            run_episode_hier(tree, stream, seed=0)
+
+    def test_prices_steps_with_the_callers_matrix(self):
+        tree = random_recursive_tree(9, random.Random(4))
+        tree.leaf_distance_matrix()
+        decomp = split_decomposition(ternarize(tree))
+        res = run_episode_hier(tree, [3, 3, 1, 0, 8, 8, 2, 5, 5], seed=2, decomp=decomp)
+        assert decomp.tree._matrix is None
+        tern = ternarize(tree)
+        assert res.step_costs == [
+            tern.tree_distance(r, s) for r, s in res.assignments
+        ]
+
     def test_single_point_episode(self):
         tree = random_recursive_tree(1, random.Random(0))
         res = run_episode_hier(tree, [0], seed=0)

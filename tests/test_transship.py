@@ -170,6 +170,12 @@ class TestRunWrapped:
         with pytest.raises(ValueError, match="exactly n=3"):
             run_wrapped(inst, dist, seed=4, stream=[1])
 
+    @pytest.mark.parametrize("stream", [[0, 1, 5], [0, 1, -1]])
+    def test_fixed_stream_range_checked(self, stream):
+        inst = line_metric(3)
+        with pytest.raises(ValueError, match="outside the instance"):
+            run_wrapped(inst, uniform_distribution(3), seed=4, stream=stream)
+
     def test_deterministic_per_seed(self):
         inst = uniform_metric(4)
         dist = geometric_distribution(4)
