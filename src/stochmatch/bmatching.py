@@ -11,9 +11,15 @@ and values are Fractions with denominator n*|T|.
 Two solve routes exist on purpose.  solve_min_cost runs ``transport``
 on any instance; tree_plan builds the canonical optimal plan directly
 on tree-backed instances by self-matching co-located mass first and
-then pairing surplus against deficit bottom-up.  Its columns are the
-shared ``flows.column`` sampling columns.  Tests pin the two routes to
-the same value.
+then pairing surplus against deficit bottom-up, and is the exact
+reference behind solve_min_cost_tree.  Its columns are the shared
+``flows.column`` sampling columns.  Tests pin the two routes to the
+same value.
+
+The online matcher builds neither plan on trees: tree_walk samples one
+column entry of the tree's unique optimal edge flow by walking it back
+from the request, from free-point counts per node (free_below, kept
+current by release) that the caller holds across arrivals.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .flows import Column, column, column_units, transport
 from .metrics import MetricInstance, WeightedTree
@@ -310,7 +317,10 @@ def scaling_identity_check(
 
 
 class TreeContext:
-    """Rooted arrays of a tree, reused across many solves."""
+    """Rooted arrays of a tree, reused across many solves.
+
+    ``size``, which only ``tree_walk`` reads, is built on its first call.
+    """
 
     def __init__(self, tree: WeightedTree):
         self.tree = tree
@@ -321,6 +331,17 @@ class TreeContext:
         self.node_point = [-1] * tree.num_nodes
         for p, leaf in tree.leaf_for_point.items():
             self.node_point[leaf] = p
+
+    @cached_property
+    def size(self) -> list[int]:
+        """Number of points below each node, the node included."""
+        size = [0] * len(self.parent)
+        for x in self.bottom_up:
+            if self.node_point[x] >= 0:
+                size[x] += 1
+            if self.parent[x] >= 0:
+                size[self.parent[x]] += size[x]
+        return size
 
 
 _CTX_ATTR = "_stochmatch_tree_ctx"
@@ -421,6 +442,78 @@ def _pair_off(
     if a:
         return a, sa, ta - tb
     return None, 0, 0
+
+
+# ---------------------------------------------------------------------------
+# sampling one column entry of the optimal tree flow
+
+
+def free_below(ctx: TreeContext, free: set[int]) -> list[int]:
+    """Number of points of ``free`` below each node.
+
+    Starts from all points and releases the others, so it costs one path
+    per point outside ``free``: little when an episode first needs it.
+    """
+    below = ctx.size[:]
+    for p in range(ctx.tree.n_points):
+        if p not in free:
+            release(ctx, below, p)
+    return below
+
+
+def release(ctx: TreeContext, below: list[int], point: int) -> None:
+    """Update ``free_below`` counts for a point leaving the free set."""
+    parent = ctx.parent
+    x = ctx.tree.leaf_for_point[point]
+    while x >= 0:
+        below[x] -= 1
+        x = parent[x]
+
+
+def tree_walk(
+    ctx: TreeContext, below: list[int], k: int, n: int, request: int, rng
+) -> int:
+    """Free server for an arrival at an occupied point, by the optimal flow.
+
+    With k free points, the optimal reduced plan (every free point sends
+    n - k units, every occupied point takes k, in n*k units) has one
+    optimal flow on a tree: edge (v, parent) carries
+    n * below[v] - k * size[v] units, upward when positive.  The walk
+    starts at the request's leaf and steps back along an arc carrying
+    flow into the current node, chosen with probability proportional to
+    that flow (one ``randrange`` where two or more arcs do), until it
+    reaches a point, which is a free server.  That is the proportional
+    path decomposition of the flow: every free row gets n - k units,
+    every occupied column k, and the cost is the flow's
+    sum_e len_e * |flow_e|, the optimum.  O(depth * degree) per call.
+    """
+    parent = ctx.parent
+    adj = ctx.tree.adj
+    size = ctx.size
+    node_point = ctx.node_point
+    x = ctx.tree.leaf_for_point[request]
+    while True:
+        up = parent[x]
+        arcs = [
+            (c, f)
+            for c, _, _ in adj[x]
+            if c != up and (f := n * below[c] - k * size[c]) > 0
+        ]
+        if up >= 0:
+            f = k * size[x] - n * below[x]
+            if f > 0:
+                arcs.append((up, f))
+        if len(arcs) == 1:
+            x = arcs[0][0]
+        else:
+            u = rng.randrange(sum([f for _, f in arcs]))
+            for x, f in arcs:
+                if u < f:
+                    break
+                u -= f
+        p = node_point[x]
+        if p >= 0:
+            return p
 
 
 def solve_min_cost_tree(instance: MetricInstance, T) -> FractionalMatching:

@@ -1,23 +1,30 @@
 """Online matching by sampling servers from exact optimal plans.
 
-At every arrival the algorithm re-solves the fractional matching of the
-current free set, canonicalized so co-located mass matches itself, and
-assigns the request to free server s with probability n * x[s][r].  The
-sampling distribution is carried as a ``flows.column`` of integer units
-with an exact total, so one ``flows.draw`` per step implements
-inverse-CDF sampling with no floating point.
+At every arrival the algorithm samples, from an optimal fractional
+matching of the current free set canonicalized so co-located mass
+matches itself, the free server s with probability n * x[s][r].  An
+arrival at a free location takes its own server.
 
-A plan provider per backing keeps this fast: tree-backed instances use
-the bottom-up canonical plan, checked matrix metrics solve the reduced
+A plan provider per backing does the sampling.  Checked tree-backed
+instances never build a plan: ``bmatching.tree_walk`` walks the tree's
+unique optimal edge flow back from the request in O(depth) per arrival,
+using free-point counts per node that the episode's state keeps current.
+Every other backing draws with ``flows.draw`` from a ``flows.column`` of
+integer units with an exact total, so the draw is inverse-CDF sampling
+with no floating point: checked matrix metrics solve the reduced
 surplus/deficit transportation problem with ``flows.transport``
 (self-matches are implicit), unchecked instances solve the full program
-and sample its raw columns.  Providers memoize plans per free set up to
-``memo_max_n`` points, past which free sets rarely recur; the solver is
-deterministic, so memoization cannot change behavior.
+and sample its raw columns.  These column providers memoize plans per
+free set up to ``memo_max_n`` points, past which free sets rarely recur;
+the solver is deterministic, so memoization cannot change behavior.
+Tree providers keep no memo: the walk needs none.
 
-The maximum-weight variant is the same loop over a different provider:
-every provider exposes ``columns(free)``, the cost-or-gain ``matrix``,
-the expected ``column_mass(r, k)`` and ``canonical``.
+Every provider exposes ``sample(state, r, rng)``, ``columns(free)``, the
+cost-or-gain ``matrix``, the expected ``column_mass(r, k)`` and
+``canonical``.  On a tree ``columns`` is the reduced transportation plan
+of its distance matrix, like any checked metric's; the walk never asks
+for it.  The maximum-weight variant is the same loop over a column
+provider.
 """
 
 from __future__ import annotations
@@ -25,7 +32,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .bmatching import solve_max_weight, solve_min_cost, tree_context, tree_plan
+from .bmatching import (
+    TreeContext,
+    free_below,
+    release,
+    solve_max_weight,
+    solve_min_cost,
+    tree_context,
+    tree_plan,  # unused here; bench/tracing.py wraps fairbias.tree_plan by name
+    tree_walk,
+)
 from .flows import Column, column, draw, transport
 from .metrics import MetricInstance
 
@@ -41,18 +57,55 @@ class MatchingResult:
     total_cost: int
 
 
-@dataclass
 class OnlineState:
-    free: tuple[int, ...]
-    free_set: set[int]
+    """The free servers of one episode.
+
+    ``free_set`` gives O(1) membership and removal; ``free`` builds the
+    sorted tuple that plan memos key on, only when asked.  A tree
+    provider's free-point counts per node are built on first use by
+    ``below`` and kept current by ``remove``; assigning a new free set
+    drops them.
+    """
+
+    def __init__(self, free_set: set[int]):
+        self.free_set = free_set
+
+    @property
+    def free_set(self) -> set[int]:
+        return self._free_set
+
+    @free_set.setter
+    def free_set(self, value: set[int]) -> None:
+        self._free_set = value
+        self._tree: TreeContext | None = None  # whose counts _below holds
+        self._below: list[int] = []
+
+    @property
+    def free(self) -> tuple[int, ...]:
+        return tuple(sorted(self._free_set))
+
+    @free.setter
+    def free(self, value) -> None:
+        self.free_set = set(value)
 
     @property
     def k(self) -> int:
-        return len(self.free)
+        return len(self._free_set)
+
+    def below(self, ctx: TreeContext) -> list[int]:
+        """Free points below each node of ctx's tree."""
+        if self._tree is not ctx:
+            self._tree, self._below = ctx, free_below(ctx, self._free_set)
+        return self._below
+
+    def remove(self, server: int) -> None:
+        self._free_set.remove(server)
+        if self._tree is not None:
+            release(self._tree, self._below, server)
 
 
 class PlanProvider:
-    """Sampling columns of the canonical plan for each free set."""
+    """Samples servers from the canonical plan of each free set."""
 
     memo_max_n = 20
 
@@ -71,7 +124,21 @@ class PlanProvider:
             if instance.verified_metric and instance.tree is not None
             else None
         )
-        self._memo = {} if self.n <= self.memo_max_n else None  # free set -> columns
+        # free set -> columns; tree episodes walk and never ask for columns
+        memo = self._ctx is None and self.n <= self.memo_max_n
+        self._memo = {} if memo else None
+
+    def sample(self, state: OnlineState, request: int, rng: random.Random) -> int:
+        """Draw the server for an arrival at ``request``.
+
+        ``step`` serves a canonical arrival at a free location itself, so
+        the tree walk always starts at an occupied point.
+        """
+        ctx = self._ctx
+        if ctx is not None:
+            return tree_walk(ctx, state.below(ctx), state.k, self.n, request, rng)
+        mass = self.column_mass(request, state.k)
+        return draw(self.columns(state.free)[request], mass, rng)
 
     def column_mass(self, request: int, k: int) -> int:
         """Units in column ``request`` when k servers are free."""
@@ -88,14 +155,10 @@ class PlanProvider:
         return cols
 
     def _build(self, free: tuple[int, ...]) -> dict[int, Column]:
-        n = self.n
-        k = len(free)
-        if self._ctx is not None:
-            counts = dict.fromkeys(free, 1)
-            _, cols = tree_plan(self._ctx, counts, k, n)
-            return cols
         if self.canonical:
             return self._build_reduced(free)
+        n = self.n
+        k = len(free)
         full = solve_min_cost(self.instance, list(free))
         return _by_location((i, j, int(f * n * k)) for i, j, f in full.entries)
 
@@ -128,8 +191,7 @@ def _by_location(triples) -> dict[int, Column]:
 
 
 def init_state(n: int) -> OnlineState:
-    free = tuple(range(n))
-    return OnlineState(free, set(free))
+    return OnlineState(set(range(n)))
 
 
 def step(
@@ -139,19 +201,15 @@ def step(
     rng: random.Random,
 ) -> tuple[int, int]:
     """Serve one arrival; returns (server, cost) and shrinks the free set."""
-    k = state.k
-    if k == 0:
+    if not state.free_set:
         raise ValueError("no free servers left")
     if provider.canonical and request in state.free_set:
         # canonical plans put the full column on the co-located server
         server = request
     else:
-        mass = provider.column_mass(request, k)
-        server = draw(provider.columns(state.free)[request], mass, rng)
-    cost = provider.matrix[server][request]
-    state.free_set.discard(server)
-    state.free = tuple(p for p in state.free if p != server)
-    return server, cost
+        server = provider.sample(state, request, rng)
+    state.remove(server)
+    return server, provider.matrix[server][request]
 
 
 def checked_rng(
@@ -209,6 +267,7 @@ class MaxWeightProvider(PlanProvider):
 
     canonical = False
     memo_max_n = 12
+    _ctx = None  # gains are sampled from plan columns on every backing
 
     def __init__(self, weights: list[list[int]], location_weights: list[int]):
         self.n = len(weights)

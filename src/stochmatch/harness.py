@@ -4,9 +4,12 @@ A scenario is a small key-value text file (``key = value`` lines, ``#``
 comments).  ``run_trials`` replays it deterministically through a table
 of per-algorithm episode runners: trial t makes one ``random.Random(seed
 + t)``, which draws the n arrivals and then drives the episode, so reruns
-produce identical CSV rows apart from the wall-time column.  Summaries
-report the ratio of sample means E[ALG]/E[OPT] with a bootstrap 95%
-interval, never a mean of ratios.
+produce identical CSV rows apart from the wall-time column.  It is the
+only generator made through the ``random`` module name: set-up
+generators (the ``random N`` tree, the ``once`` embedding) come from
+``_SetupRandom``, so a hook on ``harness.random`` sees one per trial.
+Summaries report the ratio of sample means E[ALG]/E[OPT] with a
+bootstrap 95% interval, never a mean of ratios.
 
 The verify_* functions are the checkable counterparts of the structural
 facts the matcher relies on: free-set uniformity, cost decomposition
@@ -24,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from random import Random as _SetupRandom
 
 import numpy as np
 
@@ -141,7 +145,7 @@ def build_instance(sc: Scenario) -> MetricInstance:
     if kind == "uniform":
         return uniform_metric(int(arg), max(sc.spacing, 1))
     if kind == "random":
-        gen = random.Random(sc.seed ^ _TREE_SALT)
+        gen = _SetupRandom(sc.seed ^ _TREE_SALT)
         return tree_metric(random_recursive_tree(int(arg), gen))
     if kind == "nonmetric":
         return gen_nonmetric_instance(int(arg))
@@ -291,7 +295,7 @@ def _fair_bias_on_frt(sc: Scenario, instance: MetricInstance, dist):
         raise ValueError("the embedding variant is uniform-arrival only")
     once = None
     if sc.frt_mode == "once":
-        ftree = frt_embed(instance, random.Random(sc.seed ^ _FRT_SALT))
+        ftree = frt_embed(instance, _SetupRandom(sc.seed ^ _FRT_SALT))
         once = PlanProvider(tree_metric(ftree))
 
     def episode(stream, rng):

@@ -9,8 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochmatch import flows
-from stochmatch.metrics import load_metric, matrix_unchecked, random_recursive_tree
-from stochmatch.offline import opt_general, opt_max_weight
+from stochmatch.bmatching import solve_min_cost, solve_min_cost_tree
+from stochmatch.metrics import (
+    load_metric,
+    matrix_unchecked,
+    random_recursive_tree,
+    tree_from_host_edges,
+    tree_metric,
+)
+from stochmatch.offline import opt_general, opt_max_weight, opt_tree
 from stochmatch.splitmatch import split_decomposition, ternarize
 from stochmatch.transship import RequestDistribution
 
@@ -49,6 +56,41 @@ def test_opt_max_weight_matches_brute_force_on_asymmetric_weights(case):
         for perm in _assignments(requests)
     )
     assert opt_max_weight(weights, requests) == brute
+
+
+@st.composite
+def _tree_case(draw):
+    # random host trees with zero-length edges and Steiner hosts, n <= 6
+    n = draw(st.integers(1, 6))
+    hosts = n + draw(st.integers(0, 2))
+    edges = [
+        (draw(st.integers(0, i - 1)), i, draw(st.integers(0, 9)))
+        for i in range(1, hosts)
+    ]
+    instance = tree_metric(tree_from_host_edges(n, edges))
+    requests = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return instance, requests
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_tree_case())
+def test_opt_tree_matches_brute_force(case):
+    instance, requests = case
+    brute = min(
+        sum(instance.matrix[s][r] for r, s in zip(requests, perm))
+        for perm in _assignments(requests)
+    )
+    assert opt_tree(instance, requests) == brute
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_tree_case())
+def test_tree_plan_value_matches_the_transport_solve(case):
+    instance, points = case
+    for size in range(1, len(points) + 1):
+        free = points[:size]  # a multiset of free servers
+        tree_value = solve_min_cost_tree(instance, free).value
+        assert tree_value == solve_min_cost(instance, free).value
 
 
 def test_negative_entries_rejected(tmp_path):

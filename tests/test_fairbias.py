@@ -142,8 +142,10 @@ class TestProviders:
         assert len(hot._memo) < sum(len(p._memo) for p in fresh)
 
     def test_memo_follows_instance_size(self):
-        assert PlanProvider(line_metric(20))._memo is not None
-        assert PlanProvider(line_metric(21))._memo is None
+        assert PlanProvider(uniform_metric(20))._memo is not None
+        assert PlanProvider(uniform_metric(21))._memo is None
+        # trees walk their flow and keep no plans at any size
+        assert PlanProvider(line_metric(5))._memo is None
         w = [[1] * 12 for _ in range(12)]
         assert MaxWeightProvider(w, [1] * 12)._memo is not None
         w = [[1] * 13 for _ in range(13)]

@@ -27,7 +27,13 @@ from stochmatch.harness import (
     verify_structure_lemma,
     write_csv,
 )
-from stochmatch.metrics import check_matrix, dump_metric, line_metric
+from stochmatch.metrics import (
+    check_matrix,
+    dump_metric,
+    line_metric,
+    random_recursive_tree,
+    tree_metric,
+)
 
 F = Fraction
 
@@ -123,6 +129,11 @@ class TestBuildInstance:
         c = build_instance(Scenario("random", "9", seed=5))
         assert a.matrix == b.matrix
         assert a.matrix != c.matrix
+
+    def test_random_tree_comes_from_the_salted_seed(self):
+        inst = build_instance(Scenario("random", "9", seed=4))
+        tree = random_recursive_tree(9, random.Random(4 ^ harness._TREE_SALT))
+        assert inst.matrix == tree_metric(tree).matrix
 
     def test_nonmetric(self):
         inst = build_instance(Scenario("nonmetric", "4"))
@@ -381,14 +392,16 @@ class TestVerifiers:
 
 
 # per-trial (alg_cost, opt_cost, reloc_cost, step_costs) of four trials
-# from seed 41, one route of each runner
+# from seed 41, one route of each runner; the four tree-backed fair-bias
+# routes (fair-bias-tree, wrapped-geometric, frt-*) draw servers with the
+# tree flow walk, and their optima are those of the plan-column draw
 GOLDEN_ROUTES = {
     "fair-bias-tree": (
         dict(metric_kind="random", metric_arg="7"),
-        [(242, 60, 0, [0, 0, 0, 91, 30, 121, 0]),
-         (334, 334, 0, [0, 0, 30, 137, 0, 91, 76]),
+        [(60, 60, 0, [0, 0, 0, 30, 30, 0, 0]),
+         (334, 334, 0, [0, 0, 136, 31, 0, 76, 91]),
          (96, 96, 0, [0, 0, 0, 0, 0, 0, 96]),
-         (96, 96, 0, [0, 0, 96, 0, 0, 0, 0])],
+         (158, 96, 0, [0, 0, 122, 1, 0, 35, 0])],
     ),
     "fair-bias-unchecked": (
         dict(metric_kind="nonmetric", metric_arg="6"),
@@ -399,10 +412,10 @@ GOLDEN_ROUTES = {
     ),
     "wrapped-geometric": (
         dict(metric_kind="random", metric_arg="6", distribution="geometric"),
-        [(233, 173, 0, [0, 96, 0, 106, 0, 31]),
-         (339, 97, 31, [31, 0, 91, 0, 96, 121]),
-         (37, 37, 0, [0, 0, 0, 1, 0, 36]),
-         (464, 68, 261, [167, 31, 36, 1, 122, 107])],
+        [(233, 173, 1, [0, 91, 0, 106, 0, 36]),
+         (157, 97, 31, [31, 0, 5, 0, 0, 121]),
+         (37, 37, 36, [0, 0, 0, 1, 0, 36]),
+         (402, 68, 260, [167, 31, 0, 36, 1, 167])],
     ),
     "split-match": (
         dict(metric_kind="random", metric_arg="7", algorithm="split-match"),
@@ -414,16 +427,16 @@ GOLDEN_ROUTES = {
     "frt-per-trial": (
         dict(metric_kind="line", metric_arg="7", spacing=3,
              algorithm="fair-bias-on-frt"),
-        [(36, 12, 0, [0, 0, 0, 9, 9, 3, 15]),
-         (27, 21, 0, [0, 0, 18, 3, 0, 0, 6]),
+        [(12, 12, 0, [0, 0, 0, 3, 3, 3, 3]),
+         (27, 21, 0, [0, 0, 6, 3, 3, 0, 15]),
          (6, 6, 0, [0, 0, 0, 0, 0, 0, 6]),
-         (18, 6, 0, [0, 0, 6, 0, 12, 0, 0])],
+         (24, 6, 0, [0, 0, 3, 3, 15, 0, 3])],
     ),
     "frt-once": (
         dict(metric_kind="line", metric_arg="6", algorithm="fair-bias-on-frt",
              frt_mode="once"),
         [(3, 3, 0, [0, 0, 0, 1, 2, 0]),
-         (6, 4, 0, [0, 0, 2, 1, 1, 2]),
+         (4, 4, 0, [0, 0, 1, 1, 0, 2]),
          (2, 2, 0, [0, 0, 0, 0, 0, 2]),
          (2, 2, 0, [0, 0, 2, 0, 0, 0])],
     ),
@@ -465,3 +478,30 @@ class TestTrialLoop:
         records, _ = run_trials(sc)
         assert len(records) == 6
         assert seeds == list(range(30, 36))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(metric_kind="random", metric_arg="6"),
+            dict(metric_kind="random", metric_arg="6", algorithm="fair-bias-on-frt",
+                 frt_mode="once"),
+            dict(metric_kind="line", metric_arg="5", algorithm="fair-bias-on-frt",
+                 frt_mode="once"),
+        ],
+    )
+    def test_set_up_generators_are_not_trial_generators(self, monkeypatch, fields):
+        # the generated tree and the one embedding keep their own generators,
+        # with the same seeds, so a hook on harness.random sees one per trial
+        expected, _ = run_trials(Scenario(trials=6, seed=30, **fields))
+        seeds = []
+
+        class CountingRandom:
+            @staticmethod
+            def Random(seed):
+                seeds.append(seed)
+                return random.Random(seed)
+
+        monkeypatch.setattr(harness, "random", CountingRandom)
+        records, _ = run_trials(Scenario(trials=6, seed=30, **fields))
+        assert seeds == list(range(30, 36))
+        assert [r.step_costs for r in records] == [r.step_costs for r in expected]
