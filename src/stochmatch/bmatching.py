@@ -19,7 +19,9 @@ same value.
 The online matcher builds neither plan on trees: tree_walk samples one
 column entry of the tree's unique optimal edge flow by walking it back
 from the request, from free-point counts per node (free_below, kept
-current by release) that the caller holds across arrivals.
+current by release) that the caller holds across arrivals.  The tree
+routes take the ``WeightedTree`` itself and read its rooted arrays
+(parent, parent_len, order, node_point, size).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .flows import Column, column, column_units, transport
 from .metrics import MetricInstance, WeightedTree
@@ -316,47 +317,8 @@ def scaling_identity_check(
 # canonical plans on trees
 
 
-class TreeContext:
-    """Rooted arrays of a tree, reused across many solves.
-
-    ``size``, which only ``tree_walk`` reads, is built on its first call.
-    """
-
-    def __init__(self, tree: WeightedTree):
-        self.tree = tree
-        parent, parent_len, pre = tree.rooted(0)
-        self.parent = parent
-        self.parent_len = parent_len
-        self.bottom_up = list(reversed(pre))
-        self.node_point = [-1] * tree.num_nodes
-        for p, leaf in tree.leaf_for_point.items():
-            self.node_point[leaf] = p
-
-    @cached_property
-    def size(self) -> list[int]:
-        """Number of points below each node, the node included."""
-        size = [0] * len(self.parent)
-        for x in self.bottom_up:
-            if self.node_point[x] >= 0:
-                size[x] += 1
-            if self.parent[x] >= 0:
-                size[self.parent[x]] += size[x]
-        return size
-
-
-_CTX_ATTR = "_stochmatch_tree_ctx"
-
-
-def tree_context(tree: WeightedTree) -> TreeContext:
-    ctx = getattr(tree, _CTX_ATTR, None)
-    if ctx is None:
-        ctx = TreeContext(tree)
-        setattr(tree, _CTX_ATTR, ctx)
-    return ctx
-
-
 def tree_plan(
-    ctx: TreeContext, counts: dict[int, int], k: int, n: int
+    tree: WeightedTree, counts: dict[int, int], k: int, n: int
 ) -> tuple[int, dict[int, Column]]:
     """Canonical optimal plan on a tree, in n*k-scaled integer units.
 
@@ -366,17 +328,17 @@ def tree_plan(
     where columns[r] is the sampling column (servers, cumulative units)
     of each point r whose demand is not covered by its own supply.
     """
-    num_nodes = ctx.tree.num_nodes
-    node_point = ctx.node_point
-    parent = ctx.parent
-    parent_len = ctx.parent_len
+    num_nodes = tree.num_nodes
+    node_point = tree.node_point
+    parent = tree.parent
+    parent_len = tree.parent_len
     pend: list[deque | None] = [None] * num_nodes
     sign = [0] * num_nodes
     tot = [0] * num_nodes
     columns: dict[int, list[tuple[int, int]]] = {}
     value = 0
-    root = ctx.bottom_up[-1]
-    for x in ctx.bottom_up:
+    root = tree.order[0]
+    for x in reversed(tree.order):
         own = pend[x]
         own_sign = sign[x]
         own_tot = tot[x]
@@ -448,30 +410,30 @@ def _pair_off(
 # sampling one column entry of the optimal tree flow
 
 
-def free_below(ctx: TreeContext, free: set[int]) -> list[int]:
+def free_below(tree: WeightedTree, free: set[int]) -> list[int]:
     """Number of points of ``free`` below each node.
 
     Starts from all points and releases the others, so it costs one path
     per point outside ``free``: little when an episode first needs it.
     """
-    below = ctx.size[:]
-    for p in range(ctx.tree.n_points):
+    below = tree.size[:]
+    for p in range(tree.n_points):
         if p not in free:
-            release(ctx, below, p)
+            release(tree, below, p)
     return below
 
 
-def release(ctx: TreeContext, below: list[int], point: int) -> None:
+def release(tree: WeightedTree, below: list[int], point: int) -> None:
     """Update ``free_below`` counts for a point leaving the free set."""
-    parent = ctx.parent
-    x = ctx.tree.leaf_for_point[point]
+    parent = tree.parent
+    x = tree.leaf_for_point[point]
     while x >= 0:
         below[x] -= 1
         x = parent[x]
 
 
 def tree_walk(
-    ctx: TreeContext, below: list[int], k: int, n: int, request: int, rng
+    tree: WeightedTree, below: list[int], k: int, n: int, request: int, rng
 ) -> int:
     """Free server for an arrival at an occupied point, by the optimal flow.
 
@@ -487,11 +449,11 @@ def tree_walk(
     every occupied column k, and the cost is the flow's
     sum_e len_e * |flow_e|, the optimum.  O(depth * degree) per call.
     """
-    parent = ctx.parent
-    adj = ctx.tree.adj
-    size = ctx.size
-    node_point = ctx.node_point
-    x = ctx.tree.leaf_for_point[request]
+    parent = tree.parent
+    adj = tree.adj
+    size = tree.size
+    node_point = tree.node_point
+    x = tree.leaf_for_point[request]
     while True:
         up = parent[x]
         arcs = [
@@ -523,9 +485,8 @@ def solve_min_cost_tree(instance: MetricInstance, T) -> FractionalMatching:
     n = instance.n
     counts = _counts(T)
     k = sum(counts.values())
-    ctx = tree_context(instance.tree)
     scale = n * k
-    value_scaled, cols = tree_plan(ctx, counts, k, n)
+    value_scaled, cols = tree_plan(instance.tree, counts, k, n)
     entries: dict[tuple[int, int], int] = {}
     for i, c in counts.items():
         self_units = min(n * c, k)

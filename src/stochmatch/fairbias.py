@@ -8,15 +8,17 @@ arrival at a free location takes its own server.
 A plan provider per backing does the sampling.  Checked tree-backed
 instances never build a plan: ``bmatching.tree_walk`` walks the tree's
 unique optimal edge flow back from the request in O(depth) per arrival,
-using free-point counts per node that the episode's state keeps current.
+on the tree's rooted arrays and free-point counts per node that the
+episode's state keeps current.
 Every other backing draws with ``flows.draw`` from a ``flows.column`` of
 integer units with an exact total, so the draw is inverse-CDF sampling
 with no floating point: checked matrix metrics solve the reduced
 surplus/deficit transportation problem with ``flows.transport``
 (self-matches are implicit), unchecked instances solve the full program
 and sample its raw columns.  These column providers memoize plans per
-free set up to ``memo_max_n`` points, past which free sets rarely recur;
-the solver is deterministic, so memoization cannot change behavior.
+free set up to ``memo_max_n`` points, past which free sets rarely recur,
+and stop adding plans once ``memo_max_plans`` are held; the solver is
+deterministic, so memoization cannot change behavior.
 Tree providers keep no memo: the walk needs none.
 
 Every provider exposes ``sample(state, r, rng)``, ``columns(free)``, the
@@ -33,17 +35,15 @@ import random
 from dataclasses import dataclass
 
 from .bmatching import (
-    TreeContext,
     free_below,
     release,
     solve_max_weight,
     solve_min_cost,
-    tree_context,
     tree_plan,  # unused here; bench/tracing.py wraps fairbias.tree_plan by name
     tree_walk,
 )
 from .flows import Column, column, draw, transport
-from .metrics import MetricInstance
+from .metrics import MetricInstance, WeightedTree
 
 
 @dataclass
@@ -77,7 +77,7 @@ class OnlineState:
     @free_set.setter
     def free_set(self, value: set[int]) -> None:
         self._free_set = value
-        self._tree: TreeContext | None = None  # whose counts _below holds
+        self._tree: WeightedTree | None = None  # whose counts _below holds
         self._below: list[int] = []
 
     @property
@@ -92,10 +92,10 @@ class OnlineState:
     def k(self) -> int:
         return len(self._free_set)
 
-    def below(self, ctx: TreeContext) -> list[int]:
-        """Free points below each node of ctx's tree."""
-        if self._tree is not ctx:
-            self._tree, self._below = ctx, free_below(ctx, self._free_set)
+    def below(self, tree: WeightedTree) -> list[int]:
+        """Free points below each node of ``tree``."""
+        if self._tree is not tree:
+            self._tree, self._below = tree, free_below(tree, self._free_set)
         return self._below
 
     def remove(self, server: int) -> None:
@@ -108,6 +108,7 @@ class PlanProvider:
     """Samples servers from the canonical plan of each free set."""
 
     memo_max_n = 20
+    memo_max_plans = 1 << 12  # the memo stops growing at this many plans
 
     def __init__(self, instance: MetricInstance, *, allow_unchecked: bool = False):
         if not instance.verified_metric and not allow_unchecked:
@@ -119,13 +120,9 @@ class PlanProvider:
         self.n = instance.n
         self.matrix = instance.matrix
         self.canonical = instance.verified_metric
-        self._ctx = (
-            tree_context(instance.tree)
-            if instance.verified_metric and instance.tree is not None
-            else None
-        )
+        self._tree = instance.tree if instance.verified_metric else None
         # free set -> columns; tree episodes walk and never ask for columns
-        memo = self._ctx is None and self.n <= self.memo_max_n
+        memo = self._tree is None and self.n <= self.memo_max_n
         self._memo = {} if memo else None
 
     def sample(self, state: OnlineState, request: int, rng: random.Random) -> int:
@@ -134,9 +131,9 @@ class PlanProvider:
         ``step`` serves a canonical arrival at a free location itself, so
         the tree walk always starts at an occupied point.
         """
-        ctx = self._ctx
-        if ctx is not None:
-            return tree_walk(ctx, state.below(ctx), state.k, self.n, request, rng)
+        tree = self._tree
+        if tree is not None:
+            return tree_walk(tree, state.below(tree), state.k, self.n, request, rng)
         mass = self.column_mass(request, state.k)
         return draw(self.columns(state.free)[request], mass, rng)
 
@@ -150,7 +147,7 @@ class PlanProvider:
             if hit is not None:
                 return hit
         cols = self._build(free)
-        if self._memo is not None:
+        if self._memo is not None and len(self._memo) < self.memo_max_plans:
             self._memo[free] = cols
         return cols
 
@@ -267,7 +264,7 @@ class MaxWeightProvider(PlanProvider):
 
     canonical = False
     memo_max_n = 12
-    _ctx = None  # gains are sampled from plan columns on every backing
+    _tree = None  # gains are sampled from plan columns on every backing
 
     def __init__(self, weights: list[list[int]], location_weights: list[int]):
         self.n = len(weights)

@@ -7,13 +7,16 @@ that rely on the triangle inequality refuse unchecked instances.
 
 Trees carry servers on leaves.  Hosts that would sit on internal nodes
 are pushed onto zero-length pendant leaves, which preserves all
-pairwise distances.
+pairwise distances.  A ``WeightedTree`` roots itself at node 0 when it
+is built; every tree solver, the online walk and split-match read those
+rooted arrays from the tree.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 PointId = int
 
@@ -25,9 +28,14 @@ PointId = int
 class WeightedTree:
     """Undirected tree with integer edge lengths and servers on leaves.
 
-    nodes are 0..num_nodes-1; ``leaf_for_point[p]`` is the leaf hosting
-    point p.  Every point maps to exactly one degree-1 node (or to the
-    root of a single-node tree).
+    nodes are 0..num_nodes-1 and points are 0..n-1; ``leaf_for_point[p]``
+    is the leaf hosting point p.  Every point maps to exactly one degree-1
+    node (or to the root of a single-node tree).
+
+    The tree is rooted once, at node 0, by one BFS: ``parent`` (-1 at the
+    root), ``parent_len`` (length of the edge to the parent), ``order``
+    (the BFS order, root first) and ``node_point`` (the point on each
+    node, -1 where none sits).  ``size`` is built on first use.
     """
 
     def __init__(
@@ -43,9 +51,8 @@ class WeightedTree:
         self.num_nodes = num_nodes
         self.edges = [(int(u), int(v), int(w)) for u, v, w in edges]
         self.leaf_for_point = dict(leaf_for_point)
-        self.point_for_leaf = {leaf: p for p, leaf in self.leaf_for_point.items()}
-        if len(self.point_for_leaf) != len(self.leaf_for_point):
-            raise ValueError("two points mapped to the same leaf")
+        if set(self.leaf_for_point) != set(range(len(self.leaf_for_point))):
+            raise ValueError("point ids must be exactly 0..n-1")
         self.adj: list[list[tuple[int, int, int]]] = [[] for _ in range(num_nodes)]
         for idx, (u, v, w) in enumerate(self.edges):
             if not (0 <= u < num_nodes and 0 <= v < num_nodes):
@@ -54,53 +61,49 @@ class WeightedTree:
                 raise ValueError("edge lengths must be >= 0")
             self.adj[u].append((v, w, idx))
             self.adj[v].append((u, w, idx))
-        seen = [False] * num_nodes
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            x = stack.pop()
-            for y, _, _ in self.adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    count += 1
-                    stack.append(y)
-        if count != num_nodes:
+        parent = [-1] * num_nodes
+        parent_len = [0] * num_nodes
+        order = [0]
+        parent[0] = 0
+        for x in order:
+            for y, w, _ in self.adj[x]:
+                if parent[y] == -1:
+                    parent[y] = x
+                    parent_len[y] = w
+                    order.append(y)
+        parent[0] = -1
+        if len(order) != num_nodes:
             raise ValueError("tree is not connected")
+        self.parent = parent
+        self.parent_len = parent_len
+        self.order = order
+        self.node_point = [-1] * num_nodes
         for p, leaf in self.leaf_for_point.items():
             if not (0 <= leaf < num_nodes):
                 raise ValueError(f"leaf for point {p} out of range")
             if num_nodes > 1 and len(self.adj[leaf]) != 1:
                 raise ValueError(f"point {p} is hosted on a non-leaf node")
-        self._rooted: dict[int, tuple[list[int], list[int], list[int]]] = {}
+            if self.node_point[leaf] >= 0:
+                raise ValueError("two points mapped to the same leaf")
+            self.node_point[leaf] = p
         self._matrix: list[list[int]] | None = None
 
     @property
     def n_points(self) -> int:
         return len(self.leaf_for_point)
 
-    def rooted(self, root: int = 0) -> tuple[list[int], list[int], list[int]]:
-        """Return (parent, parent_len, preorder) arrays for the given root."""
-        cached = self._rooted.get(root)
-        if cached is not None:
-            return cached
-        parent = [-1] * self.num_nodes
-        parent_len = [0] * self.num_nodes
-        order = [root]
-        parent[root] = root
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for y, w, _ in self.adj[x]:
-                if parent[y] == -1:
-                    parent[y] = x
-                    parent_len[y] = w
-                    order.append(y)
-        parent[root] = -1
-        result = (parent, parent_len, order)
-        self._rooted[root] = result
-        return result
+    @cached_property
+    def size(self) -> list[int]:
+        """Number of points below each node, the node included."""
+        size = [0] * self.num_nodes
+        parent = self.parent
+        node_point = self.node_point
+        for x in reversed(self.order):
+            if node_point[x] >= 0:
+                size[x] += 1
+            if parent[x] >= 0:
+                size[parent[x]] += size[x]
+        return size
 
     def node_distances_from(self, src: int) -> list[int]:
         dist = [-1] * self.num_nodes
@@ -148,13 +151,12 @@ class EdgeCut:
 
 def edge_cuts(tree: WeightedTree) -> list[EdgeCut]:
     """Cut structure of every edge; n_e is always the smaller side (<= n/2)."""
-    n = tree.n_points
-    parent, _, order = tree.rooted(0)
+    parent = tree.parent
     # subtree point sets bottom-up
     below: list[set[PointId]] = [set() for _ in range(tree.num_nodes)]
-    for node in reversed(order):
-        p = tree.point_for_leaf.get(node)
-        if p is not None:
+    for node in reversed(tree.order):
+        p = tree.node_point[node]
+        if p >= 0:
             below[node].add(p)
         if parent[node] >= 0:
             below[parent[node]] |= below[node]
@@ -301,8 +303,9 @@ def line_metric(n: int, spacing: int = 1) -> MetricInstance:
 
 
 def tree_metric(tree: WeightedTree) -> MetricInstance:
-    matrix = [row[:] for row in tree.leaf_distance_matrix()]
-    return MetricInstance(matrix, "tree", tree=tree, verified_metric=True)
+    return MetricInstance(
+        tree.leaf_distance_matrix(), "tree", tree=tree, verified_metric=True
+    )
 
 
 def uniform_metric(n: int, c: int = 1) -> MetricInstance:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .bmatching import tree_context
 from .flows import transport
 from .metrics import MetricInstance, WeightedTree
 
@@ -52,14 +51,13 @@ def opt_tree(tree_or_instance: WeightedTree | MetricInstance, requests) -> int:
         tree = tree_or_instance
     n = tree.n_points
     counts = _request_counts(n, requests)
-    ctx = tree_context(tree)
-    node_point = ctx.node_point
-    parent = ctx.parent
-    parent_len = ctx.parent_len
+    node_point = tree.node_point
+    parent = tree.parent
+    parent_len = tree.parent_len
     # per node: requests minus servers in its subtree
     bal = [0] * tree.num_nodes
     total = 0
-    for x in ctx.bottom_up:
+    for x in reversed(tree.order):
         p = node_point[x]
         if p >= 0:
             bal[x] += counts.get(p, 0) - 1
@@ -68,7 +66,7 @@ def opt_tree(tree_or_instance: WeightedTree | MetricInstance, requests) -> int:
             if parent_len[x] and bal[x]:
                 total += parent_len[x] * abs(bal[x])
             bal[par] += bal[x]
-    if bal[ctx.bottom_up[-1]] != 0:
+    if bal[tree.order[0]] != 0:
         raise RuntimeError("requests and servers must balance at the root")
     return total
 

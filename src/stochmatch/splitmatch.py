@@ -32,7 +32,7 @@ class MatchGuardError(RuntimeError):
 
 def ternarize(tree: WeightedTree) -> WeightedTree:
     """Cap every degree at 3 by chaining children over zero-length edges."""
-    parent, parent_len, order = tree.rooted(0)
+    parent, parent_len, order = tree.parent, tree.parent_len, tree.order
     children: dict[int, list[int]] = {x: [] for x in range(tree.num_nodes)}
     for x in order:
         if parent[x] >= 0:
@@ -91,8 +91,8 @@ def split_decomposition(tree: WeightedTree) -> HierarchicalDecomposition:
         if len(tree.adj[node]) > 3:
             raise ValueError("split needs a ternarized tree (degree <= 3)")
     decomp = HierarchicalDecomposition(tree)
-    decomp.chains = {leaf: [] for leaf in tree.point_for_leaf}
-    servers = set(tree.point_for_leaf)
+    decomp.chains = {leaf: [] for leaf in tree.leaf_for_point.values()}
+    servers = set(tree.leaf_for_point.values())
     all_nodes = set(range(tree.num_nodes))
     all_edges = set(range(len(tree.edges)))
     _split(tree, decomp, all_nodes, all_edges, servers & all_nodes, 1)
@@ -264,7 +264,7 @@ def run_episode_hier(
         u = tern.leaf_for_point[r]
         v = hmatch(decomp, occ, u, rng)
         occ.occupy(v)
-        s = tern.point_for_leaf[v]
+        s = tern.node_point[v]
         assignments.append((r, s))
         costs.append(matrix[r][s])
     return MatchingResult("split-match", seed, assignments, costs, sum(costs))

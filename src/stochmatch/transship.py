@@ -75,15 +75,20 @@ def geometric_distribution(n: int, base: int = 2) -> RequestDistribution:
 def load_distribution(path: str, n: int) -> RequestDistribution:
     """Read "point_id weight" integer lines; absent points get weight 0."""
     weights = [0] * n
+    seen: set[int] = set()
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             pid, w = line.split()
-            if not 0 <= int(pid) < n:
+            p = int(pid)
+            if not 0 <= p < n:
                 raise ValueError(f"point {pid} outside 0..{n - 1}")
-            weights[int(pid)] = int(w)
+            if p in seen:
+                raise ValueError(f"duplicate weight line for point {p}")
+            seen.add(p)
+            weights[p] = int(w)
     return RequestDistribution(tuple(weights))
 
 

@@ -3,14 +3,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochmatch import flows
-from stochmatch.bmatching import solve_min_cost, solve_min_cost_tree
+from stochmatch.bmatching import canonicalize, solve_min_cost, solve_min_cost_tree
+from stochmatch.harness import random_metric
 from stochmatch.metrics import (
+    line_metric,
     load_metric,
     matrix_unchecked,
     random_recursive_tree,
@@ -91,6 +94,37 @@ def test_tree_plan_value_matches_the_transport_solve(case):
         free = points[:size]  # a multiset of free servers
         tree_value = solve_min_cost_tree(instance, free).value
         assert tree_value == solve_min_cost(instance, free).value
+
+
+@st.composite
+def _canonicalize_case(draw):
+    # checked metrics with n <= 6 and a multiset of free servers
+    kind = draw(st.sampled_from(["random", "line", "tree"]))
+    if kind == "tree":
+        instance, _ = draw(_tree_case())
+    elif kind == "line":
+        instance = line_metric(draw(st.integers(1, 6)), draw(st.integers(0, 5)))
+    else:
+        seed = draw(st.integers(0, 2**32))
+        instance = random_metric(draw(st.integers(1, 6)), random.Random(seed))
+    n = instance.n
+    T = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    return instance, T
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_canonicalize_case())
+def test_canonicalize_pins_self_mass_and_keeps_the_optimum(case):
+    instance, T = case
+    n, k = instance.n, len(T)
+    base = solve_min_cost(instance, T)
+    m = canonicalize(base, instance)
+    assert m.value == base.value
+    x = m.entry_map()
+    for i in set(T):
+        assert x.get((i, i), Fraction(0)) == min(Fraction(T.count(i), k), Fraction(1, n))
+    m.validate()
+    assert canonicalize(m, instance).entries == m.entries
 
 
 def test_negative_entries_rejected(tmp_path):

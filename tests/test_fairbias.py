@@ -141,6 +141,20 @@ class TestProviders:
         # the shared memo served hits: fewer plans than the fresh ones solved
         assert len(hot._memo) < sum(len(p._memo) for p in fresh)
 
+    def test_memo_stops_growing_at_its_cap(self, monkeypatch):
+        inst = random_metric(5, random.Random(8))
+        uncapped = PlanProvider(inst)
+        monkeypatch.setattr(PlanProvider, "memo_max_plans", 3)
+        uncapped.memo_max_plans = 1 << 30
+        capped = PlanProvider(inst)
+        for seed in range(15):
+            stream = [random.Random(seed ^ 0xA5).randrange(5) for _ in range(5)]
+            a = run_episode(inst, stream, seed=seed, provider=capped)
+            b = run_episode(inst, stream, seed=seed, provider=uncapped)
+            assert a.assignments == b.assignments
+            assert len(capped._memo) <= 3
+        assert len(uncapped._memo) > 3
+
     def test_memo_follows_instance_size(self):
         assert PlanProvider(uniform_metric(20))._memo is not None
         assert PlanProvider(uniform_metric(21))._memo is None

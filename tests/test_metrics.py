@@ -74,6 +74,11 @@ class TestWeightedTree:
         with pytest.raises(ValueError, match="same leaf"):
             WeightedTree(3, [(0, 1, 1), (0, 2, 1)], {0: 1, 1: 1})
 
+    @pytest.mark.parametrize("points", [{0: 1, 2: 2}, {1: 1, 2: 2}])
+    def test_point_ids_must_be_zero_to_n(self, points):
+        with pytest.raises(ValueError, match="0..n-1"):
+            WeightedTree(3, [(0, 1, 1), (0, 2, 1)], points)
+
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             WeightedTree(2, [(0, 1, -3)], {0: 0, 1: 1})

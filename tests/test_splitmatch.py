@@ -87,7 +87,7 @@ class TestSplitDecomposition:
         top = [r for r in decomp.regions if r.level == 1]
         assert len(top) == 2
         got = sorted(top[0].leaves + top[1].leaves)
-        assert got == sorted(tern.point_for_leaf)
+        assert got == sorted(tern.leaf_for_point.values())
 
     @pytest.mark.parametrize("seed", range(15))
     def test_balance_contract(self, seed):
@@ -145,7 +145,7 @@ class TestHmatch:
         tern = ternarize(star_tree(3))
         decomp = split_decomposition(tern)
         occ = OccupancyState(decomp)
-        for leaf in tern.point_for_leaf:
+        for leaf in tern.leaf_for_point.values():
             occ.occupy(leaf)
         with caplog.at_level("WARNING", logger="stochmatch.splitmatch"):
             with pytest.raises(MatchGuardError):

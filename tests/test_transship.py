@@ -70,6 +70,12 @@ class TestLoadDistribution:
         with pytest.raises(ValueError, match="outside"):
             load_distribution(str(p), 4)
 
+    def test_repeated_point_rejected(self, tmp_path):
+        p = tmp_path / "dist.txt"
+        p.write_text("0 3\n1 2\n0 5\n")
+        with pytest.raises(ValueError, match="duplicate weight line for point 0"):
+            load_distribution(str(p), 3)
+
     def test_all_zero_rejected(self, tmp_path):
         p = tmp_path / "dist.txt"
         p.write_text("\n")

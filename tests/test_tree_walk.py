@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochmatch.bmatching import free_below, solve_min_cost_tree, tree_context, tree_plan
+from stochmatch.bmatching import free_below, solve_min_cost_tree, tree_plan
 from stochmatch.fairbias import PlanProvider, init_state, run_episode, step
 from stochmatch.harness import random_metric, verify_structure_lemma
 from stochmatch.metrics import (
@@ -44,12 +44,12 @@ class Flow:
 
     def __init__(self, tree, free, n):
         k = len(free)
-        parent, _, order = tree.rooted(0)
+        parent, order = tree.parent, tree.order
         free_pts = [0] * tree.num_nodes
         points = [0] * tree.num_nodes
         for x in reversed(order):
-            p = tree.point_for_leaf.get(x)
-            if p is not None:
+            p = tree.node_point[x]
+            if p >= 0:
                 points[x] += 1
                 free_pts[x] += p in free
             if parent[x] >= 0:
@@ -58,7 +58,6 @@ class Flow:
         self.parent = parent
         self.up = [n * free_pts[x] - k * points[x] for x in range(tree.num_nodes)]
         self.leaf = tree.leaf_for_point
-        self.point = tree.point_for_leaf
 
     def into(self, x):
         """Arcs carrying flow into node x, as {from node: units}."""
@@ -85,13 +84,13 @@ def _fresh_state(instance, free, hand_set):
         state.free = tuple(sorted(free))
         state.free_set = set(free)
         return state
-    ctx = tree_context(instance.tree)
-    state.below(ctx)  # counts first, so the removals below must keep them
+    tree = instance.tree
+    state.below(tree)  # counts first, so the removals below must keep them
     provider = PlanProvider(instance)
     for p in range(instance.n):
         if p not in free:
             step(provider, state, p, None)  # a self-match: no draw
-    assert state.below(ctx) == free_below(ctx, free)
+    assert state.below(tree) == free_below(tree, free)
     return state
 
 
@@ -150,7 +149,7 @@ def check_implied_plan(instance, free, hand_set=False):
     for s in free:
         assert sum(u for (a, c), u in units.items() if a == s and c != s) == n - k
     cost = sum(u * instance.matrix[s][r] for (s, r), u in units.items())
-    scaled, _ = tree_plan(tree_context(instance.tree), dict.fromkeys(free, 1), k, n)
+    scaled, _ = tree_plan(instance.tree, dict.fromkeys(free, 1), k, n)
     assert cost == scaled
     assert Fraction(cost, n * k) == solve_min_cost_tree(instance, sorted(free)).value
 
