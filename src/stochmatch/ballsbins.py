@@ -52,12 +52,7 @@ def estimate_Nk(
     n: int, k: int, trials: int, rng: random.Random
 ) -> tuple[float, float]:
     """Monte Carlo mean and stderr of the top-k load with n balls, n bins."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    samples = []
-    for _ in range(trials):
-        samples.append(float(top_k_sum(sample_loads(n, n, rng), k)))
-    return _mean_stderr(samples)
+    return estimate_Nk_multi(n, [k], trials, rng)[k]
 
 
 def estimate_Nk_multi(

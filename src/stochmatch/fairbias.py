@@ -25,8 +25,12 @@ Every provider exposes ``sample(state, r, rng)``, ``columns(free)``, the
 cost-or-gain ``matrix``, the expected ``column_mass(r, k)`` and
 ``canonical``.  On a tree ``columns`` is the reduced transportation plan
 of its distance matrix, like any checked metric's; the walk never asks
-for it.  The maximum-weight variant is the same loop over a column
-provider.
+for it.
+
+An episode is ``run_episode(provider, stream, rng)``: the provider is
+the only source of the instance, and the trial's generator drives every
+draw.  The result is named by ``provider.algorithm``, so the
+maximum-weight variant is the same loop over ``MaxWeightProvider``.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ class MatchingResult:
     """One episode: per-step assignments and costs plus the total."""
 
     algorithm: str
-    seed: int | None
     assignments: list[tuple[int, int]]  # (request, server) in arrival order
     step_costs: list[int]
     total_cost: int
@@ -107,6 +110,7 @@ class OnlineState:
 class PlanProvider:
     """Samples servers from the canonical plan of each free set."""
 
+    algorithm = "fair-bias"
     memo_max_n = 20
     memo_max_plans = 1 << 12  # the memo stops growing at this many plans
 
@@ -209,27 +213,20 @@ def step(
     return server, provider.matrix[server][request]
 
 
-def checked_rng(
-    n: int, stream: list[int], seed: int | None, rng: random.Random | None
-) -> random.Random:
-    """Check an episode's stream against n points; default rng from seed."""
+def check_stream(n: int, stream: list[int]) -> None:
+    """Reject a stream that is not n arrivals at points 0..n-1."""
     if len(stream) != n:
         raise ValueError(f"stream must have exactly n={n} requests")
     if any(not 0 <= r < n for r in stream):
         raise ValueError("request location outside the instance")
-    return random.Random(seed) if rng is None else rng
 
 
-def _play(
-    algorithm: str,
-    provider: PlanProvider,
-    stream: list[int],
-    seed: int | None,
-    rng: random.Random | None,
+def run_episode(
+    provider: PlanProvider, stream: list[int], rng: random.Random
 ) -> MatchingResult:
-    """Serve every arrival of the stream with ``step``."""
+    """Serve the n arrivals of ``stream`` against n servers with ``step``."""
     n = provider.n
-    rng = checked_rng(n, stream, seed, rng)
+    check_stream(n, stream)
     state = init_state(n)
     assignments = []
     costs = []
@@ -237,22 +234,7 @@ def _play(
         s, c = step(provider, state, r, rng)
         assignments.append((r, s))
         costs.append(c)
-    return MatchingResult(algorithm, seed, assignments, costs, sum(costs))
-
-
-def run_episode(
-    instance: MetricInstance,
-    stream: list[int],
-    *,
-    seed: int | None = None,
-    rng: random.Random | None = None,
-    provider: PlanProvider | None = None,
-    allow_unchecked: bool = False,
-) -> MatchingResult:
-    """Play one full episode (n arrivals against n servers)."""
-    if provider is None:
-        provider = PlanProvider(instance, allow_unchecked=allow_unchecked)
-    return _play("fair-bias", provider, stream, seed, rng)
+    return MatchingResult(provider.algorithm, assignments, costs, sum(costs))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +244,7 @@ def run_episode(
 class MaxWeightProvider(PlanProvider):
     """Plan columns for the weighted-gain variant, memoized per free set."""
 
+    algorithm = "max-weight"
     canonical = False
     memo_max_n = 12
     _tree = None  # gains are sampled from plan columns on every backing
@@ -283,18 +266,3 @@ class MaxWeightProvider(PlanProvider):
         sol = solve_max_weight(self.weights, list(free), self.location_weights)
         scale = len(free) * self.total_weight
         return _by_location((i, j, int(f * scale)) for i, j, f in sol.entries)
-
-
-def run_episode_max_weight(
-    weights: list[list[int]],
-    location_weights: list[int],
-    stream: list[int],
-    *,
-    seed: int | None = None,
-    rng: random.Random | None = None,
-    provider: MaxWeightProvider | None = None,
-) -> MatchingResult:
-    """Weighted episode: server s serves r with probability x[s][r] / p_r."""
-    if provider is None:
-        provider = MaxWeightProvider(weights, location_weights)
-    return _play("max-weight", provider, stream, seed, rng)

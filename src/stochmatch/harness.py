@@ -2,12 +2,17 @@
 
 A scenario is a small key-value text file (``key = value`` lines, ``#``
 comments).  ``run_trials`` replays it deterministically through a table
-of per-algorithm episode runners: trial t makes one ``random.Random(seed
-+ t)``, which draws the n arrivals and then drives the episode, so reruns
-produce identical CSV rows apart from the wall-time column.  It is the
-only generator made through the ``random`` module name: set-up
-generators (the ``random N`` tree, the ``once`` embedding) come from
-``_SetupRandom``, so a hook on ``harness.random`` sees one per trial.
+of per-algorithm episode runners.  A runner prepares its provider,
+coupling plan or decomposition once, and every episode runs from that
+object, the stream and the trial's generator: ``run_episode(provider,
+stream, rng)``, ``run_wrapped(provider, plan, stream, rng)`` or
+``run_episode_hier(decomp, stream, rng)``.  Trial t makes one
+``random.Random(seed + t)``, which draws the n arrivals and then drives
+the episode, so reruns produce identical CSV rows apart from the
+wall-time column.  That is the only generator made through the
+``random`` module name: set-up generators (the ``random N`` tree, the
+``once`` embedding) come from ``_SetupRandom``, so a hook on
+``harness.random`` sees one per trial.
 Summaries report the ratio of sample means E[ALG]/E[OPT] with a
 bootstrap 95% interval, never a mean of ratios.
 
@@ -44,7 +49,6 @@ from .fairbias import (
     PlanProvider,
     init_state,
     run_episode,
-    run_episode_max_weight,
     step,
 )
 from .metrics import (
@@ -60,7 +64,7 @@ from .metrics import (
     uniform_metric,
 )
 from .offline import opt_general, opt_max_weight, opt_tree
-from .splitmatch import run_episode_hier, split_decomposition, ternarize
+from .splitmatch import run_episode_hier, split_decomposition
 from .transship import (
     geometric_distribution,
     load_distribution,
@@ -95,6 +99,8 @@ class Scenario:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.spacing < 0:
+            raise ValueError("spacing must be >= 0")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.frt_mode not in ("per-trial", "once"):
@@ -141,9 +147,9 @@ def build_instance(sc: Scenario) -> MetricInstance:
     if kind == "line":
         return line_metric(int(arg), sc.spacing)
     if kind == "star":
-        return tree_metric(star_tree(int(arg), max(sc.spacing, 1)))
+        return tree_metric(star_tree(int(arg), sc.spacing))
     if kind == "uniform":
-        return uniform_metric(int(arg), max(sc.spacing, 1))
+        return uniform_metric(int(arg), sc.spacing)
     if kind == "random":
         gen = _SetupRandom(sc.seed ^ _TREE_SALT)
         return tree_metric(random_recursive_tree(int(arg), gen))
@@ -263,15 +269,11 @@ def write_csv(records: list[TrialRecord], path: str) -> None:
 def _fair_bias(sc: Scenario, instance: MetricInstance, dist):
     provider = PlanProvider(instance, allow_unchecked=not instance.verified_metric)
     if sc.distribution == "uniform":
-        return lambda stream, rng: (
-            run_episode(instance, stream, rng=rng, provider=provider), 0
-        )
+        return lambda stream, rng: (run_episode(provider, stream, rng), 0)
     plan = solve_transshipment(instance, dist)
 
     def episode(stream, rng):
-        wres = run_wrapped(
-            instance, dist, rng=rng, stream=stream, plan=plan, provider=provider
-        )
+        wres = run_wrapped(provider, plan, stream, rng)
         return wres.result, wres.relocation_cost
 
     return episode
@@ -282,10 +284,8 @@ def _split_match(sc: Scenario, instance: MetricInstance, dist):
         raise ValueError("split-match needs a tree-backed metric")
     if sc.distribution != "uniform":
         raise ValueError("split-match scenarios are uniform-arrival only")
-    decomp = split_decomposition(ternarize(instance.tree))
-    return lambda stream, rng: (
-        run_episode_hier(instance.tree, stream, rng=rng, decomp=decomp), 0
-    )
+    decomp = split_decomposition(instance.tree)
+    return lambda stream, rng: (run_episode_hier(decomp, stream, rng), 0)
 
 
 def _fair_bias_on_frt(sc: Scenario, instance: MetricInstance, dist):
@@ -300,21 +300,18 @@ def _fair_bias_on_frt(sc: Scenario, instance: MetricInstance, dist):
 
     def episode(stream, rng):
         prov = once or PlanProvider(tree_metric(frt_embed(instance, rng)))
-        on_tree = run_episode(prov.instance, stream, rng=rng, provider=prov)
+        on_tree = run_episode(prov, stream, rng)
         true_steps = [instance.matrix[s][r] for r, s in on_tree.assignments]
         return MatchingResult(
-            "fair-bias-on-frt", None, on_tree.assignments, true_steps, sum(true_steps)
+            "fair-bias-on-frt", on_tree.assignments, true_steps, sum(true_steps)
         ), 0
 
     return episode
 
 
 def _max_weight(sc: Scenario, instance: MetricInstance, dist):
-    gains, weights = instance.matrix, list(dist.weights)
-    provider = MaxWeightProvider(gains, weights)
-    return lambda stream, rng: (
-        run_episode_max_weight(gains, weights, stream, rng=rng, provider=provider), 0
-    )
+    provider = MaxWeightProvider(instance.matrix, list(dist.weights))
+    return lambda stream, rng: (run_episode(provider, stream, rng), 0)
 
 
 # name -> (runner, whether the result is a gain the optimum bounds above)
@@ -559,7 +556,7 @@ def verify_cost_decomposition(
     for t in range(trials):
         rng = random.Random(seed + t)
         stream = [rng.randrange(n) for _ in range(n)]
-        result = run_episode(instance, stream, rng=rng, provider=provider)
+        result = run_episode(provider, stream, rng)
         totals.append(float(result.total_cost))
     mean_alg, se_alg = _mean_stderr(totals)
     srng = random.Random(seed ^ _SUBSET_SALT)

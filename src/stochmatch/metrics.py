@@ -50,6 +50,8 @@ class WeightedTree:
             raise ValueError("edge count must be num_nodes - 1")
         self.num_nodes = num_nodes
         self.edges = [(int(u), int(v), int(w)) for u, v, w in edges]
+        if any(w != e[2] for (_, _, w), e in zip(edges, self.edges)):
+            raise ValueError("edge lengths must be integers")
         self.leaf_for_point = dict(leaf_for_point)
         if set(self.leaf_for_point) != set(range(len(self.leaf_for_point))):
             raise ValueError("point ids must be exactly 0..n-1")
@@ -215,6 +217,8 @@ class MetricInstance:
     ):
         self.n = len(matrix)
         self.matrix = [list(map(int, row)) for row in matrix]
+        if any(a != list(b) for a, b in zip(self.matrix, matrix)):
+            raise ValueError("distances must be integers")
         if any(min(row) < 0 for row in self.matrix if row):
             raise ValueError("distances must be >= 0")
         self.backing = backing
@@ -437,20 +441,27 @@ def load_metric(path: str) -> MetricInstance:
     kind line:   distance scale * |i - j|, no body.
     kind tree:   lines "u v length"; hosts 0..n-1 carry the points.
     """
+    header: dict[str, str] = {}
+    body = []
     with open(path, encoding="utf-8") as fh:
-        tokens = []
         for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                tokens.append(line.split())
-    header = {t[0]: t[1] for t in tokens if t[0] in ("kind", "n", "scale")}
-    body = [t for t in tokens if t[0] not in ("kind", "n", "scale")]
+            t = raw.split("#", 1)[0].split()
+            if not t:
+                continue
+            if t[0] not in ("kind", "n", "scale"):
+                body.append(t)
+            elif t[0] in header:
+                raise ValueError(f"duplicate header line {t[0]!r}")
+            else:
+                header[t[0]] = t[1]
     if "kind" not in header or "n" not in header:
         raise ValueError("metric file needs kind and n header lines")
     kind = header["kind"]
     n = int(header["n"])
     scale = int(header.get("scale", 1))
     if kind == "line":
+        if body:
+            raise ValueError("a kind line metric file takes no body lines")
         return line_metric(n, scale)
     if kind == "matrix":
         if len(body) != n:

@@ -1,8 +1,9 @@
 """Hierarchical tree matcher: balanced edge marking plus local recursion.
 
-The tree is first ternarized (zero-length internal edges cap the degree
-at 3, leaf distances unchanged).  Split then marks one edge per
-component with its recursion level, always choosing an edge whose two
+``split_decomposition`` first ternarizes the tree it is given
+(zero-length internal edges cap the degree at 3, leaf distances
+unchanged) and keeps both.  Split then marks one edge per component of
+the copy with its recursion level, always choosing an edge whose two
 sides carry at most 2/3 of the component's servers each (sides of
 components with fewer than two servers are unconstrained).  Match sends
 a request at an occupied leaf to the sibling side of the smallest-level
@@ -12,6 +13,10 @@ Levels strictly increase along the recursion (all regions on the
 requester's chain below the chosen one are non-full, and region levels
 grow with depth), so it terminates; a depth guard converts any breach
 of that argument into a logged error instead of a hang.
+
+An episode is ``run_episode_hier(decomp, stream, rng)``: it matches on
+the ternarized copy and prices steps on the source tree's cached
+distance matrix, so the decomposition is the only source of the tree.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 
-from .fairbias import MatchingResult, checked_rng
+from .fairbias import MatchingResult, check_stream
 from .metrics import WeightedTree
 
 log = logging.getLogger(__name__)
@@ -72,7 +77,8 @@ class Region:
 
 @dataclass
 class HierarchicalDecomposition:
-    tree: WeightedTree
+    tree: WeightedTree  # the ternarized copy the regions live on
+    source: WeightedTree  # the tree the decomposition was asked for
     regions: list[Region] = field(default_factory=list)
     chains: dict[int, list[int]] = field(default_factory=dict)
     edge_levels: dict[int, int] = field(default_factory=dict)
@@ -86,16 +92,14 @@ class HierarchicalDecomposition:
 
 
 def split_decomposition(tree: WeightedTree) -> HierarchicalDecomposition:
-    """Mark every edge with a level; record regions and per-leaf chains."""
-    for node in range(tree.num_nodes):
-        if len(tree.adj[node]) > 3:
-            raise ValueError("split needs a ternarized tree (degree <= 3)")
-    decomp = HierarchicalDecomposition(tree)
-    decomp.chains = {leaf: [] for leaf in tree.leaf_for_point.values()}
-    servers = set(tree.leaf_for_point.values())
-    all_nodes = set(range(tree.num_nodes))
-    all_edges = set(range(len(tree.edges)))
-    _split(tree, decomp, all_nodes, all_edges, servers & all_nodes, 1)
+    """Ternarize ``tree``, then mark every edge of the copy with a level."""
+    tern = ternarize(tree)
+    decomp = HierarchicalDecomposition(tern, tree)
+    decomp.chains = {leaf: [] for leaf in tern.leaf_for_point.values()}
+    servers = set(tern.leaf_for_point.values())
+    all_nodes = set(range(tern.num_nodes))
+    all_edges = set(range(len(tern.edges)))
+    _split(tern, decomp, all_nodes, all_edges, servers & all_nodes, 1)
     return decomp
 
 
@@ -244,19 +248,12 @@ def hmatch(
 
 
 def run_episode_hier(
-    tree: WeightedTree,
-    stream: list[int],
-    *,
-    seed: int | None = None,
-    rng: random.Random | None = None,
-    decomp: HierarchicalDecomposition | None = None,
+    decomp: HierarchicalDecomposition, stream: list[int], rng: random.Random
 ) -> MatchingResult:
-    """One episode of the hierarchical matcher on a (any-degree) tree."""
-    rng = checked_rng(tree.n_points, stream, seed, rng)
-    if decomp is None:
-        decomp = split_decomposition(ternarize(tree))
-    tern = decomp.tree
-    matrix = tree.leaf_distance_matrix()  # same point distances as tern's
+    """One episode of the hierarchical matcher on ``decomp``'s source tree."""
+    source, tern = decomp.source, decomp.tree
+    check_stream(source.n_points, stream)
+    matrix = source.leaf_distance_matrix()  # same point distances as tern's
     occ = OccupancyState(decomp)
     assignments = []
     costs = []
@@ -267,4 +264,4 @@ def run_episode_hier(
         s = tern.node_point[v]
         assignments.append((r, s))
         costs.append(matrix[r][s])
-    return MatchingResult("split-match", seed, assignments, costs, sum(costs))
+    return MatchingResult("split-match", assignments, costs, sum(costs))

@@ -9,7 +9,9 @@ The plan's mass moved, M = n * (plan LP value), prices the relocation.
 
 The plan is solved by ``flows.transport``; its rows, and the arrival
 distribution itself, are ``flows.column`` sampling columns drawn from
-with ``flows.draw``.
+with ``flows.draw``.  ``run_wrapped(provider, plan, stream, rng)`` plays
+one episode from a prepared checked-metric provider and a plan of the
+same size, and prices every step on ``provider.matrix``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .fairbias import MatchingResult, PlanProvider, checked_rng, init_state, step
+from .fairbias import MatchingResult, PlanProvider, check_stream, init_state, step
 from .flows import Column, column, column_units, draw, transport
 from .metrics import MetricInstance
 
@@ -175,30 +177,20 @@ class WrappedResult:
 
 
 def run_wrapped(
-    instance: MetricInstance,
-    dist: RequestDistribution,
-    *,
-    seed: int | None = None,
-    rng: random.Random | None = None,
-    stream: list[int] | None = None,
-    plan: CouplingPlan | None = None,
-    provider: PlanProvider | None = None,
+    provider: PlanProvider,
+    plan: CouplingPlan,
+    stream: list[int],
+    rng: random.Random,
 ) -> WrappedResult:
-    """Draw (or take) a stream from dist, relocate, and match online."""
-    if not instance.verified_metric:
+    """Relocate each arrival of ``stream`` with ``plan`` and match online."""
+    if not provider.canonical:
         raise ValueError("the wrapper's accounting needs a checked metric")
-    n = instance.n
-    if stream is None:
-        if rng is None:
-            rng = random.Random(seed)
-        stream = [dist.sample(rng) for _ in range(n)]
-    rng = checked_rng(n, stream, seed, rng)
-    if plan is None:
-        plan = solve_transshipment(instance, dist)
-    if provider is None:
-        provider = PlanProvider(instance)
+    n = provider.n
+    if plan.n != n:
+        raise ValueError("coupling plan size does not match the provider")
+    check_stream(n, stream)
     state = init_state(n)
-    matrix = instance.matrix
+    matrix = provider.matrix
     assignments = []
     true_costs = []
     relocated_cost = 0
@@ -214,6 +206,6 @@ def run_wrapped(
         relocated_cost += c_rel
         relocation_cost += matrix[a][b]
     result = MatchingResult(
-        "fair-bias-wrapped", seed, assignments, true_costs, sum(true_costs)
+        "fair-bias-wrapped", assignments, true_costs, sum(true_costs)
     )
     return WrappedResult(result, relocated_cost, relocation_cost)

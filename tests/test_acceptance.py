@@ -11,7 +11,7 @@ import random
 import time
 
 from stochmatch.ballsbins import estimate_Nk_multi, monotone_indicator_comparison
-from stochmatch.fairbias import MaxWeightProvider, run_episode_max_weight
+from stochmatch.fairbias import MaxWeightProvider, run_episode
 from stochmatch.harness import (
     Scenario,
     random_metric,
@@ -31,7 +31,7 @@ from stochmatch.metrics import (
     uniform_metric,
 )
 from stochmatch.offline import opt_general, opt_max_weight, opt_tree
-from stochmatch.splitmatch import run_episode_hier, split_decomposition, ternarize
+from stochmatch.splitmatch import run_episode_hier, split_decomposition
 
 
 def _report(name: str, ok: bool, details: str, t0: float) -> None:
@@ -223,9 +223,7 @@ def test_10_max_weight_gains_at_least_half_optimum():
         for t in range(10_000):
             ep = random.Random(9000 + t)
             stream = [ep.randrange(n) for _ in range(n)]
-            res = run_episode_max_weight(
-                weights, loc_w, stream, rng=ep, provider=provider
-            )
+            res = run_episode(provider, stream, ep)
             algs.append(float(res.total_cost))
             opts.append(float(opt_max_weight(weights, stream)))
         ma = sum(algs) / len(algs)
@@ -295,7 +293,7 @@ def test_12_split_balance_and_bounded_ratio():
     worst_frac = 0.0
     for _ in range(60):
         n = rng.randint(2, 40)
-        decomp = split_decomposition(ternarize(random_recursive_tree(n, rng)))
+        decomp = split_decomposition(random_recursive_tree(n, rng))
         for _, total, a, b in decomp.balance_audit:
             if total >= 2:
                 worst_frac = max(worst_frac, max(a, b) / total)
@@ -303,11 +301,11 @@ def test_12_split_balance_and_bounded_ratio():
 
     matched = True
     tree = random_recursive_tree(16, random.Random(909))
-    decomp = split_decomposition(ternarize(tree))
+    decomp = split_decomposition(tree)
     for t in range(200):
         ep = random.Random(7000 + t)
         stream = [ep.randrange(16) for _ in range(16)]
-        res = run_episode_hier(tree, stream, rng=ep, decomp=decomp)
+        res = run_episode_hier(decomp, stream, ep)
         matched = matched and sorted(s for _, s in res.assignments) == list(
             range(16)
         )

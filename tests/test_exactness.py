@@ -21,7 +21,7 @@ from stochmatch.metrics import (
     tree_metric,
 )
 from stochmatch.offline import opt_general, opt_max_weight, opt_tree
-from stochmatch.splitmatch import split_decomposition, ternarize
+from stochmatch.splitmatch import split_decomposition
 from stochmatch.transship import RequestDistribution
 
 
@@ -137,8 +137,7 @@ def test_negative_entries_rejected(tmp_path):
 
 
 def test_max_level_is_recorded_once():
-    tree = ternarize(random_recursive_tree(40, random.Random(5)))
-    decomp = split_decomposition(tree)
+    decomp = split_decomposition(random_recursive_tree(40, random.Random(5)))
     assert decomp.max_level == max(r.level for r in decomp.regions)
     assert decomp.max_level == decomp.top_level
 

@@ -14,7 +14,6 @@ from stochmatch.fairbias import (
     PlanProvider,
     init_state,
     run_episode,
-    run_episode_max_weight,
     step,
 )
 from stochmatch.harness import random_metric
@@ -26,6 +25,15 @@ from stochmatch.metrics import (
     tree_metric,
     uniform_metric,
 )
+
+
+def _episode(instance, stream, seed):
+    return run_episode(PlanProvider(instance), stream, random.Random(seed))
+
+
+def _max_weight(weights, location_weights, stream, seed):
+    provider = MaxWeightProvider(weights, location_weights)
+    return run_episode(provider, stream, random.Random(seed))
 
 
 def _assert_episode_shape(instance, stream, result):
@@ -41,19 +49,19 @@ def _assert_episode_shape(instance, stream, result):
 class TestDeterministicCases:
     def test_self_matches_are_free(self):
         inst = line_metric(2, spacing=5)
-        res = run_episode(inst, [0, 1], seed=0)
+        res = _episode(inst, [0, 1], 0)
         assert res.step_costs == [0, 0]
         assert res.assignments == [(0, 0), (1, 1)]
 
     def test_repeat_forces_the_far_server(self):
         inst = line_metric(2, spacing=5)
         for seed in range(10):
-            res = run_episode(inst, [0, 0], seed=seed)
+            res = _episode(inst, [0, 0], seed)
             assert res.step_costs == [0, 5]
             assert res.assignments == [(0, 0), (0, 1)]
 
     def test_single_point(self):
-        res = run_episode(line_metric(1), [0], seed=3)
+        res = _episode(line_metric(1), [0], 3)
         assert res.total_cost == 0
         assert res.assignments == [(0, 0)]
 
@@ -77,9 +85,8 @@ class TestDeterministicCases:
             assert (server, cost) == (0, 1)
 
     def test_result_metadata(self):
-        res = run_episode(line_metric(3), [0, 1, 2], seed=11)
+        res = _episode(line_metric(3), [0, 1, 2], 11)
         assert res.algorithm == "fair-bias"
-        assert res.seed == 11
 
 
 class TestSamplingLaw:
@@ -90,7 +97,7 @@ class TestSamplingLaw:
         trials = 2000
         hits = 0
         for t in range(trials):
-            res = run_episode(inst, [1, 1, 1], seed=t)
+            res = _episode(inst, [1, 1, 1], t)
             if res.assignments[1][1] == 0:
                 hits += 1
         freq = hits / trials
@@ -134,8 +141,8 @@ class TestProviders:
             stream = [random.Random(seed ^ 0xA5).randrange(5) for _ in range(5)]
             cold = PlanProvider(inst)
             fresh.append(cold)
-            a = run_episode(inst, stream, seed=seed, provider=hot)
-            b = run_episode(inst, stream, seed=seed, provider=cold)
+            a = run_episode(hot, stream, random.Random(seed))
+            b = run_episode(cold, stream, random.Random(seed))
             assert a.assignments == b.assignments
             assert a.total_cost == b.total_cost
         # the shared memo served hits: fewer plans than the fresh ones solved
@@ -149,8 +156,8 @@ class TestProviders:
         capped = PlanProvider(inst)
         for seed in range(15):
             stream = [random.Random(seed ^ 0xA5).randrange(5) for _ in range(5)]
-            a = run_episode(inst, stream, seed=seed, provider=capped)
-            b = run_episode(inst, stream, seed=seed, provider=uncapped)
+            a = run_episode(capped, stream, random.Random(seed))
+            b = run_episode(uncapped, stream, random.Random(seed))
             assert a.assignments == b.assignments
             assert len(capped._memo) <= 3
         assert len(uncapped._memo) > 3
@@ -174,36 +181,33 @@ class TestProviders:
         bare = matrix_metric([row[:] for row in with_tree.matrix])
         for seed in range(10):
             stream = [random.Random(200 + seed).randrange(6) for _ in range(6)]
-            _assert_episode_shape(
-                with_tree, stream, run_episode(with_tree, stream, seed=seed)
-            )
-            _assert_episode_shape(
-                bare, stream, run_episode(bare, stream, seed=seed)
-            )
+            _assert_episode_shape(with_tree, stream, _episode(with_tree, stream, seed))
+            _assert_episode_shape(bare, stream, _episode(bare, stream, seed))
 
     def test_same_seed_same_episode(self):
         inst = tree_metric(random_recursive_tree(7, random.Random(3)))
         stream = [0, 3, 3, 1, 6, 2, 0]
-        a = run_episode(inst, stream, seed=99)
-        b = run_episode(inst, stream, seed=99)
+        a = _episode(inst, stream, 99)
+        b = _episode(inst, stream, 99)
         assert a.assignments == b.assignments and a.step_costs == b.step_costs
 
     def test_unchecked_needs_opt_in(self):
         inst = matrix_unchecked([[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="allow_unchecked"):
-            run_episode(inst, [0, 1], seed=0)
-        res = run_episode(inst, [0, 1], seed=0, allow_unchecked=True)
+            PlanProvider(inst)
+        provider = PlanProvider(inst, allow_unchecked=True)
+        res = run_episode(provider, [0, 1], random.Random(0))
         _assert_episode_shape(inst, [0, 1], res)
 
 
 class TestValidation:
     def test_stream_length(self):
         with pytest.raises(ValueError, match="exactly n=3"):
-            run_episode(line_metric(3), [0, 1], seed=0)
+            _episode(line_metric(3), [0, 1], 0)
 
     def test_stream_range(self):
         with pytest.raises(ValueError, match="outside"):
-            run_episode(line_metric(3), [0, 1, 5], seed=0)
+            _episode(line_metric(3), [0, 1, 5], 0)
 
     def test_step_with_no_free_servers(self):
         inst = line_metric(2)
@@ -226,15 +230,13 @@ def test_episode_invariants_property(data):
         st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
     )
     seed = data.draw(st.integers(0, 10**6))
-    _assert_episode_shape(inst, stream, run_episode(inst, stream, seed=seed))
+    _assert_episode_shape(inst, stream, _episode(inst, stream, seed))
 
 
 class TestMaxWeight:
     def test_diagonal_weights_lock_in(self):
         for seed in range(10):
-            res = run_episode_max_weight(
-                [[3, 1], [2, 4]], [1, 1], [0, 1], seed=seed
-            )
+            res = _max_weight([[3, 1], [2, 4]], [1, 1], [0, 1], seed)
             assert res.total_cost == 7
             assert res.assignments == [(0, 0), (1, 1)]
             assert res.algorithm == "max-weight"
@@ -246,9 +248,7 @@ class TestMaxWeight:
             weights = [[rng.randint(0, 8) for _ in range(n)] for _ in range(n)]
             loc_w = [rng.randint(1, 3) for _ in range(n)]
             stream = [rng.randrange(n) for _ in range(n)]
-            res = run_episode_max_weight(
-                weights, loc_w, stream, seed=rng.randrange(10**6)
-            )
+            res = _max_weight(weights, loc_w, stream, rng.randrange(10**6))
             used = sorted(s for _, s in res.assignments)
             assert used == list(range(n))
             for (r, s), g in zip(res.assignments, res.step_costs):
@@ -257,28 +257,24 @@ class TestMaxWeight:
 
     def test_zero_probability_arrival_rejected(self):
         with pytest.raises(ValueError, match="zero-probability"):
-            run_episode_max_weight([[1, 1], [1, 1]], [1, 0], [1, 1], seed=0)
+            _max_weight([[1, 1], [1, 1]], [1, 0], [1, 1], 0)
 
     def test_shared_provider_is_consistent(self):
         weights = [[2, 5, 1], [4, 2, 2], [1, 3, 6]]
         provider = MaxWeightProvider(weights, [1, 2, 1])
-        baseline = run_episode_max_weight(
-            weights, [1, 2, 1], [1, 1, 2], seed=5
-        )
-        shared = run_episode_max_weight(
-            weights, [1, 2, 1], [1, 1, 2], seed=5, provider=provider
-        )
+        baseline = _max_weight(weights, [1, 2, 1], [1, 1, 2], 5)
+        shared = run_episode(provider, [1, 1, 2], random.Random(5))
         assert shared.assignments == baseline.assignments
 
     def test_stream_length(self):
         with pytest.raises(ValueError, match="exactly"):
-            run_episode_max_weight([[1, 1], [1, 1]], [1, 1], [0], seed=0)
+            _max_weight([[1, 1], [1, 1]], [1, 1], [0], 0)
 
 
 def test_uniform_metric_episode_cost_is_mismatch_count():
     inst = uniform_metric(4, c=3)
     for seed in range(8):
         stream = [random.Random(seed).randrange(4) for _ in range(4)]
-        res = run_episode(inst, stream, seed=seed)
+        res = _episode(inst, stream, seed)
         mismatches = sum(1 for r, s in res.assignments if r != s)
         assert res.total_cost == 3 * mismatches

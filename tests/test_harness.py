@@ -119,6 +119,18 @@ class TestBuildInstance:
         assert inst.tree is not None
         assert inst.matrix[1][2] == 4
 
+    @pytest.mark.parametrize("kind", ["line", "star", "uniform"])
+    def test_zero_spacing_is_passed_through(self, kind):
+        inst = build_instance(Scenario(kind, "4", spacing=0))
+        assert all(d == 0 for row in inst.matrix for d in row)
+
+    def test_negative_spacing_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="spacing"):
+            Scenario("star", "4", spacing=-3)
+        text = "metric = uniform 4\nspacing = -3\n"
+        with pytest.raises(ValueError, match="spacing"):
+            parse_scenario(_scenario_file(tmp_path, text))
+
     def test_uniform(self):
         inst = build_instance(Scenario("uniform", "4"))
         assert inst.matrix[0][1] == 1 and inst.tree is None

@@ -83,6 +83,12 @@ class TestWeightedTree:
         with pytest.raises(ValueError, match=">= 0"):
             WeightedTree(2, [(0, 1, -3)], {0: 0, 1: 1})
 
+    def test_fractional_length_rejected(self):
+        # int() would have truncated 1.5 to 1
+        with pytest.raises(ValueError, match="integers"):
+            WeightedTree(2, [(0, 1, 1.5)], {0: 0, 1: 1})
+        assert WeightedTree(2, [(0, 1, 2.0)], {0: 0, 1: 1}).edges == [(0, 1, 2)]
+
     def test_unmapped_point_distance_raises(self):
         tree = star_tree(3)
         with pytest.raises(KeyError):
@@ -149,6 +155,13 @@ class TestMetricValidation:
         inst = matrix_unchecked([[0, 9], [1, 0]])
         assert not inst.verified_metric
         assert inst.dist(0, 1) == 9
+
+    @pytest.mark.parametrize("build", [matrix_metric, matrix_unchecked])
+    def test_fractional_distances_rejected(self, build):
+        # a checked metric in floats must not be stored truncated to ints
+        with pytest.raises(ValueError, match="integers"):
+            build([[0, 0.5, 1], [0.5, 0, 0.5], [1, 0.5, 0]])
+        assert build([[0, 1.0], [1.0, 0]]).matrix == [[0, 1], [1, 0]]
 
     def test_uniform_metric(self):
         inst = uniform_metric(4, 3)
@@ -246,6 +259,20 @@ class TestFileFormat:
         path = tmp_path / "m.txt"
         path.write_text("kind matrix\nn 3\n0 1 1\n1 0 1\n")
         with pytest.raises(ValueError, match="rows"):
+            load_metric(str(path))
+
+    @pytest.mark.parametrize("key", ["kind", "n", "scale"])
+    def test_repeated_header_line_rejected(self, tmp_path, key):
+        lines = {"kind": "kind line", "n": "n 3", "scale": "scale 2"}
+        path = tmp_path / "m.txt"
+        path.write_text("\n".join([*lines.values(), lines[key]]) + "\n")
+        with pytest.raises(ValueError, match=f"duplicate header line '{key}'"):
+            load_metric(str(path))
+
+    def test_line_file_with_a_body_rejected(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("kind line\nn 3\n0 1 5\n")
+        with pytest.raises(ValueError, match="no body lines"):
             load_metric(str(path))
 
     def test_unknown_kind(self, tmp_path):

@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import stochmatch
+import stochmatch.harness as harness
 
 SRC = Path(stochmatch.__file__).resolve().parent
 BENCH = SRC.parent.parent / "bench"
@@ -39,11 +42,28 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_benchmark_tracer_installs_and_replays_a_tree_scenario(tmp_path):
+# every algorithm, and the wrapped route skewed arrivals take: the
+# scenario line that picks it, and spans its replay must record
+TRACED_ROUTES = {
+    "fair-bias": ("", {"offline.opt_tree"}),
+    "split-match": (
+        "algorithm = split-match",
+        {"splitmatch.decomposition", "splitmatch.hmatch"},
+    ),
+    "fair-bias-on-frt": ("algorithm = fair-bias-on-frt", {"offline.opt_tree"}),
+    "max-weight": ("algorithm = max-weight", {"fairbias.columns"}),
+    "wrapped": ("distribution = geometric", {"transship.solve", "transship.relocate"}),
+}
+
+
+@pytest.mark.parametrize("route", sorted(TRACED_ROUTES))
+def test_benchmark_tracer_installs_and_replays_a_tree_scenario(tmp_path, route):
     # bench/tracing.py wraps package names in place, so a refactor that
-    # drops or moves one of them must fail here as well as in the bench
+    # drops or moves one of them, or that plays an episode through a name
+    # the tracer does not mark, must fail here as well as in the bench
     scenario = tmp_path / "tree.scenario"
-    scenario.write_text("metric = random 8\ntrials = 2\nseed = 3\n")
+    line, spans = TRACED_ROUTES[route]
+    scenario.write_text(f"metric = random 8\ntrials = 2\nseed = 3\n{line}\n")
     code = (
         "import sys, tracing, stochmatch.harness as harness\n"
         "probe = tracing.Probe(True)\n"
@@ -60,4 +80,8 @@ def test_benchmark_tracer_installs_and_replays_a_tree_scenario(tmp_path):
     )
     trials, names = out.stdout.split(" ", 1)
     assert trials == "2"
-    assert {"episode", "offline.opt_tree"} <= set(names.split())
+    assert {"episode", *spans} <= set(names.split())
+
+
+def test_traced_routes_cover_every_algorithm():
+    assert set(harness.ALGORITHMS) < set(TRACED_ROUTES)

@@ -25,6 +25,11 @@ def _max_degree(tree: WeightedTree) -> int:
     return max(len(tree.adj[x]) for x in range(tree.num_nodes))
 
 
+def _episode(tree, stream, seed):
+    decomp = split_decomposition(tree)
+    return run_episode_hier(decomp, stream, random.Random(seed))
+
+
 class TestTernarize:
     def test_star_is_chained_down(self):
         tree = star_tree(6)
@@ -53,18 +58,21 @@ class TestTernarize:
 
 
 class TestSplitDecomposition:
-    def test_refuses_high_degree(self):
-        with pytest.raises(ValueError, match="degree <= 3"):
-            split_decomposition(star_tree(6))
+    def test_high_degree_tree_decomposes_and_plays(self):
+        star = star_tree(6)
+        decomp = split_decomposition(star)
+        assert decomp.source is star
+        assert _max_degree(star) == 6 and _max_degree(decomp.tree) <= 3
+        res = run_episode_hier(decomp, [0, 0, 3, 5, 5, 1], random.Random(4))
+        assert sorted(s for _, s in res.assignments) == list(range(6))
+        assert res.total_cost == sum(res.step_costs)
 
     def test_every_edge_gets_a_level(self):
-        tern = ternarize(star_tree(5))
-        decomp = split_decomposition(tern)
-        assert set(decomp.edge_levels) == set(range(len(tern.edges)))
+        decomp = split_decomposition(star_tree(5))
+        assert set(decomp.edge_levels) == set(range(len(decomp.tree.edges)))
 
     def test_sibling_pairing(self):
-        tern = ternarize(random_recursive_tree(8, random.Random(4)))
-        decomp = split_decomposition(tern)
+        decomp = split_decomposition(random_recursive_tree(8, random.Random(4)))
         for r in decomp.regions:
             sib = decomp.regions[r.sibling]
             assert sib.sibling == r.rid
@@ -73,8 +81,7 @@ class TestSplitDecomposition:
             assert not (set(r.leaves) & set(sib.leaves))
 
     def test_chains_strictly_increase(self):
-        tern = ternarize(random_recursive_tree(9, random.Random(5)))
-        decomp = split_decomposition(tern)
+        decomp = split_decomposition(random_recursive_tree(9, random.Random(5)))
         for leaf, chain in decomp.chains.items():
             levels = [decomp.regions[rid].level for rid in chain]
             assert levels == sorted(set(levels)), "levels must strictly grow"
@@ -82,8 +89,8 @@ class TestSplitDecomposition:
                 assert leaf in decomp.regions[rid].leaves
 
     def test_top_level_partitions_servers(self):
-        tern = ternarize(random_recursive_tree(7, random.Random(6)))
-        decomp = split_decomposition(tern)
+        decomp = split_decomposition(random_recursive_tree(7, random.Random(6)))
+        tern = decomp.tree
         top = [r for r in decomp.regions if r.level == 1]
         assert len(top) == 2
         got = sorted(top[0].leaves + top[1].leaves)
@@ -93,8 +100,7 @@ class TestSplitDecomposition:
     def test_balance_contract(self, seed):
         rng = random.Random(60 + seed)
         n = rng.randint(2, 16)
-        tern = ternarize(random_recursive_tree(n, rng))
-        decomp = split_decomposition(tern)
+        decomp = split_decomposition(random_recursive_tree(n, rng))
         assert decomp.balance_audit, "at least one split happens"
         for level, total, a, b in decomp.balance_audit:
             assert a + b == total
@@ -104,8 +110,8 @@ class TestSplitDecomposition:
 
 class TestOccupancy:
     def test_vacancy_counts_follow_chains(self):
-        tern = ternarize(star_tree(4))
-        decomp = split_decomposition(tern)
+        decomp = split_decomposition(star_tree(4))
+        tern = decomp.tree
         occ = OccupancyState(decomp)
         leaf = tern.leaf_for_point[2]
         before = list(occ.vacant)
@@ -115,8 +121,8 @@ class TestOccupancy:
             assert a == expect
 
     def test_double_occupy_rejected(self):
-        tern = ternarize(star_tree(3))
-        decomp = split_decomposition(tern)
+        decomp = split_decomposition(star_tree(3))
+        tern = decomp.tree
         occ = OccupancyState(decomp)
         leaf = tern.leaf_for_point[0]
         occ.occupy(leaf)
@@ -126,15 +132,14 @@ class TestOccupancy:
 
 class TestHmatch:
     def test_vacant_leaf_matches_itself(self):
-        tern = ternarize(star_tree(3))
-        decomp = split_decomposition(tern)
+        decomp = split_decomposition(star_tree(3))
+        tern = decomp.tree
         occ = OccupancyState(decomp)
         leaf = tern.leaf_for_point[1]
         assert hmatch(decomp, occ, leaf, random.Random(0)) == leaf
 
     def test_two_points_deflect_to_the_other(self):
-        tree = line_metric(2).tree
-        decomp = split_decomposition(ternarize(tree))
+        decomp = split_decomposition(line_metric(2).tree)
         occ = OccupancyState(decomp)
         a = decomp.tree.leaf_for_point[0]
         b = decomp.tree.leaf_for_point[1]
@@ -142,8 +147,8 @@ class TestHmatch:
         assert hmatch(decomp, occ, a, random.Random(0)) == b
 
     def test_exhausted_tree_trips_the_guard(self, caplog):
-        tern = ternarize(star_tree(3))
-        decomp = split_decomposition(tern)
+        decomp = split_decomposition(star_tree(3))
+        tern = decomp.tree
         occ = OccupancyState(decomp)
         for leaf in tern.leaf_for_point.values():
             occ.occupy(leaf)
@@ -169,7 +174,7 @@ class TestEpisodes:
         tree = random_recursive_tree(n, rng, max_len=9)
         for t in range(10):
             stream = [rng.randrange(n) for _ in range(n)]
-            res = run_episode_hier(tree, stream, seed=seed * 100 + t)
+            res = _episode(tree, stream, seed * 100 + t)
             self._assert_shape(tree, stream, res)
             assert res.algorithm == "split-match"
 
@@ -179,39 +184,40 @@ class TestEpisodes:
             n = rng.randint(2, 10)
             tree = random_recursive_tree(n, rng, max_len=9)
             stream = [rng.randrange(n) for _ in range(n)]
-            res = run_episode_hier(tree, stream, seed=rng.randrange(10**6))
+            res = _episode(tree, stream, rng.randrange(10**6))
             assert res.total_cost >= opt_tree(tree, stream)
 
     def test_deterministic_per_seed(self):
         tree = random_recursive_tree(9, random.Random(14))
         stream = [random.Random(77).randrange(9) for _ in range(9)]
-        a = run_episode_hier(tree, stream, seed=3)
-        b = run_episode_hier(tree, stream, seed=3)
+        a = _episode(tree, stream, 3)
+        b = _episode(tree, stream, 3)
         assert a.assignments == b.assignments
 
     def test_shared_decomposition(self):
         tree = random_recursive_tree(6, random.Random(2))
-        decomp = split_decomposition(ternarize(tree))
+        decomp = split_decomposition(tree)
         stream = [0, 0, 1, 5, 5, 3]
-        a = run_episode_hier(tree, stream, seed=8)
-        b = run_episode_hier(tree, stream, seed=8, decomp=decomp)
+        a = _episode(tree, stream, 8)
+        run_episode_hier(decomp, stream, random.Random(7))
+        b = run_episode_hier(decomp, stream, random.Random(8))
         assert a.assignments == b.assignments
 
     def test_stream_length_checked(self):
         with pytest.raises(ValueError, match="exactly n=3"):
-            run_episode_hier(star_tree(3), [0], seed=0)
+            _episode(star_tree(3), [0], 0)
 
     @pytest.mark.parametrize("stream", [[0, 1, 5], [0, 1, -1]])
     def test_stream_range_checked(self, stream):
         tree = line_metric(3).tree
         with pytest.raises(ValueError, match="outside the instance"):
-            run_episode_hier(tree, stream, seed=0)
+            _episode(tree, stream, 0)
 
     def test_prices_steps_with_the_callers_matrix(self):
         tree = random_recursive_tree(9, random.Random(4))
         tree.leaf_distance_matrix()
-        decomp = split_decomposition(ternarize(tree))
-        res = run_episode_hier(tree, [3, 3, 1, 0, 8, 8, 2, 5, 5], seed=2, decomp=decomp)
+        decomp = split_decomposition(tree)
+        res = run_episode_hier(decomp, [3, 3, 1, 0, 8, 8, 2, 5, 5], random.Random(2))
         assert decomp.tree._matrix is None
         tern = ternarize(tree)
         assert res.step_costs == [
@@ -220,10 +226,10 @@ class TestEpisodes:
 
     def test_single_point_episode(self):
         tree = random_recursive_tree(1, random.Random(0))
-        res = run_episode_hier(tree, [0], seed=0)
+        res = _episode(tree, [0], 0)
         assert res.total_cost == 0
 
     def test_identity_stream_is_free(self):
         tree = random_recursive_tree(8, random.Random(33))
-        res = run_episode_hier(tree, list(range(8)), seed=1)
+        res = _episode(tree, list(range(8)), 1)
         assert res.total_cost == 0

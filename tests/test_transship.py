@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from stochmatch.fairbias import PlanProvider
 from stochmatch.harness import random_metric
 from stochmatch.metrics import line_metric, matrix_unchecked, uniform_metric
 from stochmatch.transship import (
@@ -19,6 +20,14 @@ from stochmatch.transship import (
 )
 
 F = Fraction
+
+
+def _wrapped(inst, dist, seed, plan=None):
+    """An episode on n arrivals drawn from dist by the episode's generator."""
+    rng = random.Random(seed)
+    stream = [dist.sample(rng) for _ in range(inst.n)]
+    plan = plan or solve_transshipment(inst, dist)
+    return run_wrapped(PlanProvider(inst), plan, stream, rng)
 
 
 class TestRequestDistribution:
@@ -140,14 +149,14 @@ class TestRunWrapped:
     def test_uniform_distribution_never_relocates(self):
         inst = line_metric(4)
         for seed in range(5):
-            out = run_wrapped(inst, uniform_distribution(4), seed=seed)
+            out = _wrapped(inst, uniform_distribution(4), seed)
             assert out.relocation_cost == 0
             assert out.result.algorithm == "fair-bias-wrapped"
 
     def test_episode_shape(self):
         inst = line_metric(5)
         dist = geometric_distribution(5)
-        out = run_wrapped(inst, dist, seed=12)
+        out = _wrapped(inst, dist, 12)
         assert sorted(s for _, s in out.result.assignments) == list(range(5))
         for (a, s), c in zip(out.result.assignments, out.result.step_costs):
             assert c == inst.matrix[s][a]
@@ -160,7 +169,7 @@ class TestRunWrapped:
         plan = solve_transshipment(inst, dist)
         trials = 2000
         costs = [
-            run_wrapped(inst, dist, seed=t, plan=plan).relocation_cost
+            _wrapped(inst, dist, t, plan).relocation_cost
             for t in range(trials)
         ]
         mean = sum(costs) / trials
@@ -171,26 +180,36 @@ class TestRunWrapped:
     def test_fixed_stream(self):
         inst = line_metric(3)
         dist = RequestDistribution((1, 2, 1))
-        out = run_wrapped(inst, dist, seed=4, stream=[1, 1, 2])
+        provider, plan = PlanProvider(inst), solve_transshipment(inst, dist)
+        out = run_wrapped(provider, plan, [1, 1, 2], random.Random(4))
         assert [a for a, _ in out.result.assignments] == [1, 1, 2]
         with pytest.raises(ValueError, match="exactly n=3"):
-            run_wrapped(inst, dist, seed=4, stream=[1])
+            run_wrapped(provider, plan, [1], random.Random(4))
 
     @pytest.mark.parametrize("stream", [[0, 1, 5], [0, 1, -1]])
     def test_fixed_stream_range_checked(self, stream):
         inst = line_metric(3)
+        plan = solve_transshipment(inst, uniform_distribution(3))
         with pytest.raises(ValueError, match="outside the instance"):
-            run_wrapped(inst, uniform_distribution(3), seed=4, stream=stream)
+            run_wrapped(PlanProvider(inst), plan, stream, random.Random(4))
 
     def test_deterministic_per_seed(self):
         inst = uniform_metric(4)
         dist = geometric_distribution(4)
-        a = run_wrapped(inst, dist, seed=31)
-        b = run_wrapped(inst, dist, seed=31)
+        a = _wrapped(inst, dist, 31)
+        b = _wrapped(inst, dist, 31)
         assert a.result.assignments == b.result.assignments
         assert a.relocation_cost == b.relocation_cost
 
     def test_needs_checked_metric(self):
         inst = matrix_unchecked([[0, 1], [1, 0]])
+        provider = PlanProvider(inst, allow_unchecked=True)
+        plan = solve_transshipment(inst, uniform_distribution(2))
         with pytest.raises(ValueError, match="checked metric"):
-            run_wrapped(inst, uniform_distribution(2), seed=0)
+            run_wrapped(provider, plan, [0, 1], random.Random(0))
+
+    def test_plan_size_must_match_the_provider(self):
+        plan = solve_transshipment(line_metric(3), uniform_distribution(3))
+        provider = PlanProvider(line_metric(4))
+        with pytest.raises(ValueError, match="plan size"):
+            run_wrapped(provider, plan, [0, 1, 2, 3], random.Random(0))

@@ -217,7 +217,7 @@ def test_walk_makes_no_plan(monkeypatch):
     monkeypatch.setattr(PlanProvider, "columns", forbidden)
     instance = tree_metric(random_recursive_tree(30, random.Random(2)))
     stream = [random.Random(9).randrange(30) for _ in range(30)]
-    result = run_episode(instance, stream, seed=1)
+    result = run_episode(PlanProvider(instance), stream, random.Random(1))
     assert sorted(s for _, s in result.assignments) == list(range(30))
 
 
