@@ -3,10 +3,15 @@
 The base problem: given the free multiset T of servers over a metric on
 n points, spread each server's 1/|T| of mass over locations so every
 location receives exactly 1/n (weighted variants replace 1/n by p_j).
-All arithmetic is exact: demands are scaled to integers (servers supply
-n units each, locations demand |T| units), solved by the integral
-transportation solve ``flows.transport``, and divided back, so entries
-and values are Fractions with denominator n*|T|.
+Both objectives go through one weighted solve: T against integer
+location weights w (all 1 on the cost matrix for min-cost, the caller's
+weights on shift - weight for max-weight), scaled to integers (server i
+supplies W * count_i units, location j demands |T| * w_j, W = sum w) and
+solved by one integral transportation solve, ``flows.transport``.  Its
+successive-shortest-path plan is returned as it is: an optimal plan,
+whose support may hold cycles, with Fraction entries and value over the
+scale |T| * W.  Callers rely on nothing else: the sampler's free-set
+uniformity and expected step cost follow from optimality and marginals.
 
 Two solve routes exist on purpose.  solve_min_cost runs ``transport``
 on any instance; tree_plan builds the canonical optimal plan directly
@@ -27,7 +32,7 @@ routes take the ``WeightedTree`` itself and read its rooted arrays
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .flows import Column, column, column_units, transport
@@ -59,9 +64,6 @@ class FractionalMatching:
     def entry_map(self) -> dict[tuple[int, int], Fraction]:
         return {(i, j): f for i, j, f in self.entries}
 
-    def support_size(self) -> int:
-        return len(self.entries)
-
     def validate(self) -> None:
         """Exact feasibility: marginals match the profile, mass >= 0."""
         rows: dict[int, Fraction] = {}
@@ -87,97 +89,47 @@ class FractionalMatching:
         ]
 
 
-def _counts(T) -> Counter:
+def _counts(T, n: int) -> Counter:
     counts = Counter(T)
     if not counts:
         raise ValueError("T must be non-empty")
     if any(c <= 0 for c in counts.values()):
         raise ValueError("multiplicities must be positive")
+    for i in counts:
+        if not 0 <= i < n:
+            raise ValueError(f"server point {i} outside the instance")
     return counts
 
 
-def _forestify(
-    flow: dict[tuple[int, int], int], cost_of
-) -> dict[tuple[int, int], int]:
-    """Cancel support cycles (always zero-cost at optimum) until a forest.
+def _solve(
+    cost_rows, counts: Counter, location_weights: list[int]
+) -> FractionalMatching:
+    """Optimal plan of the free multiset against weighted locations.
 
-    Keeps value and feasibility; afterwards the support is acyclic, so
-    its size is at most (#rows + #cols - 1), a vertex of the polytope.
+    Each free server ships counts[i] * W units, location j with w_j > 0
+    takes k * w_j (W = sum w, k = |T|), and a unit from i to j costs
+    cost_rows[i][j].  One ``transport`` call; its SSP plan is returned
+    as it is, with the cost over the scale k * W as the value.
     """
-    while True:
-        adj: dict[tuple[str, int], list[tuple[tuple[str, int], tuple[int, int]]]] = {}
-        for (i, j), f in flow.items():
-            if f <= 0:
-                continue
-            a, b = ("L", i), ("R", j)
-            adj.setdefault(a, []).append((b, (i, j)))
-            adj.setdefault(b, []).append((a, (i, j)))
-        # iterative DFS looking for any cycle in the support graph
-        visited: set[tuple[str, int]] = set()
-        cycle: list[tuple[int, int]] | None = None
-        for start in sorted(adj):
-            if start in visited or cycle:
-                break
-            stack = [(start, None)]
-            parent: dict = {start: (None, None)}
-            visited.add(start)
-            while stack and cycle is None:
-                node, via = stack.pop()
-                for nxt, edge in adj[node]:
-                    if edge == via:
-                        continue
-                    if nxt in parent:
-                        # reconstruct: path node->..., plus edge to nxt
-                        path_a = []
-                        x = node
-                        while x is not None:
-                            path_a.append(x)
-                            x = parent[x][0]
-                        path_b = []
-                        x = nxt
-                        while x is not None:
-                            path_b.append(x)
-                            x = parent[x][0]
-                        common = None
-                        seen_a = set(path_a)
-                        for x in path_b:
-                            if x in seen_a:
-                                common = x
-                                break
-                        edges = [edge]
-                        x = node
-                        while x != common:
-                            edges.append(parent[x][1])
-                            x = parent[x][0]
-                        x = nxt
-                        tail = []
-                        while x != common:
-                            tail.append(parent[x][1])
-                            x = parent[x][0]
-                        edges.extend(reversed(tail))
-                        cycle = edges
-                        break
-                    parent[nxt] = (node, edge)
-                    visited.add(nxt)
-                    stack.append((nxt, edge))
-            if cycle:
-                break
-        if not cycle:
-            return flow
-        # alternate +/- around the cycle; optimal => alternating cost is 0
-        signs = []
-        sign = 1
-        for e in cycle:
-            signs.append(sign)
-            sign = -sign
-        alt = sum(s * cost_of(e) for s, e in zip(signs, cycle))
-        if alt != 0:
-            raise RuntimeError("support cycle with nonzero alternating cost")
-        eps = min(flow[e] for s, e in zip(signs, cycle) if s < 0)
-        for s, e in zip(signs, cycle):
-            flow[e] += s * eps if s > 0 else -eps
-            if flow[e] == 0:
-                del flow[e]
+    k = sum(counts.values())
+    total = sum(location_weights)
+    lefts = sorted(counts)
+    spots = [j for j, w in enumerate(location_weights) if w > 0]
+    scale = k * total
+    cost, flows = transport(
+        [counts[i] * total for i in lefts],
+        [k * location_weights[j] for j in spots],
+        [[cost_rows[i][j] for j in spots] for i in lefts],
+    )
+    profile = DemandProfile(
+        tuple((i, Fraction(counts[i], k)) for i in lefts),
+        tuple((j, Fraction(location_weights[j], total)) for j in spots),
+    )
+    # transport lists flows row-major, so entries come out sorted
+    entries = tuple(
+        (lefts[a], spots[b], Fraction(f, scale)) for (a, b), f in flows.items()
+    )
+    return FractionalMatching(profile, entries, Fraction(cost, scale))
 
 
 def solve_min_cost(instance: MetricInstance, T) -> FractionalMatching:
@@ -187,28 +139,7 @@ def solve_min_cost(instance: MetricInstance, T) -> FractionalMatching:
     needed); determinism comes from fixed arc insertion order.
     """
     n = instance.n
-    counts = _counts(T)
-    for i in counts:
-        if not 0 <= i < n:
-            raise ValueError(f"server point {i} outside the instance")
-    k = sum(counts.values())
-    scale = n * k
-    lefts = sorted(counts)
-    cost, flows = transport(
-        [n * counts[i] for i in lefts],
-        [k] * n,
-        [instance.matrix[i] for i in lefts],
-    )
-    flow = {(lefts[a], j): f for (a, j), f in flows.items()}
-    flow = _forestify(flow, lambda e: instance.matrix[e[0]][e[1]])
-    profile = DemandProfile(
-        tuple((i, Fraction(counts[i], k)) for i in lefts),
-        tuple((j, Fraction(1, n)) for j in range(n)),
-    )
-    entries = tuple(
-        (i, j, Fraction(f, scale)) for (i, j), f in sorted(flow.items())
-    )
-    return FractionalMatching(profile, entries, Fraction(cost, scale))
+    return _solve(instance.matrix, _counts(T, n), [1] * n)
 
 
 def canonicalize(
@@ -255,42 +186,22 @@ def solve_max_weight(
     """Maximum-weight variant: location j carries probability weight w_j.
 
     Each free server is matched 1/|T| in total and each location j
-    receives exactly w_j / sum(w).  Solved as min-cost flow on shifted
-    costs (C - weight), which keeps everything integral and exact.
+    receives exactly w_j / sum(w).  Solved as the min-cost plan on
+    shifted costs (shift - weight, shift the largest weight in a free
+    row), which keeps everything integral and exact.
     """
     n = len(weights)
-    counts = _counts(T)
-    for i in counts:
-        if not 0 <= i < n:
-            raise ValueError(f"server point {i} outside the instance")
-    k = sum(counts.values())
+    counts = _counts(T, n)
     if len(location_weights) != n:
         raise ValueError("need one weight per location")
     if any(w < 0 for w in location_weights):
         raise ValueError("location weights must be >= 0")
-    W = sum(location_weights)
-    if W <= 0:
+    if sum(location_weights) <= 0:
         raise ValueError("location weights must have positive total")
-    lefts = sorted(counts)
-    spots = [j for j in range(n) if location_weights[j] > 0]
-    shift = max(max(weights[i]) for i in lefts)
-    scale = k * W
-    cost, flows = transport(
-        [counts[i] * W for i in lefts],
-        [k * location_weights[j] for j in spots],
-        [[shift - weights[i][j] for j in spots] for i in lefts],
-    )
-    flow = {(lefts[a], spots[b]): f for (a, b), f in flows.items()}
-    flow = _forestify(flow, lambda e: shift - weights[e[0]][e[1]])
-    profile = DemandProfile(
-        tuple((i, Fraction(counts[i], k)) for i in lefts),
-        tuple((j, Fraction(location_weights[j], W)) for j in spots),
-    )
-    entries = tuple(
-        (i, j, Fraction(f, scale)) for (i, j), f in sorted(flow.items())
-    )
-    value = Fraction(shift * scale - cost, scale)
-    return FractionalMatching(profile, entries, value)
+    shift = max(max(weights[i]) for i in counts)
+    shifted = {i: [shift - w for w in weights[i]] for i in counts}
+    plan = _solve(shifted, counts, location_weights)
+    return replace(plan, value=shift - plan.value)
 
 
 def scaling_identity_check(
@@ -483,7 +394,7 @@ def solve_min_cost_tree(instance: MetricInstance, T) -> FractionalMatching:
     if instance.tree is None:
         raise ValueError("instance has no tree backing")
     n = instance.n
-    counts = _counts(T)
+    counts = _counts(T, n)
     k = sum(counts.values())
     scale = n * k
     value_scaled, cols = tree_plan(instance.tree, counts, k, n)

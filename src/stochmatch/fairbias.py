@@ -66,43 +66,30 @@ class OnlineState:
     ``free_set`` gives O(1) membership and removal; ``free`` builds the
     sorted tuple that plan memos key on, only when asked.  A tree
     provider's free-point counts per node are built on first use by
-    ``below`` and kept current by ``remove``; assigning a new free set
-    drops them.
+    ``below`` and kept current by ``remove``.
     """
 
     def __init__(self, free_set: set[int]):
         self.free_set = free_set
-
-    @property
-    def free_set(self) -> set[int]:
-        return self._free_set
-
-    @free_set.setter
-    def free_set(self, value: set[int]) -> None:
-        self._free_set = value
         self._tree: WeightedTree | None = None  # whose counts _below holds
         self._below: list[int] = []
 
     @property
     def free(self) -> tuple[int, ...]:
-        return tuple(sorted(self._free_set))
-
-    @free.setter
-    def free(self, value) -> None:
-        self.free_set = set(value)
+        return tuple(sorted(self.free_set))
 
     @property
     def k(self) -> int:
-        return len(self._free_set)
+        return len(self.free_set)
 
     def below(self, tree: WeightedTree) -> list[int]:
         """Free points below each node of ``tree``."""
         if self._tree is not tree:
-            self._tree, self._below = tree, free_below(tree, self._free_set)
+            self._tree, self._below = tree, free_below(tree, self.free_set)
         return self._below
 
     def remove(self, server: int) -> None:
-        self._free_set.remove(server)
+        self.free_set.remove(server)
         if self._tree is not None:
             release(self._tree, self._below, server)
 

@@ -452,6 +452,8 @@ def verify_structure_lemma(
         raise ValueError("subset space too large to tabulate beyond n=8")
     if instance is None:
         instance = uniform_metric(n)
+    if instance.n != n:
+        raise ValueError(f"instance has {instance.n} points, not n={n}")
     provider = PlanProvider(instance)
     counts: dict[int, Counter] = {k: Counter() for k in range(1, n)}
     for t in range(trials):

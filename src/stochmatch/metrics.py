@@ -450,6 +450,8 @@ def load_metric(path: str) -> MetricInstance:
                 continue
             if t[0] not in ("kind", "n", "scale"):
                 body.append(t)
+            elif len(t) != 2:
+                raise ValueError(f"header line {' '.join(t)!r} is not 'key value'")
             elif t[0] in header:
                 raise ValueError(f"duplicate header line {t[0]!r}")
             else:

@@ -1,12 +1,13 @@
 """Offline benchmarks: optimal cost of a realized request stream.
 
-opt_general solves the assignment as an exact transportation problem
-with ``flows.transport`` (requests collapsed by location, one unit per
-server), priced like the online loop: server s serving a request at r
-costs matrix[s][r].  opt_tree uses the closed form on trees: sum over
-edges of length times |requests in the cut - servers in the cut|, which
-equals the assignment optimum there.  opt_max_weight is the mirrored
-maximization through the same solve.
+One min-cost assignment solves both objectives: an exact transportation
+problem with ``flows.transport`` (requests collapsed by location, one
+unit per server), priced like the online loop: server s serving a
+request at r costs cost[s][r].  opt_general runs it on the instance's
+matrix; opt_max_weight runs it on shift - weight (shift the largest
+weight) and returns n * shift minus its optimum.  opt_tree uses the
+closed form on trees: sum over edges of length times |requests in the
+cut - servers in the cut|, which equals the assignment optimum there.
 """
 
 from __future__ import annotations
@@ -27,18 +28,22 @@ def _request_counts(n: int, requests) -> Counter:
     return counts
 
 
-def opt_general(instance: MetricInstance, requests) -> int:
-    """Min-cost perfect assignment of the stream to the n servers."""
-    n = instance.n
+def _min_assignment(cost: list[list[int]], requests) -> int:
+    """Min-cost perfect assignment of the stream to the len(cost) servers."""
+    n = len(cost)
     counts = _request_counts(n, requests)
     spots = sorted(counts)
-    matrix = instance.matrix
-    cost, _ = transport(
+    value, _ = transport(
         [counts[r] for r in spots],
         [1] * n,
-        [[matrix[s][r] for s in range(n)] for r in spots],
+        [[cost[s][r] for s in range(n)] for r in spots],
     )
-    return cost
+    return value
+
+
+def opt_general(instance: MetricInstance, requests) -> int:
+    """Min-cost perfect assignment of the stream to the n servers."""
+    return _min_assignment(instance.matrix, requests)
 
 
 def opt_tree(tree_or_instance: WeightedTree | MetricInstance, requests) -> int:
@@ -76,13 +81,6 @@ def opt_max_weight(weights: list[list[int]], requests) -> int:
 
     weights[s][r] is the gain of serving a request at r with server s.
     """
-    n = len(weights)
-    counts = _request_counts(n, requests)
-    spots = sorted(counts)
     shift = max(max(row) for row in weights)
-    cost, _ = transport(
-        [counts[r] for r in spots],
-        [1] * n,
-        [[shift - weights[s][r] for s in range(n)] for r in spots],
-    )
-    return n * shift - cost
+    shifted = [[shift - w for w in row] for row in weights]
+    return len(weights) * shift - _min_assignment(shifted, requests)

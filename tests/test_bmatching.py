@@ -22,6 +22,7 @@ from stochmatch.bmatching import (
 from stochmatch.harness import random_metric
 from stochmatch.metrics import (
     line_metric,
+    matrix_metric,
     matrix_unchecked,
     random_recursive_tree,
     star_tree,
@@ -154,14 +155,36 @@ class TestSolveMinCost:
             m = solve_min_cost(inst, T)
             assert (n * k) % m.value.denominator == 0
 
-    def test_support_is_forest_sized(self):
-        rng = random.Random(6)
-        for _ in range(20):
-            n = rng.randint(2, 6)
-            inst = random_metric(n, rng)
-            T = rng.sample(range(n), rng.randint(1, n))
-            m = solve_min_cost(inst, T)
-            assert m.support_size() <= len(set(T)) + n - 1
+    def test_optimal_plans_with_a_support_cycle(self):
+        # the SSP plan is returned as it is: these supports hold a cycle
+        # (more entries than rows + columns - 1) and stay optimal
+        M = [
+            [0, 1, 1, 2, 2, 2],
+            [1, 0, 2, 3, 3, 1],
+            [1, 2, 0, 1, 1, 3],
+            [2, 3, 1, 0, 2, 4],
+            [2, 3, 1, 2, 0, 4],
+            [2, 1, 3, 4, 4, 0],
+        ]
+        inst = matrix_metric(M)
+        m = solve_min_cost(inst, [1, 2, 2, 4, 4])
+        m.validate()
+        assert len(m.entries) > 3 + 6 - 1
+        assert m.value == 1
+        c = canonicalize(m, inst)
+        c.validate()
+        assert c.value == 1
+        x = c.entry_map()
+        assert [x[(i, i)] for i in (1, 2, 4)] == [F(1, 6)] * 3
+
+        w = solve_max_weight(
+            [[2, 0, 1, 1], [2, 2, 1, 0], [1, 0, 0, 0], [1, 0, 2, 2]],
+            [0, 2, 1, 0],
+            [2, 0, 2, 2],
+        )
+        w.validate()
+        assert len(w.entries) > 3 + 3 - 1
+        assert w.value == F(13, 12)
 
 
 class TestTreeRoute:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from stochmatch.bmatching import canonicalize, solve_min_cost
 from stochmatch.fairbias import (
     MaxWeightProvider,
+    OnlineState,
     PlanProvider,
     init_state,
     run_episode,
@@ -78,9 +79,7 @@ class TestDeterministicCases:
         )
         provider = PlanProvider(inst)
         for seed in range(20):
-            state = init_state(4)
-            state.free = (0, 1)
-            state.free_set = {0, 1}
+            state = OnlineState({0, 1})
             server, cost = step(provider, state, 2, random.Random(seed))
             assert (server, cost) == (0, 1)
 
@@ -118,9 +117,7 @@ class TestSamplingLaw:
         trials = 3000
         seen = Counter()
         for t in range(trials):
-            state = init_state(4)
-            state.free = free
-            state.free_set = set(free)
+            state = OnlineState(set(free))
             server, _ = step(provider, state, 1, random.Random(t))
             seen[server] += 1
         for s in free:

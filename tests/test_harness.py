@@ -33,6 +33,7 @@ from stochmatch.metrics import (
     line_metric,
     random_recursive_tree,
     tree_metric,
+    uniform_metric,
 )
 
 F = Fraction
@@ -364,6 +365,13 @@ class TestVerifiers:
     def test_structure_size_cap(self):
         with pytest.raises(ValueError, match="n=8"):
             verify_structure_lemma(9, 10, seed=0)
+
+    @pytest.mark.parametrize("n, points", [(3, 5), (5, 3)])
+    def test_structure_instance_size_must_match(self, n, points):
+        # n=3 on 5 points never finished an episode yet reported ok;
+        # n=5 on 3 points raised IndexError
+        with pytest.raises(ValueError, match=f"{points} points, not n={n}"):
+            verify_structure_lemma(n, 10, seed=0, instance=uniform_metric(points))
 
     def test_replacement_first_moment_matches(self):
         report = verify_replacement(line_metric(4))

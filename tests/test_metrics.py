@@ -269,6 +269,16 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=f"duplicate header line '{key}'"):
             load_metric(str(path))
 
+    @pytest.mark.parametrize("line", ["scale", "n 3 4", "kind line extra"])
+    def test_header_line_must_be_key_value(self, tmp_path, line):
+        # a bare key raised IndexError; extra tokens were ignored
+        head = {"k": "kind line", "n": "n 3", "s": "scale 1"}
+        head[line[0]] = line
+        path = tmp_path / "m.txt"
+        path.write_text("\n".join(head.values()) + "\n")
+        with pytest.raises(ValueError, match=f"header line '{line}'"):
+            load_metric(str(path))
+
     def test_line_file_with_a_body_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("kind line\nn 3\n0 1 5\n")

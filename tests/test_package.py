@@ -1,5 +1,6 @@
-"""Package-wide rules: no assert statements, a light top-level import,
-and every name the benchmark's tracer patches still exists."""
+"""Package-wide rules: no assert statements, no orphaned private code, a
+light top-level import, and every name the benchmark's tracer patches
+still exists."""
 from __future__ import annotations
 
 import ast
@@ -28,6 +29,36 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level private functions, classes and constants."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_no_orphaned_private_definitions():
+    # a private helper nothing reads any more (a deleted caller's leftover)
+    # is dead code; every one must be read somewhere in the package
+    defined = []
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined += [f"{path.name}:{n}" for n in _private_definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert [d for d in defined if d.split(":")[1] not in used] == []
 
 
 def test_import_leaves_scipy_stats_unloaded():

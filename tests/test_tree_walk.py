@@ -15,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochmatch.bmatching import free_below, solve_min_cost_tree, tree_plan
-from stochmatch.fairbias import PlanProvider, init_state, run_episode, step
+from stochmatch.fairbias import (
+    OnlineState,
+    PlanProvider,
+    init_state,
+    run_episode,
+    step,
+)
 from stochmatch.harness import random_metric, verify_structure_lemma
 from stochmatch.metrics import (
     frt_embed,
@@ -79,11 +85,9 @@ class Flow:
 
 def _fresh_state(instance, free, hand_set):
     """A state holding ``free``: set by hand, or reached by removals."""
-    state = init_state(instance.n)
     if hand_set:
-        state.free = tuple(sorted(free))
-        state.free_set = set(free)
-        return state
+        return OnlineState(set(free))
+    state = init_state(instance.n)
     tree = instance.tree
     state.below(tree)  # counts first, so the removals below must keep them
     provider = PlanProvider(instance)
