@@ -25,7 +25,6 @@ from .bmatching import (
     scaling_identity_check,
     solve_max_weight,
     solve_min_cost,
-    solve_min_cost_tree,
 )
 from .fairbias import (
     MatchingResult,
@@ -131,7 +130,6 @@ __all__ = [
     "scaling_identity_check",
     "solve_max_weight",
     "solve_min_cost",
-    "solve_min_cost_tree",
     "solve_transshipment",
     "split_decomposition",
     "star_tree",

@@ -13,29 +13,22 @@ whose support may hold cycles, with Fraction entries and value over the
 scale |T| * W.  Callers rely on nothing else: the sampler's free-set
 uniformity and expected step cost follow from optimality and marginals.
 
-Two solve routes exist on purpose.  solve_min_cost runs ``transport``
-on any instance; tree_plan builds the canonical optimal plan directly
-on tree-backed instances by self-matching co-located mass first and
-then pairing surplus against deficit bottom-up, and is the exact
-reference behind solve_min_cost_tree.  Its columns are the shared
-``flows.column`` sampling columns.  Tests pin the two routes to the
-same value.
-
-The online matcher builds neither plan on trees: tree_walk samples one
-column entry of the tree's unique optimal edge flow by walking it back
-from the request, from free-point counts per node (free_below, kept
-current by release) that the caller holds across arrivals.  The tree
-routes take the ``WeightedTree`` itself and read its rooted arrays
-(parent, parent_len, order, node_point, size).
+On trees no plan is built.  Optimal transport there has one edge flow:
+tree_walk samples one column entry of it by walking it back from the
+request, from free-point counts per node (free_below, kept current by
+release) that the caller holds across arrivals, and
+``WeightedTree.imbalance_cost`` prices it, so tree_plan is that one
+call.  solve_min_cost stays the route to an explicit plan on any
+instance, trees included, and canonicalize gives its self-matched form.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .flows import Column, column, column_units, transport
+from .flows import transport
 from .metrics import MetricInstance, WeightedTree
 
 
@@ -225,96 +218,17 @@ def scaling_identity_check(
 
 
 # ---------------------------------------------------------------------------
-# canonical plans on trees
+# the tree's one optimal edge flow
 
 
-def tree_plan(
-    tree: WeightedTree, counts: dict[int, int], k: int, n: int
-) -> tuple[int, dict[int, Column]]:
-    """Canonical optimal plan on a tree, in n*k-scaled integer units.
+def tree_plan(tree: WeightedTree, counts: dict[int, int], k: int, n: int) -> int:
+    """Optimal value of the free multiset ``counts`` (k servers) on a tree.
 
-    Self-matches first (maximal co-located mass), then surplus meets
-    deficit at the lowest common node, paired FIFO, so every recorded
-    pair crosses exactly its tree path.  Returns (scaled value, columns)
-    where columns[r] is the sampling column (servers, cumulative units)
-    of each point r whose demand is not covered by its own supply.
+    In n*k-scaled integer units: every free point p ships n * counts[p],
+    every point takes k, and the tree's one optimal flow costs the edge
+    imbalance sum.
     """
-    num_nodes = tree.num_nodes
-    node_point = tree.node_point
-    parent = tree.parent
-    parent_len = tree.parent_len
-    pend: list[deque | None] = [None] * num_nodes
-    sign = [0] * num_nodes
-    tot = [0] * num_nodes
-    columns: dict[int, list[tuple[int, int]]] = {}
-    value = 0
-    root = tree.order[0]
-    for x in reversed(tree.order):
-        own = pend[x]
-        own_sign = sign[x]
-        own_tot = tot[x]
-        p = node_point[x]
-        if p >= 0:
-            e = n * counts.get(p, 0) - k
-            if e:
-                s = 1 if e > 0 else -1
-                u = abs(e)
-                if not own:
-                    own, own_sign, own_tot = deque([[p, u]]), s, u
-                elif own_sign == s:
-                    own.append([p, u])
-                    own_tot += u
-                else:
-                    own, own_sign, own_tot = _pair_off(
-                        own, own_sign, own_tot, deque([[p, u]]), s, u, columns
-                    )
-        if x == root:
-            if own:
-                raise RuntimeError("excesses must balance at the root")
-            continue
-        if own:
-            w = parent_len[x]
-            if w:
-                value += w * own_tot
-            par = parent[x]
-            if not pend[par]:
-                pend[par], sign[par], tot[par] = own, own_sign, own_tot
-            elif sign[par] == own_sign:
-                pend[par].extend(own)
-                tot[par] += own_tot
-            else:
-                pend[par], sign[par], tot[par] = _pair_off(
-                    pend[par], sign[par], tot[par], own, own_sign, own_tot, columns
-                )
-            pend[x] = None
-    return value, {r: column(pairs) for r, pairs in columns.items()}
-
-
-def _pair_off(
-    a: deque, sa: int, ta: int, b: deque, sb: int, tb: int, columns
-) -> tuple[deque | None, int, int]:
-    """Match two opposite-signed FIFO queues; returns the survivor."""
-    while a and b:
-        pa, ua = a[0]
-        pb, ub = b[0]
-        m = ua if ua < ub else ub
-        if sa > 0:
-            columns.setdefault(pb, []).append((pa, m))
-        else:
-            columns.setdefault(pa, []).append((pb, m))
-        if ua == m:
-            a.popleft()
-        else:
-            a[0][1] -= m
-        if ub == m:
-            b.popleft()
-        else:
-            b[0][1] -= m
-    if b:
-        return b, sb, tb - ta
-    if a:
-        return a, sa, ta - tb
-    return None, 0, 0
+    return tree.imbalance_cost(counts, n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -387,35 +301,3 @@ def tree_walk(
         p = node_point[x]
         if p >= 0:
             return p
-
-
-def solve_min_cost_tree(instance: MetricInstance, T) -> FractionalMatching:
-    """Same contract as solve_min_cost, via the canonical tree plan."""
-    if instance.tree is None:
-        raise ValueError("instance has no tree backing")
-    n = instance.n
-    counts = _counts(T, n)
-    k = sum(counts.values())
-    scale = n * k
-    value_scaled, cols = tree_plan(instance.tree, counts, k, n)
-    entries: dict[tuple[int, int], int] = {}
-    for i, c in counts.items():
-        self_units = min(n * c, k)
-        if self_units:
-            entries[(i, i)] = self_units
-    for r, col in cols.items():
-        for s, u in column_units(col):
-            entries[(s, r)] = entries.get((s, r), 0) + u
-    profile = DemandProfile(
-        tuple((i, Fraction(counts[i], k)) for i in sorted(counts)),
-        tuple((j, Fraction(1, n)) for j in range(n)),
-    )
-    out = tuple(
-        (i, j, Fraction(f, scale)) for (i, j), f in sorted(entries.items())
-    )
-    check = sum(
-        f * instance.matrix[i][j] for (i, j), f in entries.items()
-    )
-    if check != value_scaled:
-        raise RuntimeError("plan cost must match the edge-cut value")
-    return FractionalMatching(profile, out, Fraction(value_scaled, scale))

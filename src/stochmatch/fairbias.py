@@ -47,7 +47,7 @@ from .bmatching import (
     tree_walk,
 )
 from .flows import Column, column, draw, transport
-from .metrics import MetricInstance, WeightedTree
+from .metrics import MetricInstance, WeightedTree, square_size
 
 
 @dataclass
@@ -237,7 +237,7 @@ class MaxWeightProvider(PlanProvider):
     _tree = None  # gains are sampled from plan columns on every backing
 
     def __init__(self, weights: list[list[int]], location_weights: list[int]):
-        self.n = len(weights)
+        self.n = square_size(weights)
         self.matrix = self.weights = weights
         self.location_weights = list(location_weights)
         self.total_weight = sum(self.location_weights)

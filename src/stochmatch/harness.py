@@ -41,7 +41,7 @@ from .bmatching import (
     canonicalize,
     scaling_identity_check,
     solve_min_cost,
-    solve_min_cost_tree,
+    tree_plan,
 )
 from .fairbias import (
     MatchingResult,
@@ -144,6 +144,8 @@ def parse_scenario(path: str) -> Scenario:
 
 def build_instance(sc: Scenario) -> MetricInstance:
     kind, arg = sc.metric_kind, sc.metric_arg
+    if sc.spacing != 1 and kind in ("random", "nonmetric", "file"):
+        raise ValueError(f"spacing applies to line, star and uniform, not {kind}")
     if kind == "line":
         return line_metric(int(arg), sc.spacing)
     if kind == "star":
@@ -415,7 +417,8 @@ def _matching_value(instance: MetricInstance, T, memo: dict) -> Fraction:
     hit = memo.get(key)
     if hit is None:
         if instance.tree is not None and instance.verified_metric:
-            hit = solve_min_cost_tree(instance, list(key)).value
+            n, k = instance.n, len(key)
+            hit = Fraction(tree_plan(instance.tree, Counter(key), k, n), n * k)
         else:
             hit = solve_min_cost(instance, list(key)).value
         memo[key] = hit
@@ -450,6 +453,10 @@ def verify_structure_lemma(
 
     if n > 8:
         raise ValueError("subset space too large to tabulate beyond n=8")
+    if n < 2:
+        raise ValueError(f"no free set to tabulate with n={n} < 2 points")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if instance is None:
         instance = uniform_metric(n)
     if instance.n != n:
@@ -500,9 +507,13 @@ def verify_replacement(
     n = instance.n
     if n > 6:
         raise ValueError("exact enumeration is only tractable up to n=6")
+    ks = list(ks) if ks is not None else list(range(1, n + 1))
+    for k in ks:
+        if not 1 <= k <= n:
+            raise ValueError(f"k={k} outside 1..{n}")
     memo: dict = {}
     rows = []
-    for k in ks if ks is not None else range(1, n + 1):
+    for k in ks:
         subs = list(combinations(range(n), k))
         e_sub = sum(
             (_matching_value(instance, T, memo) for T in subs), Fraction(0)
@@ -552,6 +563,8 @@ def verify_cost_decomposition(
     values, which is what the free-set uniformity predicts the episode
     total should decompose into.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     n = instance.n
     provider = PlanProvider(instance)
     totals = []

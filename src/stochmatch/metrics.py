@@ -8,8 +8,11 @@ that rely on the triangle inequality refuse unchecked instances.
 Trees carry servers on leaves.  Hosts that would sit on internal nodes
 are pushed onto zero-length pendant leaves, which preserves all
 pairwise distances.  A ``WeightedTree`` roots itself at node 0 when it
-is built; every tree solver, the online walk and split-match read those
-rooted arrays from the tree.
+is built; the online walk and split-match read those rooted arrays from
+the tree.  On a tree, optimal transport has one edge flow: the walk
+samples it, and ``WeightedTree.imbalance_cost`` prices it, the one
+closed form behind every tree optimum (the offline optimum and the
+value of a free set's plan).
 """
 
 from __future__ import annotations
@@ -106,6 +109,31 @@ class WeightedTree:
             if parent[x] >= 0:
                 size[parent[x]] += size[x]
         return size
+
+    def imbalance_cost(self, counts, a: int, b: int) -> int:
+        """Sum over edges of len_e * |a * (counts below e) - b * (points below e)|.
+
+        ``counts`` maps points to multiplicities.  This is the cost of the
+        tree's one optimal edge flow that ships a * counts[p] units out of
+        every point p and b into each; both totals must agree, else the
+        imbalance reaching the root raises.
+        """
+        parent = self.parent
+        parent_len = self.parent_len
+        order = self.order
+        bal = [0] * self.num_nodes  # per node: a * counts - b * points below
+        for p, leaf in self.leaf_for_point.items():
+            bal[leaf] = a * counts.get(p, 0) - b
+        total = 0
+        for i in range(len(order) - 1, 0, -1):  # bottom-up, the root last
+            x = order[i]
+            v = bal[x]
+            if v:
+                total += parent_len[x] * (v if v > 0 else -v)
+                bal[parent[x]] += v
+        if bal[order[0]]:
+            raise RuntimeError("supply and demand must balance at the root")
+        return total
 
     def node_distances_from(self, src: int) -> list[int]:
         dist = [-1] * self.num_nodes
@@ -215,11 +243,11 @@ class MetricInstance:
         verified_metric: bool,
         scale: int = 1,
     ):
-        self.n = len(matrix)
+        self.n = square_size(matrix)
         self.matrix = [list(map(int, row)) for row in matrix]
         if any(a != list(b) for a, b in zip(self.matrix, matrix)):
             raise ValueError("distances must be integers")
-        if any(min(row) < 0 for row in self.matrix if row):
+        if any(min(row) < 0 for row in self.matrix):
             raise ValueError("distances must be >= 0")
         self.backing = backing
         self._tree = tree
@@ -238,12 +266,18 @@ class MetricInstance:
         return f"MetricInstance(n={self.n}, backing={self.backing}, {flag})"
 
 
+def square_size(table) -> int:
+    """Side of a non-empty square table; ValueError for any other shape."""
+    n = len(table)
+    if not n or any(len(row) != n for row in table):
+        raise ValueError("need a non-empty square table")
+    return n
+
+
 def check_matrix(matrix: list[list[int]]) -> list[Violation]:
-    n = len(matrix)
+    n = square_size(matrix)
     out: list[Violation] = []
     for i in range(n):
-        if len(matrix[i]) != n:
-            raise ValueError("matrix is not square")
         if matrix[i][i] != 0:
             out.append(Violation("diagonal", (i,), f"d({i},{i})={matrix[i][i]}"))
     for i in range(n):

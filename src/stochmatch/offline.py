@@ -5,9 +5,11 @@ problem with ``flows.transport`` (requests collapsed by location, one
 unit per server), priced like the online loop: server s serving a
 request at r costs cost[s][r].  opt_general runs it on the instance's
 matrix; opt_max_weight runs it on shift - weight (shift the largest
-weight) and returns n * shift minus its optimum.  opt_tree uses the
-closed form on trees: sum over edges of length times |requests in the
-cut - servers in the cut|, which equals the assignment optimum there.
+weight) and returns n * shift minus its optimum.  On a tree optimal
+transport has one edge flow, the kind the online walk samples, and
+``WeightedTree.imbalance_cost`` prices it: opt_tree is the sum over
+edges of length times |requests below - servers below|, the assignment
+optimum there.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .flows import transport
-from .metrics import MetricInstance, WeightedTree
+from .metrics import MetricInstance, WeightedTree, square_size
 
 
 def _request_counts(n: int, requests) -> Counter:
@@ -30,7 +32,7 @@ def _request_counts(n: int, requests) -> Counter:
 
 def _min_assignment(cost: list[list[int]], requests) -> int:
     """Min-cost perfect assignment of the stream to the len(cost) servers."""
-    n = len(cost)
+    n = square_size(cost)
     counts = _request_counts(n, requests)
     spots = sorted(counts)
     value, _ = transport(
@@ -54,26 +56,7 @@ def opt_tree(tree_or_instance: WeightedTree | MetricInstance, requests) -> int:
             raise ValueError("instance has no tree backing")
     else:
         tree = tree_or_instance
-    n = tree.n_points
-    counts = _request_counts(n, requests)
-    node_point = tree.node_point
-    parent = tree.parent
-    parent_len = tree.parent_len
-    # per node: requests minus servers in its subtree
-    bal = [0] * tree.num_nodes
-    total = 0
-    for x in reversed(tree.order):
-        p = node_point[x]
-        if p >= 0:
-            bal[x] += counts.get(p, 0) - 1
-        par = parent[x]
-        if par >= 0:
-            if parent_len[x] and bal[x]:
-                total += parent_len[x] * abs(bal[x])
-            bal[par] += bal[x]
-    if bal[tree.order[0]] != 0:
-        raise RuntimeError("requests and servers must balance at the root")
-    return total
+    return tree.imbalance_cost(_request_counts(tree.n_points, requests), 1, 1)
 
 
 def opt_max_weight(weights: list[list[int]], requests) -> int:
@@ -81,6 +64,6 @@ def opt_max_weight(weights: list[list[int]], requests) -> int:
 
     weights[s][r] is the gain of serving a request at r with server s.
     """
-    shift = max(max(row) for row in weights)
+    shift = max((w for row in weights for w in row), default=0)
     shifted = [[shift - w for w in row] for row in weights]
     return len(weights) * shift - _min_assignment(shifted, requests)

@@ -6,6 +6,7 @@ so it shares no code path with the flow-based solvers.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from stochmatch.bmatching import (
     scaling_identity_check,
     solve_max_weight,
     solve_min_cost,
-    solve_min_cost_tree,
+    tree_plan,
 )
 from stochmatch.harness import random_metric
 from stochmatch.metrics import (
@@ -187,6 +188,11 @@ class TestSolveMinCost:
         assert w.value == F(13, 12)
 
 
+def _tree_value(instance, T):
+    n, k = instance.n, len(T)
+    return F(tree_plan(instance.tree, Counter(T), k, n), n * k)
+
+
 class TestTreeRoute:
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_flow_route(self, seed):
@@ -195,30 +201,12 @@ class TestTreeRoute:
         inst = tree_metric(random_recursive_tree(n, rng, max_len=9))
         k = rng.randint(1, n)
         T = [rng.randrange(n) for _ in range(k)]
-        a = solve_min_cost(inst, T)
-        b = solve_min_cost_tree(inst, T)
-        assert a.value == b.value
-        b.validate()
-
-    def test_tree_plan_is_canonical(self):
-        rng = random.Random(77)
-        for _ in range(15):
-            n = rng.randint(2, 7)
-            inst = tree_metric(random_recursive_tree(n, rng, max_len=5))
-            T = rng.sample(range(n), rng.randint(1, n))
-            m = solve_min_cost_tree(inst, T)
-            x = m.entry_map()
-            for i, d in m.profile.left:
-                assert x.get((i, i), F(0)) == min(d, F(1, n))
-
-    def test_refuses_matrix_instance(self):
-        with pytest.raises(ValueError, match="tree"):
-            solve_min_cost_tree(uniform_metric(3), [0])
+        assert _tree_value(inst, T) == solve_min_cost(inst, T).value
 
     def test_line_values_match_frozen(self):
         inst = line_metric(4)
-        assert solve_min_cost_tree(inst, [0, 3]).value == F(1, 2)
-        assert solve_min_cost_tree(inst, [0]).value == F(3, 2)
+        assert _tree_value(inst, [0, 3]) == F(1, 2)
+        assert _tree_value(inst, [0]) == F(3, 2)
 
 
 class TestCanonicalize:

@@ -65,6 +65,20 @@ class TestVerify:
         assert rc == 0
         assert "scaling:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["structure", "--trials", "0"],
+            ["decomposition", "--trials", "0"],
+            ["structure", "--n", "1"],
+        ],
+    )
+    def test_empty_verification_is_an_error(self, args, capsys):
+        # trials 0 ended in a ZeroDivisionError traceback; n 1 printed ok
+        assert main(["verify", *args]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and ": ok" not in captured.out
+
     def test_match_to_self(self, capsys):
         rc = main(["verify", "match-to-self", "--count", "5", "--seed", "4"])
         assert rc == 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochmatch import flows
-from stochmatch.bmatching import canonicalize, solve_min_cost, solve_min_cost_tree
+from stochmatch.bmatching import canonicalize, solve_min_cost, tree_plan
 from stochmatch.harness import random_metric
 from stochmatch.metrics import (
     line_metric,
@@ -92,8 +93,9 @@ def test_tree_plan_value_matches_the_transport_solve(case):
     instance, points = case
     for size in range(1, len(points) + 1):
         free = points[:size]  # a multiset of free servers
-        tree_value = solve_min_cost_tree(instance, free).value
-        assert tree_value == solve_min_cost(instance, free).value
+        n = instance.n
+        scaled = tree_plan(instance.tree, Counter(free), size, n)
+        assert Fraction(scaled, n * size) == solve_min_cost(instance, free).value
 
 
 @st.composite

@@ -169,6 +169,12 @@ class TestProviders:
         w = [[1] * 13 for _ in range(13)]
         assert MaxWeightProvider(w, [1] * 13)._memo is None
 
+    @pytest.mark.parametrize("weights", [[[1, 2], [3]], [[1, 2, 3], [3, 4, 5]], []])
+    def test_non_square_weights_rejected(self, weights):
+        # a ragged table raised IndexError
+        with pytest.raises(ValueError, match="non-empty square table"):
+            MaxWeightProvider(weights, [1, 1])
+
     def test_tree_and_matrix_backings_agree_on_cost_law(self):
         # same metric with and without the tree backing; episode totals
         # may differ per seed (different tie-breaks) but both must be

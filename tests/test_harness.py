@@ -125,6 +125,19 @@ class TestBuildInstance:
         inst = build_instance(Scenario(kind, "4", spacing=0))
         assert all(d == 0 for row in inst.matrix for d in row)
 
+    @pytest.mark.parametrize("kind, arg", [("random", "6"), ("nonmetric", "6")])
+    def test_spacing_refused_where_it_does_not_apply(self, kind, arg):
+        # spacing = 7 on a random tree printed the same run as without it
+        with pytest.raises(ValueError, match=f"spacing .* not {kind}"):
+            build_instance(Scenario(kind, arg, spacing=7))
+        assert build_instance(Scenario(kind, arg)).n == 6
+
+    def test_spacing_refused_on_a_file_metric(self, tmp_path):
+        path = tmp_path / "m.txt"
+        dump_metric(line_metric(3), str(path))
+        with pytest.raises(ValueError, match="not file"):
+            build_instance(Scenario("file", str(path), spacing=2))
+
     def test_negative_spacing_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="spacing"):
             Scenario("star", "4", spacing=-3)
@@ -379,6 +392,25 @@ class TestVerifiers:
         k1 = report.rows[0]
         assert k1.k == 1
         assert k1.e_subsets == k1.e_iid == F(5, 4)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_structure_needs_two_points(self, n):
+        # n < 2 tabulated no free set and reported ok
+        with pytest.raises(ValueError, match=f"n={n} < 2"):
+            verify_structure_lemma(n, 10, seed=0)
+
+    def test_verifiers_need_a_trial(self):
+        # trials=0 divided by zero in both
+        with pytest.raises(ValueError, match="trials"):
+            verify_structure_lemma(3, 0, seed=0)
+        with pytest.raises(ValueError, match="trials"):
+            verify_cost_decomposition(line_metric(3), trials=0, seed=0)
+
+    @pytest.mark.parametrize("k", [0, 5, -1])
+    def test_replacement_k_outside_range(self, k):
+        # k = n + 1 divided by zero over its empty family of subsets
+        with pytest.raises(ValueError, match=f"k={k} outside 1..4"):
+            verify_replacement(line_metric(4), ks=[1, k])
 
     def test_replacement_size_cap(self):
         with pytest.raises(ValueError, match="n=6"):

@@ -163,6 +163,15 @@ class TestMetricValidation:
             build([[0, 0.5, 1], [0.5, 0, 0.5], [1, 0.5, 0]])
         assert build([[0, 1.0], [1.0, 0]]).matrix == [[0, 1], [1, 0]]
 
+    @pytest.mark.parametrize("build", [matrix_metric, matrix_unchecked])
+    @pytest.mark.parametrize(
+        "table", [[[0, 1, 2], [1, 0, 2]], [[0, 1], [1]], [[0], []], []]
+    )
+    def test_non_square_tables_rejected(self, build, table):
+        # a 2x3 table played full episodes; a ragged one raised IndexError
+        with pytest.raises(ValueError, match="non-empty square table"):
+            build(table)
+
     def test_uniform_metric(self):
         inst = uniform_metric(4, 3)
         assert inst.verified_metric

@@ -110,3 +110,12 @@ class TestOptMaxWeight:
     def test_stream_length_checked(self):
         with pytest.raises(ValueError, match="exactly"):
             opt_max_weight([[1, 1], [1, 1]], [0])
+
+    @pytest.mark.parametrize(
+        "weights, requests",
+        [([[1, 2, 3], [3, 4, 5]], [0, 1]), ([[1, 2], [3]], [0, 1]), ([], [])],
+    )
+    def test_non_square_table_rejected(self, weights, requests):
+        # a 2x3 table returned 5, the optimum of its first two columns
+        with pytest.raises(ValueError, match="non-empty square table"):
+            opt_max_weight(weights, requests)

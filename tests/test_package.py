@@ -61,6 +61,25 @@ def test_no_orphaned_private_definitions():
     assert [d for d in defined if d.split(":")[1] not in used] == []
 
 
+def test_exports_are_exactly_the_imported_names():
+    # __all__ lists what __init__ imports, nothing more or less, and each
+    # entry resolves: a name deleted from its module must leave both
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = set()
+    exported = None
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = ast.literal_eval(node.value)
+    assert exported is not None
+    assert len(exported) == len(set(exported))
+    assert set(exported) == imported
+    assert [n for n in exported if not hasattr(stochmatch, n)] == []
+
+
 def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, stochmatch; print('scipy.stats' in sys.modules)"
     out = subprocess.run(

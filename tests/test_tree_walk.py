@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochmatch.bmatching import free_below, solve_min_cost_tree, tree_plan
+from stochmatch.bmatching import free_below, solve_min_cost, tree_plan
 from stochmatch.fairbias import (
     OnlineState,
     PlanProvider,
@@ -153,9 +153,8 @@ def check_implied_plan(instance, free, hand_set=False):
     for s in free:
         assert sum(u for (a, c), u in units.items() if a == s and c != s) == n - k
     cost = sum(u * instance.matrix[s][r] for (s, r), u in units.items())
-    scaled, _ = tree_plan(instance.tree, dict.fromkeys(free, 1), k, n)
-    assert cost == scaled
-    assert Fraction(cost, n * k) == solve_min_cost_tree(instance, sorted(free)).value
+    assert cost == tree_plan(instance.tree, dict.fromkeys(free, 1), k, n)
+    assert Fraction(cost, n * k) == solve_min_cost(instance, sorted(free)).value
 
 
 @st.composite
