@@ -94,6 +94,18 @@ def _counts(T, n: int) -> Counter:
     return counts
 
 
+def check_location_weights(weights, n: int) -> None:
+    """Exactly n integer weights, none negative, with a positive total."""
+    if len(weights) != n:
+        raise ValueError("need one weight per location")
+    if not all(isinstance(w, int) for w in weights):
+        raise ValueError("location weights must be integers")
+    if any(w < 0 for w in weights):
+        raise ValueError("location weights must be >= 0")
+    if sum(weights) <= 0:
+        raise ValueError("location weights must have positive total")
+
+
 def _solve(
     cost_rows, counts: Counter, location_weights: list[int]
 ) -> FractionalMatching:
@@ -183,14 +195,8 @@ def solve_max_weight(
     shifted costs (shift - weight, shift the largest weight in a free
     row), which keeps everything integral and exact.
     """
-    n = len(weights)
-    counts = _counts(T, n)
-    if len(location_weights) != n:
-        raise ValueError("need one weight per location")
-    if any(w < 0 for w in location_weights):
-        raise ValueError("location weights must be >= 0")
-    if sum(location_weights) <= 0:
-        raise ValueError("location weights must have positive total")
+    counts = _counts(T, len(weights))
+    check_location_weights(location_weights, len(weights))
     shift = max(max(weights[i]) for i in counts)
     shifted = {i: [shift - w for w in weights[i]] for i in counts}
     plan = _solve(shifted, counts, location_weights)

@@ -163,10 +163,11 @@ def _cmd_opt(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    if args.samples < 1:
+        raise ValueError("samples must be >= 1")
     instance = load_metric(args.metric)
     n = instance.n
     ok = True
-    tree = None
     for s in range(args.samples):
         tree = frt_embed(instance, random.Random(args.seed + s))
         worst = 0.0
@@ -190,7 +191,7 @@ def _cmd_embed(args) -> int:
             f"sample {s}: dominance {'ok' if dominated else 'VIOLATED'} "
             f"max-stretch {worst:.3f} mean-stretch {mean:.3f}"
         )
-    if args.dump and tree is not None:
+    if args.dump:
         dump_metric(tree_metric(tree), args.dump)
         print(f"wrote {args.dump}")
     return 0 if ok else 2

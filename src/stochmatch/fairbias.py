@@ -39,6 +39,7 @@ import random
 from dataclasses import dataclass
 
 from .bmatching import (
+    check_location_weights,
     free_below,
     release,
     solve_max_weight,
@@ -239,6 +240,7 @@ class MaxWeightProvider(PlanProvider):
     def __init__(self, weights: list[list[int]], location_weights: list[int]):
         self.n = square_size(weights)
         self.matrix = self.weights = weights
+        check_location_weights(location_weights, self.n)
         self.location_weights = list(location_weights)
         self.total_weight = sum(self.location_weights)
         self._memo = {} if self.n <= self.memo_max_n else None

@@ -77,6 +77,12 @@ _TREE_SALT = 0x7E11
 _FRT_SALT = 0x0F47
 _SUBSET_SALT = 0xD150
 
+
+def _at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 
@@ -97,8 +103,7 @@ class Scenario:
     frt_mode: str = "per-trial"  # per-trial | once
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _at_least_one("trials", self.trials)
         if self.spacing < 0:
             raise ValueError("spacing must be >= 0")
         if self.algorithm not in ALGORITHMS:
@@ -455,8 +460,7 @@ def verify_structure_lemma(
         raise ValueError("subset space too large to tabulate beyond n=8")
     if n < 2:
         raise ValueError(f"no free set to tabulate with n={n} < 2 points")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _at_least_one("trials", trials)
     if instance is None:
         instance = uniform_metric(n)
     if instance.n != n:
@@ -563,8 +567,7 @@ def verify_cost_decomposition(
     values, which is what the free-set uniformity predicts the episode
     total should decompose into.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _at_least_one("trials", trials)
     n = instance.n
     provider = PlanProvider(instance)
     totals = []
@@ -625,6 +628,7 @@ def verify_match_to_self(
     count: int, seed: int, max_n: int = 8
 ) -> CheckReport:
     """Canonicalization keeps the value and pins every diagonal entry."""
+    _at_least_one("count", count)
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -654,6 +658,7 @@ def verify_match_to_self(
 
 def verify_scaling(count: int, seed: int, max_n: int = 8) -> CheckReport:
     """Complement identity over every small subset of random instances."""
+    _at_least_one("count", count)
     rng = random.Random(seed)
     failures = []
     checked = 0

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 
 PointId = int
 
@@ -275,6 +276,11 @@ def square_size(table) -> int:
 
 
 def check_matrix(matrix: list[list[int]]) -> list[Violation]:
+    """Every metric violation, with one triangle entry per (i, j) pair.
+
+    A pair (i, j) with d(i,j) > d(i,k) + d(k,j) for some k is reported
+    once, with its first such witness k.
+    """
     n = square_size(matrix)
     out: list[Violation] = []
     for i in range(n):
@@ -295,16 +301,16 @@ def check_matrix(matrix: list[list[int]]) -> list[Violation]:
         for j in range(n):
             dij = row_i[j]
             row_j = matrix[j]
-            for k in range(n):
-                if dij > row_i[k] + row_j[k]:
-                    out.append(
-                        Violation(
-                            "triangle",
-                            (i, k, j),
-                            f"d({i},{j})={dij} > d({i},{k})+d({k},{j})"
-                            f"={row_i[k] + row_j[k]}",
-                        )
+            if dij > min(map(add, row_i, row_j)):
+                k = next(k for k in range(n) if dij > row_i[k] + row_j[k])
+                out.append(
+                    Violation(
+                        "triangle",
+                        (i, k, j),
+                        f"d({i},{j})={dij} > d({i},{k})+d({k},{j})"
+                        f"={row_i[k] + row_j[k]}",
                     )
+                )
     return out
 
 

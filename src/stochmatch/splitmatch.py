@@ -5,9 +5,12 @@
 unchanged) and keeps both.  Split then marks one edge per component of
 the copy with its recursion level, always choosing an edge whose two
 sides carry at most 2/3 of the component's servers each (sides of
-components with fewer than two servers are unconstrained).  Match sends
-a request at an occupied leaf to the sibling side of the smallest-level
-full region containing it, picks a leaf there uniformly, and recurses.
+components with fewer than two servers are unconstrained).  The cuts
+run on the copy's own rooting: a component lists its nodes in the BFS
+``order``, is scored by one bottom-up pass and split by one top-down
+pass.  Match sends a request at an occupied leaf to the sibling side of
+the smallest-level full region containing it, picks a leaf there
+uniformly, and recurses.
 
 Levels strictly increase along the recursion (all regions on the
 requester's chain below the chosen one are non-full, and region levels
@@ -92,110 +95,68 @@ class HierarchicalDecomposition:
 
 
 def split_decomposition(tree: WeightedTree) -> HierarchicalDecomposition:
-    """Ternarize ``tree``, then mark every edge of the copy with a level."""
+    """Ternarize ``tree``, then mark every edge of the copy with a level.
+
+    A component is a list of the copy's nodes in its BFS ``order``: the
+    first is its top, and every other node's parent edge lies inside it.
+    """
     tern = ternarize(tree)
     decomp = HierarchicalDecomposition(tern, tree)
     decomp.chains = {leaf: [] for leaf in tern.leaf_for_point.values()}
-    servers = set(tern.leaf_for_point.values())
-    all_nodes = set(range(tern.num_nodes))
-    all_edges = set(range(len(tern.edges)))
-    _split(tern, decomp, all_nodes, all_edges, servers & all_nodes, 1)
-    return decomp
-
-
-def _best_cut(
-    tree: WeightedTree, nodes: set[int], edges: set[int], leaves: set[int]
-) -> tuple[int, set[int]]:
-    """Edge minimizing (larger-side servers, larger-side nodes, index).
-
-    One rooted pass over the component scores every edge; only the
-    winner's child side is then materialized.
-    """
-    root = min(nodes)
-    parent = {root: -1}
-    parent_edge = {root: -1}
-    order = [root]
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for y, _, idx in tree.adj[x]:
-            if idx in edges and y not in parent:
-                parent[y] = x
-                parent_edge[y] = idx
-                order.append(y)
-    below_leaves = {x: (1 if x in leaves else 0) for x in order}
-    below_nodes = dict.fromkeys(order, 1)
-    for x in reversed(order[1:]):
-        below_leaves[parent[x]] += below_leaves[x]
-        below_nodes[parent[x]] += below_nodes[x]
-    total_l = len(leaves)
-    total_n = len(nodes)
-    best = None
-    best_child = -1
-    for x in order[1:]:
-        la = below_leaves[x]
-        na = below_nodes[x]
-        key = (max(la, total_l - la), max(na, total_n - na), parent_edge[x])
-        if best is None or key < best:
-            best = key
-            best_child = x
-    e = best[2]
-    side = {best_child}
-    stack = [best_child]
+    parent, point = tern.parent, tern.node_point
+    up_edge = [-1] * tern.num_nodes  # index of the edge x - parent[x]
+    for idx, (u, v, _) in enumerate(tern.edges):
+        up_edge[v if parent[v] == u else u] = idx
+    below_l = [0] * tern.num_nodes  # servers below x inside the component
+    below_n = [0] * tern.num_nodes  # nodes below x inside the component
+    below_cut = [False] * tern.num_nodes
+    stack = [(tern.order, 1)]
     while stack:
-        x = stack.pop()
-        for y, _, idx in tree.adj[x]:
-            if idx in edges and idx != e and y not in side:
-                side.add(y)
-                stack.append(y)
-    return e, side
-
-
-def _split(
-    tree: WeightedTree,
-    decomp: HierarchicalDecomposition,
-    nodes: set[int],
-    edges: set[int],
-    leaves: set[int],
-    level: int,
-) -> None:
-    stack = [(nodes, edges, leaves, level)]
-    while stack:
-        nodes, edges, leaves, level = stack.pop()
-        if not edges:
+        comp, level = stack.pop()
+        if len(comp) < 2:
             continue
-        e, side_a = _best_cut(tree, nodes, edges, leaves)
-        side_b = nodes - side_a
-        leaves_a = tuple(sorted(side_a & leaves))
-        leaves_b = tuple(sorted(leaves - side_a))
-        if len(leaves) >= 2:
-            # balance contract: neither side exceeds 2/3 of the servers here
-            if 3 * max(len(leaves_a), len(leaves_b)) > 2 * len(leaves):
-                raise RuntimeError(f"unbalanced split at level {level}")
+        for x in comp:
+            below_l[x] = 1 if point[x] >= 0 else 0
+            below_n[x] = 1
+        for i in range(len(comp) - 1, 0, -1):
+            x = comp[i]
+            below_l[parent[x]] += below_l[x]
+            below_n[parent[x]] += below_n[x]
+        total_l, total_n = below_l[comp[0]], len(comp)
+        # the edge minimizing (larger-side servers, larger-side nodes, index)
+        best = None
+        for x in comp[1:]:
+            la, na = below_l[x], below_n[x]
+            key = (max(la, total_l - la), max(na, total_n - na), up_edge[x])
+            if best is None or key < best:
+                best, cut = key, x
+        for x in comp:
+            below_cut[x] = x == cut or (x != comp[0] and below_cut[parent[x]])
+        side_a = [x for x in comp if below_cut[x]]
+        side_b = [x for x in comp if not below_cut[x]]
+        if below_cut[min(comp)]:  # side a is the one away from the smallest id
+            side_a, side_b = side_b, side_a
+        leaves_a = tuple(sorted(x for x in side_a if point[x] >= 0))
+        leaves_b = tuple(sorted(x for x in side_b if point[x] >= 0))
+        # balance contract: neither side exceeds 2/3 of the servers here
+        if total_l >= 2 and 3 * max(len(leaves_a), len(leaves_b)) > 2 * total_l:
+            raise RuntimeError(f"unbalanced split at level {level}")
         decomp.balance_audit.append(
-            (level, len(leaves), len(leaves_a), len(leaves_b))
+            (level, total_l, len(leaves_a), len(leaves_b))
         )
+        e = up_edge[cut]
         decomp.edge_levels[e] = level
         decomp.top_level = max(decomp.top_level, level)
-        ra = Region(len(decomp.regions), level, leaves_a, edge_index=e)
-        decomp.regions.append(ra)
-        rb = Region(len(decomp.regions), level, leaves_b, edge_index=e)
-        decomp.regions.append(rb)
-        ra.sibling = rb.rid
-        rb.sibling = ra.rid
+        rid = len(decomp.regions)  # side a is region rid, side b rid + 1
+        decomp.regions.append(Region(rid, level, leaves_a, rid + 1, e))
+        decomp.regions.append(Region(rid + 1, level, leaves_b, rid, e))
         for leaf in leaves_a:
-            decomp.chains[leaf].append(ra.rid)
+            decomp.chains[leaf].append(rid)
         for leaf in leaves_b:
-            decomp.chains[leaf].append(rb.rid)
-        edges_a = set()
-        for x in side_a:
-            for _, _, idx in tree.adj[x]:
-                if idx in edges and idx != e:
-                    edges_a.add(idx)
-        edges_b = edges - edges_a - {e}
-        stack.append((side_a, edges_a, set(leaves_a), level + 1))
-        stack.append((side_b, edges_b, set(leaves_b), level + 1))
+            decomp.chains[leaf].append(rid + 1)
+        stack.append((side_a, level + 1))
+        stack.append((side_b, level + 1))
+    return decomp
 
 
 class OccupancyState:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .bmatching import check_location_weights
 from .fairbias import MatchingResult, PlanProvider, check_stream, init_state, step
 from .flows import Column, column, column_units, draw, transport
 from .metrics import MetricInstance
@@ -35,10 +36,7 @@ class RequestDistribution:
     def __post_init__(self):
         if not self.weights:
             raise ValueError("empty distribution")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be >= 0")
-        if sum(self.weights) <= 0:
-            raise ValueError("total weight must be positive")
+        check_location_weights(self.weights, len(self.weights))
 
     @property
     def n(self) -> int:

@@ -324,6 +324,11 @@ class TestMaxWeight:
         with pytest.raises(ValueError, match="outside"):
             solve_max_weight([[1, 1], [1, 1]], [2], [1, 1])
 
+    def test_fractional_weights_rejected(self):
+        # a TypeError from Fraction before
+        with pytest.raises(ValueError, match="integers"):
+            solve_max_weight([[1, 1], [1, 1]], [0], [0.5, 0.5])
+
 
 class TestScalingIdentity:
     def test_line_four_frozen(self):

@@ -79,6 +79,15 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "error:" in captured.err and ": ok" not in captured.out
 
+    @pytest.mark.parametrize("which", ["scaling", "match-to-self"])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_instances_is_an_error(self, which, count, capsys):
+        # printed "0 checks, ok" and exited 0
+        assert main(["verify", which, "--count", count]) == 1
+        captured = capsys.readouterr()
+        assert "count must be >= 1" in captured.err
+        assert "ok" not in captured.out
+
     def test_match_to_self(self, capsys):
         rc = main(["verify", "match-to-self", "--count", "5", "--seed", "4"])
         assert rc == 0
@@ -115,6 +124,12 @@ class TestEmbed:
         assert rc == 0
         assert dumped.exists()
         assert f"wrote {dumped}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_no_samples_is_an_error(self, line4_file, samples, capsys):
+        # printed nothing and exited 0
+        assert main(["embed", line4_file, "--samples", samples]) == 1
+        assert "samples must be >= 1" in capsys.readouterr().err
 
 
 class TestBallsBins:

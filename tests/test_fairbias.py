@@ -175,6 +175,17 @@ class TestProviders:
         with pytest.raises(ValueError, match="non-empty square table"):
             MaxWeightProvider(weights, [1, 1])
 
+    @pytest.mark.parametrize(
+        "loc_w, match",
+        [([1], "one weight per"), ([0.5, 0.5], "integers"),
+         ([1, -1], ">= 0"), ([0, 0], "positive total")],
+    )
+    def test_location_weights_checked_up_front(self, loc_w, match):
+        # [1] raised IndexError at the first arrival at point 1, and
+        # [0.5, 0.5] a TypeError from Fraction at the first solve
+        with pytest.raises(ValueError, match=match):
+            MaxWeightProvider([[1, 2], [3, 4]], loc_w)
+
     def test_tree_and_matrix_backings_agree_on_cost_law(self):
         # same metric with and without the tree backing; episode totals
         # may differ per seed (different tie-breaks) but both must be

@@ -147,6 +147,27 @@ class TestMetricValidation:
         report = validate_metric([[0, -1], [-1, 0]])
         assert any(v.kind == "negative" for v in report.violations)
 
+    def test_triangle_report_is_one_entry_per_pair(self):
+        # one Violation per violating triple made this O(n^3) in size
+        rng = random.Random(3)
+        n = 40
+        bad = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                bad[i][j] = bad[j][i] = rng.randint(1, 100)
+        triangles = [v for v in validate_metric(bad).violations
+                     if v.kind == "triangle"]
+        pairs = {(v.indices[0], v.indices[2]) for v in triangles}
+        assert len(triangles) == len(pairs) <= n * (n - 1)
+        for v in triangles:
+            i, k, j = v.indices
+            assert bad[i][j] > bad[i][k] + bad[j][k]
+            assert all(bad[i][j] <= bad[i][m] + bad[j][m] for m in range(k))
+
+    def test_first_violation_names_the_first_witness(self):
+        with pytest.raises(ValueError, match=r"triangle at \(0, 1, 2\)"):
+            matrix_metric([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+
     def test_checked_constructor_raises(self):
         with pytest.raises(ValueError, match="not a metric"):
             matrix_metric([[0, 1, 5], [1, 0, 1], [5, 1, 0]])

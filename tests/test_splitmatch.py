@@ -108,6 +108,73 @@ class TestSplitDecomposition:
                 assert 3 * max(a, b) <= 2 * total
 
 
+def _reachable(tree, start, edges, cut):
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y, _, idx in tree.adj[x]:
+            if idx in edges and idx != cut and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _brute_force_cuts(tree):
+    """The cut rule by exhaustion: (edge levels, sorted balance audit).
+
+    Every component tries every one of its edges, counts both sides by
+    search, cuts the edge with the least (larger-side servers,
+    larger-side nodes, index) and recurses; side a is the side without
+    the component's smallest node.
+    """
+    tern = ternarize(tree)
+    servers = set(tern.leaf_for_point.values())
+    levels, audit = {}, []
+    todo = [(set(range(tern.num_nodes)), set(range(len(tern.edges))), 1)]
+    while todo:
+        nodes, edges, level = todo.pop()
+        if not edges:
+            continue
+        n_servers = len(nodes & servers)
+        keys = []
+        for e in edges:
+            side = _reachable(tern, tern.edges[e][0], edges, e)
+            s, m = len(side & servers), len(side)
+            keys.append(
+                (max(s, n_servers - s), max(m, len(nodes) - m), e)
+            )
+        e = min(keys)[2]
+        a = _reachable(tern, tern.edges[e][0], edges, e)
+        if min(nodes) in a:
+            a = nodes - a
+        b = nodes - a
+        levels[e] = level
+        audit.append((level, n_servers, len(a & servers), len(b & servers)))
+        for side in (a, b):
+            inner = {i for i in edges if i != e and tern.edges[i][0] in side}
+            todo.append((side, inner, level + 1))
+    return levels, sorted(audit)
+
+
+def _oracle_trees():
+    rng = random.Random(77)
+    for _ in range(120):
+        n = rng.randint(1, 30)
+        yield random_recursive_tree(n, rng, max_len=rng.randint(1, 5))
+    for n in (2, 3, 7, 16, 30):
+        yield star_tree(n)
+        yield line_metric(n).tree
+
+
+def test_cuts_match_brute_force_oracle():
+    for tree in _oracle_trees():
+        decomp = split_decomposition(tree)
+        levels, audit = _brute_force_cuts(tree)
+        assert decomp.edge_levels == levels
+        assert sorted(decomp.balance_audit) == audit
+
+
 class TestOccupancy:
     def test_vacancy_counts_follow_chains(self):
         decomp = split_decomposition(star_tree(4))

@@ -51,6 +51,16 @@ class TestRequestDistribution:
         with pytest.raises(ValueError, match="positive"):
             RequestDistribution((0, 0))
 
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.25, 0.75), (1, 2.0)])
+    def test_non_integer_weights_rejected(self, weights):
+        # (0.5, 0.5) sampled the float 0.0; solves raised from Fraction
+        with pytest.raises(ValueError, match="integers"):
+            RequestDistribution(weights)
+
+    def test_fractional_geometric_base_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            geometric_distribution(3, base=1.5)
+
     def test_sample_frequencies(self):
         d = RequestDistribution((3, 1))
         rng = random.Random(42)
