@@ -21,7 +21,7 @@ from .ballsbins import (
 from .bmatching import (
     DemandProfile,
     FractionalMatching,
-    canonicalize,
+    canonical_plan,
     scaling_identity_check,
     solve_max_weight,
     solve_min_cost,
@@ -51,7 +51,6 @@ from .metrics import (
     MetricInstance,
     WeightedTree,
     dump_metric,
-    edge_cuts,
     frt_embed,
     line_metric,
     load_metric,
@@ -96,9 +95,8 @@ __all__ = [
     "Scenario",
     "TrialRecord",
     "WeightedTree",
-    "canonicalize",
+    "canonical_plan",
     "dump_metric",
-    "edge_cuts",
     "estimate_Nk",
     "estimate_Nk_multi",
     "frt_embed",

@@ -3,23 +3,24 @@
 The base problem: given the free multiset T of servers over a metric on
 n points, spread each server's 1/|T| of mass over locations so every
 location receives exactly 1/n (weighted variants replace 1/n by p_j).
-Both objectives go through one weighted solve: T against integer
-location weights w (all 1 on the cost matrix for min-cost, the caller's
-weights on shift - weight for max-weight), scaled to integers (server i
-supplies W * count_i units, location j demands |T| * w_j, W = sum w) and
-solved by one integral transportation solve, ``flows.transport``.  Its
-successive-shortest-path plan is returned as it is: an optimal plan,
-whose support may hold cycles, with Fraction entries and value over the
-scale |T| * W.  Callers rely on nothing else: the sampler's free-set
-uniformity and expected step cost follow from optimality and marginals.
+Each solve is an integer core, one ``flows.transport`` call returning
+its cost and (server, location, units) triples, which the online
+providers read directly, and a wrapper that turns the units into a
+FractionalMatching of Fractions.  ``_units`` solves T against integer
+location weights (all 1 for min-cost; the caller's, on shift - weight,
+for max-weight) and keeps the SSP plan as it is, an optimal plan whose
+support may hold cycles: solve_min_cost and solve_max_weight.
+``_canonical_units`` solves, on a checked metric, the plan that matches
+co-located mass to itself, the one the fair-bias sampler draws from:
+canonical_plan.
 
 On trees no plan is built.  Optimal transport there has one edge flow:
 tree_walk samples one column entry of it by walking it back from the
 request, from free-point counts per node (free_below, kept current by
 release) that the caller holds across arrivals, and
 ``WeightedTree.imbalance_cost`` prices it, so tree_plan is that one
-call.  solve_min_cost stays the route to an explicit plan on any
-instance, trees included, and canonicalize gives its self-matched form.
+call.  solve_min_cost and canonical_plan give explicit plans on any
+instance, trees included.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .flows import transport
-from .metrics import MetricInstance, WeightedTree
+from .metrics import MetricInstance, WeightedTree, square_size
 
 
 @dataclass(frozen=True)
@@ -38,12 +39,6 @@ class DemandProfile:
 
     left: tuple[tuple[int, Fraction], ...]
     right: tuple[tuple[int, Fraction], ...]
-
-    def check_balanced(self) -> None:
-        ls = sum(d for _, d in self.left)
-        rs = sum(d for _, d in self.right)
-        if ls != 1 or rs != 1:
-            raise ValueError(f"demands must each sum to 1, got {ls} and {rs}")
 
 
 @dataclass(frozen=True)
@@ -75,12 +70,6 @@ class FractionalMatching:
         if any(rows.values()) or any(cols.values()):
             raise AssertionError("mass on points outside the profile")
 
-    def debug_lines(self) -> list[str]:
-        return [
-            f"{i} {j} {f.numerator}/{f.denominator}"
-            for i, j, f in self.entries
-        ]
-
 
 def _counts(T, n: int) -> Counter:
     counts = Counter(T)
@@ -106,34 +95,68 @@ def check_location_weights(weights, n: int) -> None:
         raise ValueError("location weights must have positive total")
 
 
-def _solve(
-    cost_rows, counts: Counter, location_weights: list[int]
-) -> FractionalMatching:
-    """Optimal plan of the free multiset against weighted locations.
+def check_gains(weights) -> int:
+    """Side of a non-empty square table of integer gains."""
+    n = square_size(weights)
+    if not all(isinstance(w, int) for row in weights for w in row):
+        raise ValueError("gains must be integers")
+    return n
 
-    Each free server ships counts[i] * W units, location j with w_j > 0
-    takes k * w_j (W = sum w, k = |T|), and a unit from i to j costs
-    cost_rows[i][j].  One ``transport`` call; its SSP plan is returned
-    as it is, with the cost over the scale k * W as the value.
+
+def _units(cost_rows, counts, location_weights: list[int]):
+    """Cost and row-major (server, location, units) triples of the plan.
+
+    Server i ships counts[i] * W units, location j with w_j > 0 takes
+    k * w_j (W = sum w, k = |T|), a unit from i to j costs cost_rows[i][j].
     """
     k = sum(counts.values())
     total = sum(location_weights)
     lefts = sorted(counts)
     spots = [j for j, w in enumerate(location_weights) if w > 0]
-    scale = k * total
     cost, flows = transport(
         [counts[i] * total for i in lefts],
         [k * location_weights[j] for j in spots],
         [[cost_rows[i][j] for j in spots] for i in lefts],
     )
+    return cost, [(lefts[a], spots[b], f) for (a, b), f in flows.items()]
+
+
+def _canonical_units(matrix, counts, n: int):
+    """Cost and off-diagonal triples of the canonical plan, in n * k units.
+
+    Point i keeps min(n * c_i, k) units on itself; the surpluses
+    n * c_i - k ship to the deficits k - n * c_j, points in ascending
+    order.  On a metric that is optimal for the whole program.
+    """
+    k = sum(counts.values())
+    rows = [i for i in sorted(counts) if n * counts[i] > k]
+    if not rows:
+        return 0, []
+    cols = [j for j in range(n) if n * counts.get(j, 0) < k]
+    cost, flows = transport(
+        [n * counts[i] - k for i in rows],
+        [k - n * counts.get(j, 0) for j in cols],
+        [[matrix[i][j] for j in cols] for i in rows],
+    )
+    return cost, [(rows[a], cols[b], f) for (a, b), f in flows.items()]
+
+
+def _gain_units(weights, counts, location_weights: list[int]):
+    """Shift (the largest gain in a free row) and ``_units`` of shift - gain."""
+    shift = max(max(weights[i]) for i in counts)
+    shifted = {i: [shift - w for w in weights[i]] for i in counts}
+    return (shift, *_units(shifted, counts, location_weights))
+
+
+def _matching(counts, location_weights, cost: int, units) -> FractionalMatching:
+    """Exact matching of integer units at the scale k * W."""
+    k, total = sum(counts.values()), sum(location_weights)
+    scale = k * total
     profile = DemandProfile(
-        tuple((i, Fraction(counts[i], k)) for i in lefts),
-        tuple((j, Fraction(location_weights[j], total)) for j in spots),
+        tuple((i, Fraction(counts[i], k)) for i in sorted(counts)),
+        tuple((j, Fraction(w, total)) for j, w in enumerate(location_weights) if w),
     )
-    # transport lists flows row-major, so entries come out sorted
-    entries = tuple(
-        (lefts[a], spots[b], Fraction(f, scale)) for (a, b), f in flows.items()
-    )
+    entries = tuple((i, j, Fraction(u, scale)) for i, j, u in units)
     return FractionalMatching(profile, entries, Fraction(cost, scale))
 
 
@@ -144,45 +167,25 @@ def solve_min_cost(instance: MetricInstance, T) -> FractionalMatching:
     needed); determinism comes from fixed arc insertion order.
     """
     n = instance.n
-    return _solve(instance.matrix, _counts(T, n), [1] * n)
+    counts = _counts(T, n)
+    return _matching(counts, [1] * n, *_units(instance.matrix, counts, [1] * n))
 
 
-def canonicalize(
-    matching: FractionalMatching, instance: MetricInstance
-) -> FractionalMatching:
-    """Push self-matched mass to its maximum without changing the value.
+def canonical_plan(instance: MetricInstance, T) -> FractionalMatching:
+    """The optimal plan the sampler draws from: co-located mass self-matched.
 
-    Local exchange: raise x[i][i] while lowering x[i][j] and x[j'][i],
-    compensating on x[j'][j].  On a metric each exchange cannot increase
-    the cost, and an optimal input leaves the value exactly unchanged
-    (checked; a changed value means the input was not optimal).
+    Every diagonal entry is min(c_i / k, 1/n), the most any plan can
+    keep there; the rest is ``_canonical_units``.  Needs a checked
+    metric: without the triangle inequality the plan need not be optimal.
     """
     if not instance.verified_metric:
-        raise ValueError("canonicalize assumes a checked metric instance")
-    x = dict(matching.entry_map())
-    left = dict(matching.profile.left)
-    right = dict(matching.profile.right)
-    for i in sorted(left):
-        target = min(left[i], right.get(i, Fraction(0)))
-        while x.get((i, i), Fraction(0)) < target:
-            j = min(b for (a, b) in x if a == i and b != i)
-            j2 = min(a for (a, b) in x if b == i and a != i)
-            gap = target - x.get((i, i), Fraction(0))
-            eps = min(x[(i, j)], x[(j2, i)], gap)
-            x[(i, i)] = x.get((i, i), Fraction(0)) + eps
-            x[(j2, j)] = x.get((j2, j), Fraction(0)) + eps
-            for key in ((i, j), (j2, i)):
-                x[key] -= eps
-                if x[key] == 0:
-                    del x[key]
-    value = sum(
-        (f * instance.matrix[i][j] for (i, j), f in x.items()),
-        Fraction(0),
-    )
-    if value != matching.value:
-        raise ValueError("canonicalize changed the value; input was not optimal")
-    entries = tuple((i, j, f) for (i, j), f in sorted(x.items()))
-    return FractionalMatching(matching.profile, entries, value)
+        raise ValueError("the canonical plan assumes a checked metric instance")
+    n = instance.n
+    counts = _counts(T, n)
+    k = sum(counts.values())
+    cost, units = _canonical_units(instance.matrix, counts, n)
+    diagonal = [(i, i, min(n * c, k)) for i, c in counts.items()]
+    return _matching(counts, [1] * n, cost, sorted(diagonal + units))
 
 
 def solve_max_weight(
@@ -195,11 +198,11 @@ def solve_max_weight(
     shifted costs (shift - weight, shift the largest weight in a free
     row), which keeps everything integral and exact.
     """
-    counts = _counts(T, len(weights))
-    check_location_weights(location_weights, len(weights))
-    shift = max(max(weights[i]) for i in counts)
-    shifted = {i: [shift - w for w in weights[i]] for i in counts}
-    plan = _solve(shifted, counts, location_weights)
+    n = check_gains(weights)
+    counts = _counts(T, n)
+    check_location_weights(location_weights, n)
+    shift, cost, units = _gain_units(weights, counts, location_weights)
+    plan = _matching(counts, location_weights, cost, units)
     return replace(plan, value=shift - plan.value)
 
 

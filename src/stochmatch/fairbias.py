@@ -1,9 +1,9 @@
 """Online matching by sampling servers from exact optimal plans.
 
-At every arrival the algorithm samples, from an optimal fractional
-matching of the current free set canonicalized so co-located mass
-matches itself, the free server s with probability n * x[s][r].  An
-arrival at a free location takes its own server.
+At every arrival the algorithm samples, from the canonical optimal
+fractional matching of the current free set (``bmatching.canonical_plan``:
+co-located mass matches itself), the free server s with probability
+n * x[s][r].  An arrival at a free location takes its own server.
 
 A plan provider per backing does the sampling.  Checked tree-backed
 instances never build a plan: ``bmatching.tree_walk`` walks the tree's
@@ -11,21 +11,20 @@ unique optimal edge flow back from the request in O(depth) per arrival,
 on the tree's rooted arrays and free-point counts per node that the
 episode's state keeps current.
 Every other backing draws with ``flows.draw`` from a ``flows.column`` of
-integer units with an exact total, so the draw is inverse-CDF sampling
-with no floating point: checked matrix metrics solve the reduced
-surplus/deficit transportation problem with ``flows.transport``
-(self-matches are implicit), unchecked instances solve the full program
-and sample its raw columns.  These column providers memoize plans per
-free set up to ``memo_max_n`` points, past which free sets rarely recur,
-and stop adding plans once ``memo_max_plans`` are held; the solver is
-deterministic, so memoization cannot change behavior.
+integer units read straight from a ``bmatching`` core, so the draw is
+inverse-CDF sampling with no floating point and no Fraction: the
+canonical plan's off-diagonal units on checked matrix metrics
+(self-matches are implicit), the full min-cost plan's on unchecked
+instances, the shifted plan's for maximum weight.  These providers
+memoize plans per free set up to ``memo_max_n`` points, past which free
+sets rarely recur, and stop adding plans once ``memo_max_plans`` are
+held; the solver is deterministic, so memoization cannot change behavior.
 Tree providers keep no memo: the walk needs none.
 
 Every provider exposes ``sample(state, r, rng)``, ``columns(free)``, the
 cost-or-gain ``matrix``, the expected ``column_mass(r, k)`` and
-``canonical``.  On a tree ``columns`` is the reduced transportation plan
-of its distance matrix, like any checked metric's; the walk never asks
-for it.
+``canonical``.  On a tree ``columns`` is the canonical plan of its
+distance matrix, like any checked metric's; the walk never asks for it.
 
 An episode is ``run_episode(provider, stream, rng)``: the provider is
 the only source of the instance, and the trial's generator drives every
@@ -39,16 +38,18 @@ import random
 from dataclasses import dataclass
 
 from .bmatching import (
+    _canonical_units,
+    _gain_units,
+    _units,
+    check_gains,
     check_location_weights,
     free_below,
     release,
-    solve_max_weight,
-    solve_min_cost,
     tree_plan,  # unused here; bench/tracing.py wraps fairbias.tree_plan by name
     tree_walk,
 )
-from .flows import Column, column, draw, transport
-from .metrics import MetricInstance, WeightedTree, square_size
+from .flows import Column, column, draw
+from .metrics import MetricInstance, WeightedTree
 
 
 @dataclass
@@ -108,7 +109,6 @@ class PlanProvider:
                 "instance is not a checked metric; pass allow_unchecked=True "
                 "to run on it anyway"
             )
-        self.instance = instance
         self.n = instance.n
         self.matrix = instance.matrix
         self.canonical = instance.verified_metric
@@ -144,31 +144,13 @@ class PlanProvider:
         return cols
 
     def _build(self, free: tuple[int, ...]) -> dict[int, Column]:
+        # n*k units: the canonical plan's off-diagonal part, or the full plan
+        counts = dict.fromkeys(free, 1)
         if self.canonical:
-            return self._build_reduced(free)
-        n = self.n
-        k = len(free)
-        full = solve_min_cost(self.instance, list(free))
-        return _by_location((i, j, int(f * n * k)) for i, j, f in full.entries)
-
-    def _build_reduced(self, free: tuple[int, ...]) -> dict[int, Column]:
-        # surplus n-k per free server vs deficit k per occupied location,
-        # in the same n*k-scaled units as the full program
-        n = self.n
-        k = len(free)
-        if k == n:
-            return {}
-        free_set = set(free)
-        occupied = [p for p in range(n) if p not in free_set]
-        matrix = self.matrix
-        _, flows = transport(
-            [n - k] * k,
-            [k] * len(occupied),
-            [[matrix[s][r] for r in occupied] for s in free],
-        )
-        return _by_location(
-            (free[a], occupied[b], f) for (a, b), f in flows.items()
-        )
+            _, units = _canonical_units(self.matrix, counts, self.n)
+        else:
+            _, units = _units(self.matrix, counts, [1] * self.n)
+        return _by_location(units)
 
 
 def _by_location(triples) -> dict[int, Column]:
@@ -238,11 +220,10 @@ class MaxWeightProvider(PlanProvider):
     _tree = None  # gains are sampled from plan columns on every backing
 
     def __init__(self, weights: list[list[int]], location_weights: list[int]):
-        self.n = square_size(weights)
+        self.n = check_gains(weights)
         self.matrix = self.weights = weights
         check_location_weights(location_weights, self.n)
         self.location_weights = list(location_weights)
-        self.total_weight = sum(self.location_weights)
         self._memo = {} if self.n <= self.memo_max_n else None
 
     def column_mass(self, request: int, k: int) -> int:
@@ -252,6 +233,6 @@ class MaxWeightProvider(PlanProvider):
         return k * w_r
 
     def _build(self, free: tuple[int, ...]) -> dict[int, Column]:
-        sol = solve_max_weight(self.weights, list(free), self.location_weights)
-        scale = len(free) * self.total_weight
-        return _by_location((i, j, int(f * scale)) for i, j, f in sol.entries)
+        # k*W units, W the total location weight
+        counts = dict.fromkeys(free, 1)
+        return _by_location(_gain_units(self.weights, counts, self.location_weights)[2])

@@ -18,7 +18,7 @@ value of a free set's plan).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 
@@ -168,42 +168,6 @@ class WeightedTree:
         return self.leaf_distance_matrix()[p][q]
 
 
-@dataclass(frozen=True)
-class EdgeCut:
-    """One tree edge together with its smaller side of points."""
-
-    edge_index: int
-    u: int
-    v: int
-    length: int
-    n_e: int
-    side_points: frozenset[PointId]
-
-
-def edge_cuts(tree: WeightedTree) -> list[EdgeCut]:
-    """Cut structure of every edge; n_e is always the smaller side (<= n/2)."""
-    parent = tree.parent
-    # subtree point sets bottom-up
-    below: list[set[PointId]] = [set() for _ in range(tree.num_nodes)]
-    for node in reversed(tree.order):
-        p = tree.node_point[node]
-        if p >= 0:
-            below[node].add(p)
-        if parent[node] >= 0:
-            below[parent[node]] |= below[node]
-    cuts = []
-    for idx, (u, v, w) in enumerate(tree.edges):
-        child = v if parent[v] == u else u
-        side = below[child]
-        other = len(tree.leaf_for_point) - len(side)
-        if len(side) < other or (len(side) == other and 0 in side):
-            chosen = side
-        else:
-            chosen = {p for p in tree.leaf_for_point if p not in side}
-        cuts.append(EdgeCut(idx, u, v, w, len(chosen), frozenset(chosen)))
-    return cuts
-
-
 # ---------------------------------------------------------------------------
 # metric instances
 
@@ -296,19 +260,20 @@ def check_matrix(matrix: list[list[int]]) -> list[Violation]:
                         "symmetry", (i, j), f"{matrix[i][j]} != {matrix[j][i]}"
                     )
                 )
+    columns = list(zip(*matrix))  # columns[j][k] = d(k, j)
     for i in range(n):
         row_i = matrix[i]
         for j in range(n):
             dij = row_i[j]
-            row_j = matrix[j]
-            if dij > min(map(add, row_i, row_j)):
-                k = next(k for k in range(n) if dij > row_i[k] + row_j[k])
+            col_j = columns[j]
+            if dij > min(map(add, row_i, col_j)):
+                k = next(k for k in range(n) if dij > row_i[k] + col_j[k])
                 out.append(
                     Violation(
                         "triangle",
                         (i, k, j),
                         f"d({i},{j})={dij} > d({i},{k})+d({k},{j})"
-                        f"={row_i[k] + row_j[k]}",
+                        f"={row_i[k] + col_j[k]}",
                     )
                 )
     return out

@@ -16,14 +16,18 @@ from __future__ import annotations
 
 from collections import Counter
 
+from .bmatching import check_gains
 from .flows import transport
 from .metrics import MetricInstance, WeightedTree, square_size
 
 
 def _request_counts(n: int, requests) -> Counter:
     counts = Counter(requests)
-    if sum(counts.values()) != n:
-        raise ValueError(f"need exactly n={n} requests")
+    m = sum(counts.values())
+    if m != n:
+        raise ValueError(
+            f"need exactly {n} requests (exactly n={n}, one per server), got {m}"
+        )
     for r in counts:
         if not 0 <= r < n:
             raise ValueError(f"request location {r} outside the instance")
@@ -64,6 +68,7 @@ def opt_max_weight(weights: list[list[int]], requests) -> int:
 
     weights[s][r] is the gain of serving a request at r with server s.
     """
+    check_gains(weights)
     shift = max((w for row in weights for w in row), default=0)
     shifted = [[shift - w for w in row] for row in weights]
     return len(weights) * shift - _min_assignment(shifted, requests)

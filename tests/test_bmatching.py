@@ -14,12 +14,13 @@ import pytest
 from stochmatch.bmatching import (
     DemandProfile,
     FractionalMatching,
-    canonicalize,
+    canonical_plan,
     scaling_identity_check,
     solve_max_weight,
     solve_min_cost,
     tree_plan,
 )
+from stochmatch.fairbias import MaxWeightProvider
 from stochmatch.harness import random_metric
 from stochmatch.metrics import (
     line_metric,
@@ -30,6 +31,7 @@ from stochmatch.metrics import (
     tree_metric,
     uniform_metric,
 )
+from stochmatch.offline import opt_max_weight
 
 F = Fraction
 
@@ -112,7 +114,6 @@ class TestSolveMinCost:
         m = solve_min_cost(line_metric(4), [2, 2, 3])
         assert m.profile.left == ((2, F(2, 3)), (3, F(1, 3)))
         assert all(d == F(1, 4) for _, d in m.profile.right)
-        m.profile.check_balanced()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_against_oracle_metric(self, seed):
@@ -172,7 +173,7 @@ class TestSolveMinCost:
         m.validate()
         assert len(m.entries) > 3 + 6 - 1
         assert m.value == 1
-        c = canonicalize(m, inst)
+        c = canonical_plan(inst, [1, 2, 2, 4, 4])
         c.validate()
         assert c.value == 1
         x = c.entry_map()
@@ -209,10 +210,11 @@ class TestTreeRoute:
         assert _tree_value(inst, [0]) == F(3, 2)
 
 
-class TestCanonicalize:
-    def test_hand_built_alternative_optimum(self):
-        # an optimal plan for the 3-point line with servers {0, 1} that
-        # leaves self-matched mass on the table at point 1
+class TestCanonicalPlan:
+    def test_line_three_keeps_the_most_mass_at_home(self):
+        # an optimal plan for the 3-point line with servers {0, 1} can
+        # leave self-matched mass on the table at point 1; the canonical
+        # plan keeps 1/3 at each server
         inst = line_metric(3)
         profile = DemandProfile(
             ((0, F(1, 2)), (1, F(1, 2))),
@@ -224,8 +226,9 @@ class TestCanonicalize:
             F(1, 2),
         )
         loose.validate()
-        tight = canonicalize(loose, inst)
-        assert tight.value == F(1, 2)
+        tight = canonical_plan(inst, [0, 1])
+        assert tight.value == loose.value
+        assert tight.profile == profile
         assert tight.entries == (
             (0, 0, F(1, 3)),
             (0, 2, F(1, 6)),
@@ -234,40 +237,23 @@ class TestCanonicalize:
         )
         tight.validate()
 
-    def test_suboptimal_input_rejected(self):
-        inst = line_metric(3)
-        profile = DemandProfile(
-            ((0, F(1, 2)), (1, F(1, 2))),
-            ((0, F(1, 3)), (1, F(1, 3)), (2, F(1, 3))),
-        )
-        wasteful = FractionalMatching(
-            profile,
-            ((0, 1, F(1, 6)), (0, 2, F(1, 3)), (1, 0, F(1, 3)), (1, 1, F(1, 6))),
-            F(7, 6),
-        )
-        wasteful.validate()
-        with pytest.raises(ValueError, match="not optimal"):
-            canonicalize(wasteful, inst)
-
     def test_unchecked_instance_rejected(self):
         inst = matrix_unchecked([[0, 1], [1, 0]])
-        m = solve_min_cost(inst, [0])
         with pytest.raises(ValueError, match="checked metric"):
-            canonicalize(m, inst)
+            canonical_plan(inst, [0])
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_idempotent_and_value_preserving(self, seed):
+    def test_optimal_with_pinned_diagonal(self, seed):
         rng = random.Random(300 + seed)
         n = rng.randint(2, 6)
         inst = random_metric(n, rng)
         T = rng.sample(range(n), rng.randint(1, n))
-        m = canonicalize(solve_min_cost(inst, T), inst)
+        m = canonical_plan(inst, T)
         m.validate()
+        assert m.value == solve_min_cost(inst, T).value
         x = m.entry_map()
         for i, d in m.profile.left:
             assert x.get((i, i), F(0)) == min(d, F(1, n))
-        again = canonicalize(m, inst)
-        assert again.entries == m.entries
 
 
 class TestMaxWeight:
@@ -324,6 +310,19 @@ class TestMaxWeight:
         with pytest.raises(ValueError, match="outside"):
             solve_max_weight([[1, 1], [1, 1]], [2], [1, 1])
 
+    def test_fractional_gains_rejected(self):
+        # solve_max_weight and the provider raised TypeError from Fraction,
+        # and opt_max_weight returned 2
+        gains = [[0.5, 1], [1, 0.5]]
+        with pytest.raises(ValueError, match="gains must be integers"):
+            solve_max_weight(gains, [0], [1, 1])
+        with pytest.raises(ValueError, match="gains must be integers"):
+            MaxWeightProvider(gains, [1, 1])
+        with pytest.raises(ValueError, match="gains must be integers"):
+            opt_max_weight(gains, [0, 1])
+        with pytest.raises(ValueError, match="non-empty square table"):
+            solve_max_weight([[1, 2]], [0], [1])
+
     def test_fractional_weights_rejected(self):
         # a TypeError from Fraction before
         with pytest.raises(ValueError, match="integers"):
@@ -377,12 +376,3 @@ class TestMatchingContainer:
         )
         with pytest.raises(AssertionError, match="negative"):
             bad.validate()
-
-    def test_check_balanced(self):
-        lop = DemandProfile(((0, F(1, 2)),), ((0, F(1)),))
-        with pytest.raises(ValueError, match="sum to 1"):
-            lop.check_balanced()
-
-    def test_debug_lines_format(self):
-        m = solve_min_cost(line_metric(2), [0])
-        assert m.debug_lines() == ["0 0 1/2", "0 1 1/2"]

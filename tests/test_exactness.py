@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochmatch import flows
-from stochmatch.bmatching import canonicalize, solve_min_cost, tree_plan
+from stochmatch.bmatching import canonical_plan, solve_min_cost, tree_plan
+from stochmatch.fairbias import PlanProvider
 from stochmatch.harness import random_metric
 from stochmatch.metrics import (
     line_metric,
@@ -94,12 +95,13 @@ def test_tree_plan_value_matches_the_transport_solve(case):
     for size in range(1, len(points) + 1):
         free = points[:size]  # a multiset of free servers
         n = instance.n
-        scaled = tree_plan(instance.tree, Counter(free), size, n)
-        assert Fraction(scaled, n * size) == solve_min_cost(instance, free).value
+        value = Fraction(tree_plan(instance.tree, Counter(free), size, n), n * size)
+        assert value == solve_min_cost(instance, free).value
+        assert value == canonical_plan(instance, free).value
 
 
 @st.composite
-def _canonicalize_case(draw):
+def _canonical_case(draw):
     # checked metrics with n <= 6 and a multiset of free servers
     kind = draw(st.sampled_from(["random", "line", "tree"]))
     if kind == "tree":
@@ -115,18 +117,26 @@ def _canonicalize_case(draw):
 
 
 @settings(deadline=None, max_examples=150)
-@given(case=_canonicalize_case())
-def test_canonicalize_pins_self_mass_and_keeps_the_optimum(case):
+@given(case=_canonical_case())
+def test_canonical_plan_pins_self_mass_and_keeps_the_optimum(case):
     instance, T = case
     n, k = instance.n, len(T)
-    base = solve_min_cost(instance, T)
-    m = canonicalize(base, instance)
-    assert m.value == base.value
+    m = canonical_plan(instance, T)
+    assert m.value == solve_min_cost(instance, T).value
     x = m.entry_map()
     for i in set(T):
-        assert x.get((i, i), Fraction(0)) == min(Fraction(T.count(i), k), Fraction(1, n))
+        assert x[(i, i)] == min(Fraction(T.count(i), k), Fraction(1, n))
     m.validate()
-    assert canonicalize(m, instance).entries == m.entries
+    # on the set of its points, the plan is the one the sampler draws from:
+    # each column lists the off-diagonal entries in n*k units, in order
+    free = tuple(sorted(set(T)))
+    plan = canonical_plan(instance, free)
+    want: dict[int, list] = {}
+    for i, j, f in plan.entries:
+        if i != j:
+            want.setdefault(j, []).append((i, f * n * len(free)))
+    columns = PlanProvider(instance).columns(free)
+    assert {r: list(flows.column_units(col)) for r, col in columns.items()} == want
 
 
 def test_negative_entries_rejected(tmp_path):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochmatch.bmatching import canonicalize, solve_min_cost
+from stochmatch import bmatching
+from stochmatch.bmatching import canonical_plan
 from stochmatch.fairbias import (
     MaxWeightProvider,
     OnlineState,
@@ -105,10 +106,10 @@ class TestSamplingLaw:
 
     def test_uniform_column_on_line_four(self):
         # free {0, 2, 3} and a request at 1: every free server holds an
-        # equal share, confirmed against the canonicalized full solve
+        # equal share, confirmed against the canonical plan
         inst = line_metric(4)
         free = (0, 2, 3)
-        plan = canonicalize(solve_min_cost(inst, list(free)), inst)
+        plan = canonical_plan(inst, list(free))
         x = plan.entry_map()
         expected = {s: 4 * x.get((s, 1), Fraction(0)) for s in free}
         assert expected == {0: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)}
@@ -283,6 +284,29 @@ class TestMaxWeight:
     def test_stream_length(self):
         with pytest.raises(ValueError, match="exactly"):
             _max_weight([[1, 1], [1, 1]], [1, 1], [0], 0)
+
+
+def test_episodes_build_no_fraction(monkeypatch):
+    # plan columns are read in integer units from the solver cores; the
+    # unchecked and max-weight providers went through Fraction entries
+    def no_fraction(*args):
+        raise AssertionError("Fraction built on the per-arrival path")
+
+    monkeypatch.setattr(bmatching, "Fraction", no_fraction)
+    checked = random_metric(6, random.Random(4))
+    unchecked = matrix_unchecked([[0, 5, 1], [1, 0, 1], [2, 1, 0]])
+    providers = [
+        PlanProvider(checked),
+        PlanProvider(unchecked, allow_unchecked=True),
+        MaxWeightProvider([[2, 5, 1], [4, 2, 2], [1, 3, 6]], [1, 2, 1]),
+    ]
+    for provider in providers:
+        n = provider.n
+        for seed in range(5):
+            rng = random.Random(seed)
+            stream = [rng.randrange(n) for _ in range(n)]
+            res = run_episode(provider, stream, rng)
+            assert sorted(s for _, s in res.assignments) == list(range(n))
 
 
 def test_uniform_metric_episode_cost_is_mismatch_count():

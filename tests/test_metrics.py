@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from stochmatch.metrics import (
     WeightedTree,
     dump_metric,
-    edge_cuts,
     frt_embed,
     line_metric,
     load_metric,
@@ -106,27 +106,6 @@ class TestWeightedTree:
                     )
 
 
-class TestEdgeCuts:
-    def test_line_four_points(self):
-        inst = line_metric(4)
-        cuts = edge_cuts(inst.tree)
-        # five edges: the three path segments plus two zero-length
-        # pendants for the internal hosts; middle cut ties at 2 vs 2
-        # and keeps the side holding point 0
-        sizes = sorted(c.n_e for c in cuts)
-        assert sizes == [1, 1, 1, 1, 2]
-        for cut in cuts:
-            assert cut.n_e == len(cut.side_points)
-            assert cut.n_e <= 2
-        two = next(c for c in cuts if c.n_e == 2)
-        assert two.side_points == frozenset({0, 1})
-
-    def test_star_cuts_are_singletons(self):
-        cuts = edge_cuts(star_tree(5, arm=3))
-        assert all(c.n_e == 1 for c in cuts)
-        assert {next(iter(c.side_points)) for c in cuts} == set(range(5))
-
-
 class TestMetricValidation:
     def test_line_is_metric(self):
         assert validate_metric(line_metric(6).matrix).ok
@@ -163,6 +142,20 @@ class TestMetricValidation:
             i, k, j = v.indices
             assert bad[i][j] > bad[i][k] + bad[j][k]
             assert all(bad[i][j] <= bad[i][m] + bad[j][m] for m in range(k))
+
+    def test_triangle_detail_reads_what_it_prints(self):
+        # d(0,1) was read as row 1, column 0 but printed as d(0,1): the
+        # printed sum was not the sum of the printed terms
+        bad = [[0, 5, 1], [1, 0, 1], [1, 1, 0]]
+        triangles = [v for v in validate_metric(bad).violations
+                     if v.kind == "triangle"]
+        assert triangles
+        for v in triangles:
+            pairs = re.findall(r"d\((\d+),(\d+)\)", v.detail)
+            d = [bad[int(a)][int(b)] for a, b in pairs]
+            lhs, total = (int(x) for x in re.findall(r"=(\d+)", v.detail))
+            assert lhs == d[0] > total == d[1] + d[2]
+        assert triangles[0].detail == "d(0,1)=5 > d(0,2)+d(2,1)=2"
 
     def test_first_violation_names_the_first_witness(self):
         with pytest.raises(ValueError, match=r"triangle at \(0, 1, 2\)"):
