@@ -8,8 +8,9 @@ its cost and (server, location, units) triples, which the online
 providers read directly, and a wrapper that turns the units into a
 FractionalMatching of Fractions.  ``_units`` solves T against integer
 location weights (all 1 for min-cost; the caller's, on shift - weight,
-for max-weight) and keeps the SSP plan as it is, an optimal plan whose
-support may hold cycles: solve_min_cost and solve_max_weight.
+for max-weight) and keeps the plan the primal-dual flow engine returns
+as it is, an optimal plan whose support may hold cycles: solve_min_cost
+and solve_max_weight.
 ``_canonical_units`` solves, on a checked metric, the plan that matches
 co-located mass to itself, the one the fair-bias sampler draws from:
 canonical_plan.

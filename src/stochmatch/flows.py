@@ -4,12 +4,15 @@
 integer supplies, columns with integer demands, a cost per row/column
 pair) as a min-cost flow.  It is the one solve behind the fractional
 matchings, the reduced per-arrival plans, the distribution coupling and
-the offline optima.  ``MinCostFlow`` is its engine: successive shortest
-paths with potentials.  Everything is integer arithmetic: capacities,
-costs and flows are Python ints, so results are exact at any magnitude.
+the offline optima.  ``MinCostFlow`` is its engine: the primal-dual
+method, one Dijkstra per shortest-path length and Dinic blocking flows
+on the arcs of zero reduced cost.  Everything is integer arithmetic:
+capacities, costs and flows are Python ints, so results are exact at
+any magnitude.
 
-Determinism: arcs keep insertion order, Dijkstra breaks ties by node
-index, so identical inputs produce identical flows.
+Determinism: arcs keep insertion order, every search scans them in that
+order and Dijkstra breaks ties by node index, so identical inputs
+produce identical flows.
 
 A plan's column is carried as ``(items, cumulative units)``.  ``column``
 builds one from (item, units) pairs, ``column_units`` decodes it back,
@@ -30,10 +33,17 @@ Column = tuple[list, list[int]]  # items, cumulative units
 
 
 class MinCostFlow:
-    """Successive-shortest-path min-cost flow on a directed graph.
+    """Primal-dual min-cost flow on a directed graph.
 
-    Node ids are 0..n-1.  Costs must be non-negative on the initial
-    arcs (reduced costs stay non-negative thanks to the potentials).
+    Node ids are 0..n-1 and arc costs must be non-negative, which
+    ``add_edge`` enforces.  Each phase runs one Dijkstra on reduced
+    costs, stopped once the sink is settled, and raises the potentials
+    so every shortest path to the sink has reduced cost 0.  It then
+    pushes blocking flows (Dinic: BFS levels, current-arc search) over
+    the admissible arcs, those with residual capacity and reduced cost
+    0, until the sink is cut off from them.  So there is one Dijkstra
+    per distinct shortest-path length, not one per augmenting path
+    (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, section 9.8).
     """
 
     def __init__(self, n: int):
@@ -46,6 +56,8 @@ class MinCostFlow:
 
     def add_edge(self, u: int, v: int, cap: int, cost: int) -> int:
         """Add arc u->v; returns the arc index (reverse arc is index^1)."""
+        if cost < 0:
+            raise ValueError(f"arc {u}->{v} has negative cost {cost}")
         idx = len(self.to)
         self.to.append(v)
         self.cap.append(cap)
@@ -67,54 +79,121 @@ class MinCostFlow:
         Raises ValueError if fewer than maxf units can be routed, so
         callers can rely on exact saturation.
         """
-        n = self.n
-        to, cap, cost, adj = self.to, self.cap, self.cost, self.adj
-        potential = [0] * n
+        potential = [0] * self.n
         total_flow = 0
         total_cost = 0
         while total_flow < maxf:
-            dist: list[float] = [_INF] * n
-            dist[s] = 0
-            prev_arc = [-1] * n
-            heap: list[tuple[int, int]] = [(0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                pu = potential[u]
-                for idx in adj[u]:
-                    if cap[idx] <= 0:
-                        continue
-                    v = to[idx]
-                    nd = d + cost[idx] + pu - potential[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev_arc[v] = idx
-                        heapq.heappush(heap, (nd, v))
-            if dist[t] is _INF or dist[t] == _INF:
+            length = self._raise_potentials(s, t, potential)
+            if length is None:
                 raise ValueError(
                     f"only {total_flow} of {maxf} units routable"
                 )
-            for v in range(n):
-                if dist[v] < _INF:
-                    potential[v] += int(dist[v])
-            # bottleneck along the shortest path
-            push = maxf - total_flow
-            v = t
-            while v != s:
-                idx = prev_arc[v]
-                if cap[idx] < push:
-                    push = cap[idx]
-                v = to[idx ^ 1]
-            v = t
-            while v != s:
-                idx = prev_arc[v]
-                cap[idx] -= push
-                cap[idx ^ 1] += push
-                total_cost += push * cost[idx]
-                v = to[idx ^ 1]
-            total_flow += push
+            pushed = self._blocking_flows(s, t, potential, maxf - total_flow)
+            total_flow += pushed
+            total_cost += pushed * length
         return total_flow, total_cost
+
+    def _raise_potentials(self, s: int, t: int, potential: list[int]) -> int | None:
+        """One phase's Dijkstra on reduced costs, stopped once t is settled.
+
+        Raises every potential by min(dist, dist[t]), which keeps all
+        residual reduced costs non-negative and makes every shortest s-t
+        path one of reduced cost 0.  Returns that path length in true
+        costs, or None if t is unreachable.
+        """
+        to, cap, cost, adj = self.to, self.cap, self.cost, self.adj
+        heappush, heappop = heapq.heappush, heapq.heappop
+        dist: list[float] = [_INF] * self.n
+        dist[s] = 0
+        done = [False] * self.n
+        heap: list[tuple[int, int]] = [(0, s)]
+        while heap:
+            d, u = heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            if u == t:
+                break
+            pu = potential[u]
+            for idx in adj[u]:
+                if cap[idx] > 0:
+                    v = to[idx]
+                    if not done[v]:
+                        nd = d + cost[idx] + pu - potential[v]
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            heappush(heap, (nd, v))
+        if not done[t]:
+            return None
+        # nodes not settled lie at least dist[t] away
+        dt = dist[t]
+        potential[:] = [p + (d if d < dt else dt) for p, d in zip(potential, dist)]
+        return potential[t] - potential[s]
+
+    def _blocking_flows(self, s: int, t: int, potential: list[int], limit: int) -> int:
+        """Dinic on the arcs of reduced cost 0; pushes up to limit units.
+
+        Stops when limit units are pushed or t is cut off from s along
+        arcs of reduced cost 0 with residual capacity.
+        """
+        n = self.n
+        to, cap, cost = self.to, self.cap, self.cost
+        # listed whatever their capacity: potentials hold for the phase, and
+        # a reverse arc gains capacity once its arc carries flow
+        zero = [
+            [idx for idx in arcs if cost[idx] + pu == potential[to[idx]]]
+            for arcs, pu in zip(self.adj, potential)
+        ]
+        pushed = 0
+        while pushed < limit:
+            # BFS levels, up to the sink's level
+            level = [-1] * n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                lu = level[u]
+                if lu == level[t]:
+                    break
+                for idx in zero[u]:
+                    if cap[idx] > 0:
+                        v = to[idx]
+                        if level[v] < 0:
+                            level[v] = lu + 1
+                            queue.append(v)
+            if level[t] < 0:
+                break
+            # advance along current arcs one level at a time, retreat at dead ends
+            current = [0] * n
+            path: list[int] = []
+            u = s
+            while pushed < limit:
+                if u == t:
+                    push = limit - pushed
+                    for idx in path:
+                        if cap[idx] < push:
+                            push = cap[idx]
+                    for idx in path:
+                        cap[idx] -= push
+                        cap[idx ^ 1] += push
+                    pushed += push
+                    path.clear()
+                    u = s
+                    continue
+                arcs = zero[u]
+                i = current[u]
+                lv = level[u] + 1
+                while i < len(arcs) and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == lv):
+                    i += 1
+                current[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif u == s:
+                    break
+                else:
+                    u = to[path.pop() ^ 1]
+                    current[u] += 1
+        return pushed
 
     def residual_has_negative_cycle(self) -> bool:
         """Bellman-Ford over the residual graph; certifies optimality.

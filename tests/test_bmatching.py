@@ -158,7 +158,7 @@ class TestSolveMinCost:
             assert (n * k) % m.value.denominator == 0
 
     def test_optimal_plans_with_a_support_cycle(self):
-        # the SSP plan is returned as it is: these supports hold a cycle
+        # the primal-dual plan is returned as it is: these supports hold a cycle
         # (more entries than rows + columns - 1) and stay optimal
         M = [
             [0, 1, 1, 2, 2, 2],

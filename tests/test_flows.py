@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from stochmatch.flows import MinCostFlow
+from stochmatch.flows import MinCostFlow, transport
 
 
 def test_prefers_cheap_path():
@@ -81,3 +85,78 @@ def test_deterministic_arc_choice():
         f.min_cost_flow(0, 3, 1)
         loads.append((f.flow_on(a), f.flow_on(b)))
     assert loads[0] == loads[1]
+
+
+def test_negative_arc_cost_rejected():
+    f = MinCostFlow(2)
+    with pytest.raises(ValueError, match="negative cost -1"):
+        f.add_edge(0, 1, 1, -1)
+    with pytest.raises(ValueError, match="negative cost"):
+        transport([0, 2], [2, 0], [[2, 1], [-1, 2]])
+
+
+def _lp_optimum(n, arcs, s, t, units=None):
+    """The arc LP on the same digraph: the max flow value when units is
+    None, else the min cost of sending units from s to t."""
+    balance = np.zeros((n, len(arcs) + 1))
+    for j, (u, v, _, _) in enumerate(arcs):
+        balance[u, j] += 1
+        balance[v, j] -= 1
+    balance[s, -1] -= 1  # the flow value F leaves s and enters t
+    balance[t, -1] += 1
+    bounds = [(0, cap) for _, _, cap, _ in arcs]
+    if units is None:
+        c = [0] * len(arcs) + [-1]
+        bounds.append((0, None))
+    else:
+        c = [cost for _, _, _, cost in arcs] + [0]
+        bounds.append((units, units))
+    res = linprog(c, A_eq=balance, b_eq=np.zeros(n), bounds=bounds, method="highs")
+    assert res.status == 0
+    return round(-res.fun) if units is None else round(res.fun)
+
+
+def _solve(n, arcs, s, t, units):
+    f = MinCostFlow(n)
+    ids = [f.add_edge(u, v, cap, cost) for u, v, cap, cost in arcs]
+    try:
+        result = f.min_cost_flow(s, t, units)
+    except ValueError as exc:
+        result = exc
+    return f, [f.flow_on(i) for i in ids], result
+
+
+@st.composite
+def _digraphs(draw):
+    n = draw(st.integers(2, 6))
+    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    node = st.integers(0, n - 1)
+    arc = st.tuples(node, node, st.integers(0, 4), st.integers(0, 3)).filter(
+        lambda a: a[0] != a[1]
+    )
+    arcs = draw(st.lists(arc, min_size=n, max_size=16))
+    return n, arcs, s, t, draw(st.integers(0, 6))
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_digraphs())
+# node 1 is labelled 2 but not settled when t is; raising its potential
+# by that label instead of dist[t] gives arc 2->1 a negative reduced cost
+@example(case=(4, [(0, 3, 1, 0), (1, 3, 1, 0), (2, 3, 3, 0), (2, 1, 1, 0),
+                   (0, 1, 1, 2), (0, 2, 4, 1)], 0, 3, 5))
+def test_general_graphs_match_the_arc_lp(case):
+    # parallel and antiparallel arcs, zero costs and capacities and cost
+    # ties all occur; the LP optimum is integral (the arc-node incidence
+    # matrix is totally unimodular)
+    n, arcs, s, t, request = case
+    maxflow = _lp_optimum(n, arcs, s, t)
+    units = min(request, maxflow + 1)
+    f, flows, result = _solve(n, arcs, s, t, units)
+    assert _solve(n, arcs, s, t, units)[1] == flows
+    if units > maxflow:
+        assert isinstance(result, ValueError)
+        assert str(result) == f"only {maxflow} of {units} units routable"
+    else:
+        assert result == (units, _lp_optimum(n, arcs, s, t, units))
+        assert result[1] == sum(fl * a[3] for fl, a in zip(flows, arcs))
+    assert not f.residual_has_negative_cycle()
