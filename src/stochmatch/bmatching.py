@@ -18,7 +18,8 @@ canonical_plan.
 On trees no plan is built.  Optimal transport there has one edge flow:
 tree_walk samples one column entry of it by walking it back from the
 request, from free-point counts per node (free_below, kept current by
-release) that the caller holds across arrivals, and
+release) that the caller holds across arrivals, and returns the length
+of the path it walked, the step's cost, so no distance table is read; and
 ``WeightedTree.imbalance_cost`` prices it, so tree_plan is that one
 call.  solve_min_cost and canonical_plan give explicit plans on any
 instance, trees included.
@@ -269,8 +270,8 @@ def release(tree: WeightedTree, below: list[int], point: int) -> None:
 
 def tree_walk(
     tree: WeightedTree, below: list[int], k: int, n: int, request: int, rng
-) -> int:
-    """Free server for an arrival at an occupied point, by the optimal flow.
+) -> tuple[int, int]:
+    """Free server for an arrival at an occupied point, and its distance.
 
     With k free points, the optimal reduced plan (every free point sends
     n - k units, every occupied point takes k, in n*k units) has one
@@ -283,14 +284,19 @@ def tree_walk(
     path decomposition of the flow: every free row gets n - k units,
     every occupied column k, and the cost is the flow's
     sum_e len_e * |flow_e|, the optimum.  O(depth * degree) per call.
+
+    An edge carries flow one way, so the walk climbs while flow comes
+    down from the parent and, after its first step down, only descends:
+    it is the tree path from the request to the server through the top
+    node it turned at, and their distance is read off the depths there.
     """
     parent = tree.parent
     adj = tree.adj
     size = tree.size
     node_point = tree.node_point
-    x = tree.leaf_for_point[request]
-    while True:
-        up = parent[x]
+    start = x = tree.leaf_for_point[request]
+    up = parent[x]
+    while True:  # up the tree while flow comes down from the parent
         arcs = [
             (c, f)
             for c, _, _ in adj[x]
@@ -301,6 +307,27 @@ def tree_walk(
             if f > 0:
                 arcs.append((up, f))
         if len(arcs) == 1:
+            y = arcs[0][0]
+        else:
+            u = rng.randrange(sum([f for _, f in arcs]))
+            for y, f in arcs:
+                if u < f:
+                    break
+                u -= f
+        if y != up:
+            break
+        x, up = y, parent[y]
+        if node_point[x] >= 0:  # a point at the root
+            return node_point[x], tree.depth[start] - tree.depth[x]
+    top, x = x, y
+    while node_point[x] < 0:  # down: x's parent edge carries flow up, out of x
+        up = parent[x]
+        arcs = [
+            (c, f)
+            for c, _, _ in adj[x]
+            if c != up and (f := n * below[c] - k * size[c]) > 0
+        ]
+        if len(arcs) == 1:
             x = arcs[0][0]
         else:
             u = rng.randrange(sum([f for _, f in arcs]))
@@ -308,6 +335,5 @@ def tree_walk(
                 if u < f:
                     break
                 u -= f
-        p = node_point[x]
-        if p >= 0:
-            return p
+    depth = tree.depth
+    return node_point[x], depth[start] + depth[x] - 2 * depth[top]

@@ -168,17 +168,19 @@ def _cmd_embed(args) -> int:
         raise ValueError("samples must be >= 1")
     instance = load_metric(args.metric)
     n = instance.n
+    dmat = instance.matrix
     ok = True
     for s in range(args.samples):
         tree = frt_embed(instance, random.Random(args.seed + s))
+        tmat = tree.leaf_distance_matrix()
         worst = 0.0
         total = 0.0
         pairs = 0
         dominated = True
         for i in range(n):
             for j in range(i + 1, n):
-                td = tree.tree_distance(i, j)
-                d = instance.matrix[i][j]
+                td = tmat[i][j]
+                d = dmat[i][j]
                 if td < d:
                     dominated = False
                 if d > 0:

@@ -9,7 +9,9 @@ A plan provider per backing does the sampling.  Checked tree-backed
 instances never build a plan: ``bmatching.tree_walk`` walks the tree's
 unique optimal edge flow back from the request in O(depth) per arrival,
 on the tree's rooted arrays and free-point counts per node that the
-episode's state keeps current.
+episode's state keeps current.  The walk is the tree path from the
+request to the server, so the length it returns is the step's cost,
+and a tree provider never reads a distance table.
 Every other backing draws with ``flows.draw`` from a ``flows.column`` of
 integer units read straight from a ``bmatching`` core, so the draw is
 inverse-CDF sampling with no floating point and no Fraction: the
@@ -21,10 +23,12 @@ sets rarely recur, and stop adding plans once ``memo_max_plans`` are
 held; the solver is deterministic, so memoization cannot change behavior.
 Tree providers keep no memo: the walk needs none.
 
-Every provider exposes ``sample(state, r, rng)``, ``columns(free)``, the
-cost-or-gain ``matrix``, the expected ``column_mass(r, k)`` and
-``canonical``.  On a tree ``columns`` is the canonical plan of its
-distance matrix, like any checked metric's; the walk never asks for it.
+Every provider exposes ``sample(state, r, rng)``, which returns the
+server and the step's cost or gain, ``columns(free)``, the cost-or-gain
+``matrix``, the expected ``column_mass(r, k)`` and ``canonical``.  On a
+tree ``matrix`` is the instance's table, built on first read, and
+``columns`` is the canonical plan of that table, like any checked
+metric's; the walk never asks for either.
 
 An episode is ``run_episode(provider, stream, rng)``: the provider is
 the only source of the instance, and the trial's generator drives every
@@ -110,15 +114,22 @@ class PlanProvider:
                 "to run on it anyway"
             )
         self.n = instance.n
-        self.matrix = instance.matrix
+        self._instance = instance
         self.canonical = instance.verified_metric
         self._tree = instance.tree if instance.verified_metric else None
         # free set -> columns; tree episodes walk and never ask for columns
         memo = self._tree is None and self.n <= self.memo_max_n
         self._memo = {} if memo else None
 
-    def sample(self, state: OnlineState, request: int, rng: random.Random) -> int:
-        """Draw the server for an arrival at ``request``.
+    @property
+    def matrix(self) -> list[list[int]]:
+        """The instance's cost table; a tree instance builds it on first read."""
+        return self._instance.matrix
+
+    def sample(
+        self, state: OnlineState, request: int, rng: random.Random
+    ) -> tuple[int, int]:
+        """Draw the server for an arrival at ``request``; (server, cost).
 
         ``step`` serves a canonical arrival at a free location itself, so
         the tree walk always starts at an occupied point.
@@ -127,7 +138,8 @@ class PlanProvider:
         if tree is not None:
             return tree_walk(tree, state.below(tree), state.k, self.n, request, rng)
         mass = self.column_mass(request, state.k)
-        return draw(self.columns(state.free)[request], mass, rng)
+        server = draw(self.columns(state.free)[request], mass, rng)
+        return server, self.matrix[server][request]
 
     def column_mass(self, request: int, k: int) -> int:
         """Units in column ``request`` when k servers are free."""
@@ -175,12 +187,13 @@ def step(
     if not state.free_set:
         raise ValueError("no free servers left")
     if provider.canonical and request in state.free_set:
-        # canonical plans put the full column on the co-located server
-        server = request
+        # canonical plans put the full column on the co-located server,
+        # at distance 0 on a checked metric
+        server, cost = request, 0
     else:
-        server = provider.sample(state, request, rng)
+        server, cost = provider.sample(state, request, rng)
     state.remove(server)
-    return server, provider.matrix[server][request]
+    return server, cost
 
 
 def check_stream(n: int, stream: list[int]) -> None:
@@ -221,10 +234,15 @@ class MaxWeightProvider(PlanProvider):
 
     def __init__(self, weights: list[list[int]], location_weights: list[int]):
         self.n = check_gains(weights)
-        self.matrix = self.weights = weights
+        self.weights = weights
         check_location_weights(location_weights, self.n)
         self.location_weights = list(location_weights)
         self._memo = {} if self.n <= self.memo_max_n else None
+
+    @property
+    def matrix(self) -> list[list[int]]:
+        """The gain table, read where the base provider reads costs."""
+        return self.weights
 
     def column_mass(self, request: int, k: int) -> int:
         w_r = self.location_weights[request]

@@ -300,6 +300,9 @@ def _fair_bias_on_frt(sc: Scenario, instance: MetricInstance, dist):
         raise ValueError("the embedding variant needs a checked metric")
     if sc.distribution != "uniform":
         raise ValueError("the embedding variant is uniform-arrival only")
+    # the embedding and the true step costs read the metric's table, built
+    # here in set-up; the sampled trees are walked and never tabled
+    matrix = instance.matrix
     once = None
     if sc.frt_mode == "once":
         ftree = frt_embed(instance, _SetupRandom(sc.seed ^ _FRT_SALT))
@@ -308,7 +311,7 @@ def _fair_bias_on_frt(sc: Scenario, instance: MetricInstance, dist):
     def episode(stream, rng):
         prov = once or PlanProvider(tree_metric(frt_embed(instance, rng)))
         on_tree = run_episode(prov, stream, rng)
-        true_steps = [instance.matrix[s][r] for r, s in on_tree.assignments]
+        true_steps = [matrix[s][r] for r, s in on_tree.assignments]
         return MatchingResult(
             "fair-bias-on-frt", on_tree.assignments, true_steps, sum(true_steps)
         ), 0

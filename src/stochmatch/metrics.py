@@ -13,6 +13,12 @@ the tree.  On a tree, optimal transport has one edge flow: the walk
 samples it, and ``WeightedTree.imbalance_cost`` prices it, the one
 closed form behind every tree optimum (the offline optimum and the
 value of a free set's plan).
+
+Tree and line instances build no distance table up front: the tree
+routes price their steps on the tree itself, and ``matrix`` is built
+from ``WeightedTree.leaf_distance_matrix`` on its first read, for the
+callers that need the table (the explicit plan solvers, the verifiers,
+the wrapped route, the general offline optimum and the embedding).
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ class WeightedTree:
     The tree is rooted once, at node 0, by one BFS: ``parent`` (-1 at the
     root), ``parent_len`` (length of the edge to the parent), ``order``
     (the BFS order, root first) and ``node_point`` (the point on each
-    node, -1 where none sits).  ``size`` is built on first use.
+    node, -1 where none sits).  ``size`` and ``depth`` are built on
+    first use.
     """
 
     def __init__(
@@ -111,6 +118,15 @@ class WeightedTree:
                 size[parent[x]] += size[x]
         return size
 
+    @cached_property
+    def depth(self) -> list[int]:
+        """Distance from the root to each node."""
+        depth = [0] * self.num_nodes
+        parent, parent_len = self.parent, self.parent_len
+        for x in self.order[1:]:
+            depth[x] = depth[parent[x]] + parent_len[x]
+        return depth
+
     def imbalance_cost(self, counts, a: int, b: int) -> int:
         """Sum over edges of len_e * |a * (counts below e) - b * (points below e)|.
 
@@ -136,36 +152,79 @@ class WeightedTree:
             raise RuntimeError("supply and demand must balance at the root")
         return total
 
-    def node_distances_from(self, src: int) -> list[int]:
-        dist = [-1] * self.num_nodes
-        dist[src] = 0
-        stack = [src]
-        while stack:
-            x = stack.pop()
-            dx = dist[x]
-            for y, w, _ in self.adj[x]:
-                if dist[y] < 0:
-                    dist[y] = dx + w
-                    stack.append(y)
-        return dist
-
     def leaf_distance_matrix(self) -> list[list[int]]:
-        """Pairwise point distances; cached after the first call."""
+        """Pairwise point distances, built in one pass; cached after the first call.
+
+        Points are laid out so that every subtree's points are one slice
+        (siblings take consecutive slices in BFS order).  The root's row
+        is the leaf depths; a node's row is its parent's, plus its edge
+        length outside that slice and minus it inside.  A zero-length
+        edge shares its parent's row.
+        """
         if self._matrix is None:
             n = self.n_points
-            mat = [[0] * n for _ in range(n)]
-            for p in range(n):
-                dist = self.node_distances_from(self.leaf_for_point[p])
-                row = mat[p]
-                for q in range(n):
-                    row[q] = dist[self.leaf_for_point[q]]
+            parent, parent_len, size = self.parent, self.parent_len, self.size
+            lo = [0] * self.num_nodes  # first slot of each subtree's slice
+            # slots taken by a node's own point and its children so far
+            used = [int(q >= 0) for q in self.node_point]
+            kids = [0] * self.num_nodes  # children whose rows are not built yet
+            for x in self.order[1:]:
+                p = parent[x]
+                lo[x] = lo[p] + used[p]
+                used[p] += size[x]
+                kids[p] += 1
+            leaves = [self.leaf_for_point[p] for p in range(n)]
+            slot = [lo[leaf] for leaf in leaves]
+            depth = self.depth
+            root_row = [0] * n
+            for p, leaf in enumerate(leaves):
+                root_row[slot[p]] = depth[leaf]
+            node_point = self.node_point
+            root = self.order[0]
+            rows: list[list[int] | None] = [None] * self.num_nodes
+            rows[root] = root_row
+            mat: list[list[int]] = [[]] * n
+            if node_point[root] >= 0:
+                mat[node_point[root]] = list(map(root_row.__getitem__, slot))
+            for x in self.order[1:]:
+                p = parent[x]
+                row = rows[p]
+                kids[p] -= 1
+                if not kids[p]:
+                    rows[p] = None
+                if not size[x]:
+                    continue
+                w = parent_len[x]
+                if w:
+                    a, b = lo[x], lo[x] + size[x]
+                    row = (
+                        [d + w for d in row[:a]]
+                        + [d - w for d in row[a:b]]
+                        + [d + w for d in row[b:]]
+                    )
+                if node_point[x] >= 0:
+                    mat[node_point[x]] = list(map(row.__getitem__, slot))
+                else:
+                    rows[x] = row
             self._matrix = mat
         return self._matrix
 
     def tree_distance(self, p: PointId, q: PointId) -> int:
-        if p not in self.leaf_for_point or q not in self.leaf_for_point:
+        """Distance between points p and q by a parent walk; no table."""
+        leaf_for_point = self.leaf_for_point
+        if p not in leaf_for_point or q not in leaf_for_point:
             raise KeyError(f"unmapped point in ({p}, {q})")
-        return self.leaf_distance_matrix()[p][q]
+        parent, depth = self.parent, self.depth
+        a, b = leaf_for_point[p], leaf_for_point[q]
+        above_a = set()
+        x = a
+        while x >= 0:
+            above_a.add(x)
+            x = parent[x]
+        x = b
+        while x not in above_a:
+            x = parent[x]
+        return depth[a] + depth[b] - 2 * depth[x]
 
 
 # ---------------------------------------------------------------------------
@@ -197,30 +256,50 @@ class MetricInstance:
     records whether the instance came through the checked constructor.
     Negative entries are rejected for every instance: the exact solvers
     need non-negative costs.
+
+    A tree or line instance is built with ``matrix=None``: its ``matrix``
+    is the tree's ``leaf_distance_matrix``, built on the first read and
+    shared with the tree, not copied.  A given table is copied and
+    checked.
     """
 
     def __init__(
         self,
-        matrix: list[list[int]],
+        matrix: list[list[int]] | None,
         backing: str,
         *,
         tree: WeightedTree | None = None,
         verified_metric: bool,
         scale: int = 1,
     ):
-        self.n = square_size(matrix)
-        self.matrix = [list(map(int, row)) for row in matrix]
-        if any(a != list(b) for a, b in zip(self.matrix, matrix)):
-            raise ValueError("distances must be integers")
-        if any(min(row) < 0 for row in self.matrix):
-            raise ValueError("distances must be >= 0")
+        if matrix is None:
+            if tree is None:
+                raise ValueError("an instance without a table needs a tree")
+            self.n = tree.n_points
+            self._matrix = None
+        else:
+            self.n = square_size(matrix)
+            self._matrix = [list(map(int, row)) for row in matrix]
+            if any(a != list(b) for a, b in zip(self._matrix, matrix)):
+                raise ValueError("distances must be integers")
+            if any(min(row) < 0 for row in self._matrix):
+                raise ValueError("distances must be >= 0")
         self.backing = backing
         self._tree = tree
         self.verified_metric = verified_metric
         self.scale = scale
 
+    @property
+    def matrix(self) -> list[list[int]]:
+        """The distance table; a tree-backed instance builds it on first read."""
+        if self._matrix is None:
+            self._matrix = self._tree.leaf_distance_matrix()
+        return self._matrix
+
     def dist(self, i: PointId, j: PointId) -> int:
-        return self.matrix[i][j]
+        if self._matrix is None:
+            return self._tree.tree_distance(i, j)
+        return self._matrix[i][j]
 
     @property
     def tree(self) -> WeightedTree | None:
@@ -302,19 +381,16 @@ def matrix_unchecked(matrix: list[list[int]]) -> MetricInstance:
 def line_metric(n: int, spacing: int = 1) -> MetricInstance:
     if n < 1 or spacing < 0:
         raise ValueError("need n >= 1 and spacing >= 0")
-    matrix = [[spacing * abs(i - j) for j in range(n)] for i in range(n)]
     tree = tree_from_host_edges(
         n, [(i, i + 1, spacing) for i in range(n - 1)]
     )
     return MetricInstance(
-        matrix, "line", tree=tree, verified_metric=True, scale=spacing
+        None, "line", tree=tree, verified_metric=True, scale=spacing
     )
 
 
 def tree_metric(tree: WeightedTree) -> MetricInstance:
-    return MetricInstance(
-        tree.leaf_distance_matrix(), "tree", tree=tree, verified_metric=True
-    )
+    return MetricInstance(None, "tree", tree=tree, verified_metric=True)
 
 
 def uniform_metric(n: int, c: int = 1) -> MetricInstance:
@@ -479,6 +555,9 @@ def load_metric(path: str) -> MetricInstance:
             return MetricInstance(matrix, "matrix", verified_metric=True)
         return matrix_unchecked(matrix)
     if kind == "tree":
+        for t in body:
+            if len(t) != 3:
+                raise ValueError(f"tree line {' '.join(t)!r} is not 'u v length'")
         host_edges = [(int(u), int(v), scale * int(w)) for u, v, w in body]
         tree = tree_from_host_edges(n, host_edges)
         return tree_metric(tree)

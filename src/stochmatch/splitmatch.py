@@ -17,9 +17,18 @@ requester's chain below the chosen one are non-full, and region levels
 grow with depth), so it terminates; a depth guard converts any breach
 of that argument into a logged error instead of a hang.
 
+Steps are priced without a distance table.  Let R be the first full
+region a match crosses out of, cut at edge e, and S its sibling: by the
+laminar argument every later jump stays inside S, so the server v is in
+S and d(u, v) = d(u, e's end in R) + len(e) + d(e's end in S, v).  The
+decomposition stores, per leaf and aligned with its chain, the distance
+to the cut edge's end on the leaf's side, with len(e) folded into side
+a's; ``hmatch`` records the crossed chain index on the occupancy state,
+so a step costs two list reads and an add.
+
 An episode is ``run_episode_hier(decomp, stream, rng)``: it matches on
-the ternarized copy and prices steps on the source tree's cached
-distance matrix, so the decomposition is the only source of the tree.
+the ternarized copy and prices steps with those offsets, so the
+decomposition is the only source of the tree.
 """
 
 from __future__ import annotations
@@ -84,6 +93,9 @@ class HierarchicalDecomposition:
     source: WeightedTree  # the tree the decomposition was asked for
     regions: list[Region] = field(default_factory=list)
     chains: dict[int, list[int]] = field(default_factory=dict)
+    # per leaf, aligned with its chain: distance to the end of the region's
+    # cut edge on the leaf's side, plus the edge's length on side a
+    offsets: dict[int, list[int]] = field(default_factory=dict)
     edge_levels: dict[int, int] = field(default_factory=dict)
     # (level, parent server count, side server counts) per split, for audits
     balance_audit: list[tuple[int, int, int, int]] = field(default_factory=list)
@@ -103,13 +115,15 @@ def split_decomposition(tree: WeightedTree) -> HierarchicalDecomposition:
     tern = ternarize(tree)
     decomp = HierarchicalDecomposition(tern, tree)
     decomp.chains = {leaf: [] for leaf in tern.leaf_for_point.values()}
-    parent, point = tern.parent, tern.node_point
+    decomp.offsets = {leaf: [] for leaf in tern.leaf_for_point.values()}
+    parent, point, depth = tern.parent, tern.node_point, tern.depth
     up_edge = [-1] * tern.num_nodes  # index of the edge x - parent[x]
     for idx, (u, v, _) in enumerate(tern.edges):
         up_edge[v if parent[v] == u else u] = idx
     below_l = [0] * tern.num_nodes  # servers below x inside the component
     below_n = [0] * tern.num_nodes  # nodes below x inside the component
     below_cut = [False] * tern.num_nodes
+    meet = [0] * tern.num_nodes  # lowest ancestor on the path to parent[cut]
     stack = [(tern.order, 1)]
     while stack:
         comp, level = stack.pop()
@@ -132,6 +146,17 @@ def split_decomposition(tree: WeightedTree) -> HierarchicalDecomposition:
                 best, cut = key, x
         for x in comp:
             below_cut[x] = x == cut or (x != comp[0] and below_cut[parent[x]])
+        # off the cut's subtree, a leaf meets the path from parent[cut] up to
+        # the top at its lowest ancestor there
+        end = parent[cut]
+        path = {comp[0]}
+        x = end
+        while x != comp[0]:
+            path.add(x)
+            x = parent[x]
+        for x in comp:
+            if not below_cut[x]:
+                meet[x] = x if x in path else meet[parent[x]]
         side_a = [x for x in comp if below_cut[x]]
         side_b = [x for x in comp if not below_cut[x]]
         if below_cut[min(comp)]:  # side a is the one away from the smallest id
@@ -150,22 +175,32 @@ def split_decomposition(tree: WeightedTree) -> HierarchicalDecomposition:
         rid = len(decomp.regions)  # side a is region rid, side b rid + 1
         decomp.regions.append(Region(rid, level, leaves_a, rid + 1, e))
         decomp.regions.append(Region(rid + 1, level, leaves_b, rid, e))
-        for leaf in leaves_a:
-            decomp.chains[leaf].append(rid)
-        for leaf in leaves_b:
-            decomp.chains[leaf].append(rid + 1)
+        len_e = tern.parent_len[cut]
+        for leaves, rid_side, extra in ((leaves_a, rid, len_e), (leaves_b, rid + 1, 0)):
+            for leaf in leaves:
+                decomp.chains[leaf].append(rid_side)
+                if below_cut[leaf]:
+                    off = depth[leaf] - depth[cut]
+                else:
+                    off = depth[leaf] + depth[end] - 2 * depth[meet[leaf]]
+                decomp.offsets[leaf].append(off + extra)
         stack.append((side_a, level + 1))
         stack.append((side_b, level + 1))
     return decomp
 
 
 class OccupancyState:
-    """Vacancy bookkeeping per region for one episode."""
+    """Vacancy bookkeeping per region for one episode.
+
+    ``crossed`` is the chain index of the region the last ``hmatch``
+    that left its request's leaf crossed out of.
+    """
 
     def __init__(self, decomp: HierarchicalDecomposition):
         self.decomp = decomp
         self.vacant = [len(r.leaves) for r in decomp.regions]
         self.occupied: set[int] = set()
+        self.crossed = -1
 
     def is_vacant(self, leaf: int) -> bool:
         return leaf not in self.occupied
@@ -203,6 +238,8 @@ def hmatch(
         if occ.vacant[sib.rid] == 0 or not sib.leaves:
             log.warning("sibling region %d is full; laminar argument broken", sib.rid)
             raise MatchGuardError("sibling of the minimal full region is full")
+        if u == leaf:  # chains hold one region per level, from level 1
+            occ.crossed = sib.level - 1
         u = sib.leaves[rng.randrange(len(sib.leaves))]
     log.warning("match recursion guard tripped at leaf %d", leaf)
     raise MatchGuardError("match recursion exceeded its depth bound")
@@ -211,18 +248,25 @@ def hmatch(
 def run_episode_hier(
     decomp: HierarchicalDecomposition, stream: list[int], rng: random.Random
 ) -> MatchingResult:
-    """One episode of the hierarchical matcher on ``decomp``'s source tree."""
-    source, tern = decomp.source, decomp.tree
-    check_stream(source.n_points, stream)
-    matrix = source.leaf_distance_matrix()  # same point distances as tern's
+    """One episode of the hierarchical matcher on ``decomp``'s source tree.
+
+    A step from u to v across the cut of chain index i costs
+    offsets[u][i] + offsets[v][i]: exactly one of them holds len(e).
+    """
+    tern, offsets = decomp.tree, decomp.offsets
+    leaf_for_point, node_point = tern.leaf_for_point, tern.node_point
+    check_stream(decomp.source.n_points, stream)
     occ = OccupancyState(decomp)
     assignments = []
     costs = []
     for r in stream:
-        u = tern.leaf_for_point[r]
+        u = leaf_for_point[r]
         v = hmatch(decomp, occ, u, rng)
         occ.occupy(v)
-        s = tern.node_point[v]
-        assignments.append((r, s))
-        costs.append(matrix[r][s])
+        assignments.append((r, node_point[v]))
+        if v == u:
+            costs.append(0)
+        else:
+            i = occ.crossed
+            costs.append(offsets[u][i] + offsets[v][i])
     return MatchingResult("split-match", assignments, costs, sum(costs))

@@ -308,6 +308,14 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="no body lines"):
             load_metric(str(path))
 
+    @pytest.mark.parametrize("line", ["0 1", "0 1 5 9"])
+    def test_tree_line_must_have_three_fields(self, tmp_path, line):
+        # a short line leaked "not enough values to unpack"
+        path = tmp_path / "m.txt"
+        path.write_text(f"kind tree\nn 3\n0 2 4\n{line}  # an edge\n")
+        with pytest.raises(ValueError, match=f"tree line '{line}'"):
+            load_metric(str(path))
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("kind blob\nn 2\n")
