@@ -287,22 +287,24 @@ def tree_walk(
 
     An edge carries flow one way, so the walk climbs while flow comes
     down from the parent and, after its first step down, only descends:
-    it is the tree path from the request to the server through the top
-    node it turned at, and their distance is read off the depths there.
+    it is the tree path from the request to the server through the node
+    it turned at, and their distance is read off the depths there.
     """
     parent = tree.parent
     adj = tree.adj
     size = tree.size
     node_point = tree.node_point
     start = x = tree.leaf_for_point[request]
-    up = parent[x]
-    while True:  # up the tree while flow comes down from the parent
-        arcs = [
-            (c, f)
-            for c, _, _ in adj[x]
-            if c != up and (f := n * below[c] - k * size[c]) > 0
-        ]
-        if up >= 0:
+    top = -1  # the node the walk turned down at
+    while True:
+        up = parent[x]
+        arcs = []  # a loop, not a comprehension: no function call per hop
+        for c, _, _ in adj[x]:
+            if c != up:
+                f = n * below[c] - k * size[c]
+                if f > 0:
+                    arcs.append((c, f))
+        if top < 0 and up >= 0:  # no flow comes down once the walk descends
             f = k * size[x] - n * below[x]
             if f > 0:
                 arcs.append((up, f))
@@ -314,26 +316,13 @@ def tree_walk(
                 if u < f:
                     break
                 u -= f
-        if y != up:
+        if top < 0 and y != up:
+            top = x
+        x = y
+        p = node_point[x]
+        if p >= 0:
             break
-        x, up = y, parent[y]
-        if node_point[x] >= 0:  # a point at the root
-            return node_point[x], tree.depth[start] - tree.depth[x]
-    top, x = x, y
-    while node_point[x] < 0:  # down: x's parent edge carries flow up, out of x
-        up = parent[x]
-        arcs = [
-            (c, f)
-            for c, _, _ in adj[x]
-            if c != up and (f := n * below[c] - k * size[c]) > 0
-        ]
-        if len(arcs) == 1:
-            x = arcs[0][0]
-        else:
-            u = rng.randrange(sum([f for _, f in arcs]))
-            for x, f in arcs:
-                if u < f:
-                    break
-                u -= f
+    if top < 0:  # a point at the root, reached climbing
+        top = x
     depth = tree.depth
-    return node_point[x], depth[start] + depth[x] - 2 * depth[top]
+    return p, depth[start] + depth[x] - 2 * depth[top]

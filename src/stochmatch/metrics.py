@@ -297,9 +297,7 @@ class MetricInstance:
         return self._matrix
 
     def dist(self, i: PointId, j: PointId) -> int:
-        if self._matrix is None:
-            return self._tree.tree_distance(i, j)
-        return self._matrix[i][j]
+        return self.matrix[i][j]
 
     @property
     def tree(self) -> WeightedTree | None:

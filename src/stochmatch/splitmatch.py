@@ -23,8 +23,8 @@ laminar argument every later jump stays inside S, so the server v is in
 S and d(u, v) = d(u, e's end in R) + len(e) + d(e's end in S, v).  The
 decomposition stores, per leaf and aligned with its chain, the distance
 to the cut edge's end on the leaf's side, with len(e) folded into side
-a's; ``hmatch`` records the crossed chain index on the occupancy state,
-so a step costs two list reads and an add.
+a's; every ``hmatch`` call records R's chain index on the occupancy
+state, so a step costs two list reads and an add.
 
 An episode is ``run_episode_hier(decomp, stream, rng)``: it matches on
 the ternarized copy and prices steps with those offsets, so the
@@ -192,8 +192,9 @@ def split_decomposition(tree: WeightedTree) -> HierarchicalDecomposition:
 class OccupancyState:
     """Vacancy bookkeeping per region for one episode.
 
-    ``crossed`` is the chain index of the region the last ``hmatch``
-    that left its request's leaf crossed out of.
+    ``crossed`` is written by every ``hmatch`` call: the chain index of
+    the first full region it crossed out of, or -1 when the request's
+    own leaf was vacant.
     """
 
     def __init__(self, decomp: HierarchicalDecomposition):
@@ -219,9 +220,13 @@ def hmatch(
     leaf: int,
     rng: random.Random,
 ) -> int:
-    """Find the leaf whose server takes a request arriving at ``leaf``."""
+    """Find the leaf whose server takes a request arriving at ``leaf``.
+
+    Sets ``occ.crossed`` for this call (see ``OccupancyState``).
+    """
     guard = decomp.top_level + 2
     u = leaf
+    occ.crossed = -1
     for _ in range(guard):
         if occ.is_vacant(u):
             return u
@@ -250,8 +255,9 @@ def run_episode_hier(
 ) -> MatchingResult:
     """One episode of the hierarchical matcher on ``decomp``'s source tree.
 
-    A step from u to v across the cut of chain index i costs
-    offsets[u][i] + offsets[v][i]: exactly one of them holds len(e).
+    A step from u to v across the cut of chain index i, the one this
+    step's ``hmatch`` crossed, costs offsets[u][i] + offsets[v][i]:
+    exactly one of the two holds the cut edge's length.
     """
     tern, offsets = decomp.tree, decomp.offsets
     leaf_for_point, node_point = tern.leaf_for_point, tern.node_point
@@ -262,11 +268,8 @@ def run_episode_hier(
     for r in stream:
         u = leaf_for_point[r]
         v = hmatch(decomp, occ, u, rng)
+        i = occ.crossed  # this call's; -1 when v == u
+        costs.append(offsets[u][i] + offsets[v][i] if i >= 0 else 0)
         occ.occupy(v)
         assignments.append((r, node_point[v]))
-        if v == u:
-            costs.append(0)
-        else:
-            i = occ.crossed
-            costs.append(offsets[u][i] + offsets[v][i])
     return MatchingResult("split-match", assignments, costs, sum(costs))
