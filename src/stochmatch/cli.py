@@ -4,6 +4,10 @@ Subcommands: simulate (scenario file -> CSV + summary), verify (the
 lemma verifiers; non-zero exit on failure), opt (exact offline value),
 embed (sample dominating trees, report stretch), ballsbins (top-k load
 estimate).
+
+``verify`` runs one entry of ``VERIFIERS`` and prints its report's
+``lines``.  The instance verifiers build their fixture with
+``build_instance``, so ``--kind`` is a scenario metric kind.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import sys
 
 from .ballsbins import estimate_Nk
 from .harness import (
+    Scenario,
+    build_instance,
     parse_scenario,
     run_trials,
     verify_cost_decomposition,
@@ -22,17 +28,27 @@ from .harness import (
     verify_scaling,
     verify_structure_lemma,
 )
-from .metrics import (
-    dump_metric,
-    frt_embed,
-    line_metric,
-    load_metric,
-    random_recursive_tree,
-    star_tree,
-    tree_metric,
-    uniform_metric,
-)
+from .metrics import dump_metric, frt_embed, load_metric, tree_metric
 from .offline import opt_general, opt_tree
+
+
+def _instance(args, default: str):
+    return build_instance(Scenario(args.kind or default, str(args.n), seed=args.seed))
+
+
+# verify name -> args -> report with ok and lines(name); each instance
+# verifier has its own default --kind
+VERIFIERS = {
+    "structure": lambda a: verify_structure_lemma(
+        _instance(a, "uniform"), a.trials, a.seed
+    ),
+    "replacement": lambda a: verify_replacement(_instance(a, "line")),
+    "decomposition": lambda a: verify_cost_decomposition(
+        _instance(a, "random"), a.trials, a.seed
+    ),
+    "scaling": lambda a: verify_scaling(a.count, a.seed),
+    "match-to-self": lambda a: verify_match_to_self(a.count, a.seed),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,30 +62,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="key = value scenario file")
 
     p = sub.add_parser("verify", help="run one of the lemma verifiers")
-    p.add_argument(
-        "which",
-        choices=[
-            "structure",
-            "replacement",
-            "decomposition",
-            "scaling",
-            "match-to-self",
-        ],
-    )
-    p.add_argument(
-        "--n",
-        type=int,
-        default=5,
-        help="instance size (structure, replacement, decomposition)",
-    )
+    p.add_argument("which", choices=list(VERIFIERS))
+    p.add_argument("--n", type=int, default=5, help="points in the fixture metric")
     p.add_argument("--trials", type=int, default=20000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--count", type=int, default=25, help="random instances")
     p.add_argument(
         "--kind",
-        default="line",
         choices=["line", "uniform", "star", "random"],
-        help="fixture metric for the replacement check",
+        help="fixture metric; defaults: structure uniform, replacement line, "
+        "decomposition random",
     )
 
     p = sub.add_parser("opt", help="exact offline optimum of a request list")
@@ -100,56 +102,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _fixture(kind: str, n: int, seed: int):
-    if kind == "line":
-        return line_metric(n)
-    if kind == "uniform":
-        return uniform_metric(n)
-    if kind == "star":
-        return tree_metric(star_tree(n))
-    return tree_metric(random_recursive_tree(n, random.Random(seed)))
-
-
 def _cmd_verify(args) -> int:
-    if args.which == "structure":
-        report = verify_structure_lemma(args.n, args.trials, args.seed)
-        for row in report.rows:
-            print(
-                f"k={row.k} cells={row.categories} chi2={row.statistic:.3f} "
-                f"p={row.pvalue:.4f} {'ok' if row.ok else 'FAIL'}"
-            )
-        print("structure: " + ("ok" if report.ok else "FAIL"))
-        return 0 if report.ok else 2
-    if args.which == "replacement":
-        instance = _fixture(args.kind, args.n, args.seed)
-        report = verify_replacement(instance)
-        for row in report.rows:
-            print(
-                f"k={row.k} subsets={row.e_subsets} iid={row.e_iid} "
-                f"{'ok' if row.ok else 'FAIL'}"
-            )
-        print("replacement: " + ("ok" if report.ok else "FAIL"))
-        return 0 if report.ok else 2
-    if args.which == "decomposition":
-        instance = tree_metric(
-            random_recursive_tree(args.n, random.Random(args.seed))
-        )
-        report = verify_cost_decomposition(instance, args.trials, args.seed)
-        print(f"episodes   {report.mean_alg:.4f} +- {report.stderr_alg:.4f}")
-        print(f"summed     {report.sum_per_size:.4f} +- {report.stderr_sum:.4f}")
-        print(f"3 sigma    {3 * report.combined_sigma:.4f}")
-        print("decomposition: " + ("ok" if report.ok else "FAIL"))
-        return 0 if report.ok else 2
-    if args.which == "scaling":
-        report = verify_scaling(args.count, args.seed)
-    else:
-        report = verify_match_to_self(args.count, args.seed)
-    for failure in report.failures:
-        print(failure)
-    print(
-        f"{args.which}: {report.checked} checks, "
-        + ("ok" if report.ok else "FAIL")
-    )
+    report = VERIFIERS[args.which](args)
+    for line in report.lines(args.which):
+        print(line)
     return 0 if report.ok else 2
 
 

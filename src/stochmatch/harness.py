@@ -19,7 +19,10 @@ bootstrap 95% interval, never a mean of ratios.
 The verify_* functions are the checkable counterparts of the structural
 facts the matcher relies on: free-set uniformity, cost decomposition
 across free-set sizes, subset-versus-iid monotonicity, the canonical
-self-match shape, and the complement scaling identity.
+self-match shape, and the complement scaling identity.  The first three
+take an instance, the last two draw ``count`` random metrics from a
+seed.  Every report has ``ok`` and ``lines(name)``, the text ``stochmatch
+verify`` prints.
 """
 
 from __future__ import annotations
@@ -110,6 +113,10 @@ class Scenario:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.frt_mode not in ("per-trial", "once"):
             raise ValueError(f"unknown frt_mode {self.frt_mode!r}")
+        if self.frt_mode == "once" and self.algorithm != "fair-bias-on-frt":
+            raise ValueError(
+                f"frt_mode applies to fair-bias-on-frt, not {self.algorithm}"
+            )
         if self.distribution not in ("uniform", "geometric", "weights"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
@@ -149,22 +156,24 @@ def parse_scenario(path: str) -> Scenario:
 
 def build_instance(sc: Scenario) -> MetricInstance:
     kind, arg = sc.metric_kind, sc.metric_arg
+    if kind not in ("line", "star", "uniform", "random", "nonmetric", "file"):
+        raise ValueError(f"unknown metric kind {kind!r}")
     if sc.spacing != 1 and kind in ("random", "nonmetric", "file"):
         raise ValueError(f"spacing applies to line, star and uniform, not {kind}")
-    if kind == "line":
-        return line_metric(int(arg), sc.spacing)
-    if kind == "star":
-        return tree_metric(star_tree(int(arg), sc.spacing))
-    if kind == "uniform":
-        return uniform_metric(int(arg), sc.spacing)
-    if kind == "random":
-        gen = _SetupRandom(sc.seed ^ _TREE_SALT)
-        return tree_metric(random_recursive_tree(int(arg), gen))
-    if kind == "nonmetric":
-        return gen_nonmetric_instance(int(arg))
     if kind == "file":
         return load_metric(arg)
-    raise ValueError(f"unknown metric kind {kind!r}")
+    if not arg:
+        raise ValueError(f"metric {kind} needs a size")
+    n = int(arg)
+    if kind == "line":
+        return line_metric(n, sc.spacing)
+    if kind == "star":
+        return tree_metric(star_tree(n, sc.spacing))
+    if kind == "uniform":
+        return uniform_metric(n, sc.spacing)
+    if kind == "random":
+        return tree_metric(random_recursive_tree(n, _SetupRandom(sc.seed ^ _TREE_SALT)))
+    return gen_nonmetric_instance(n)
 
 
 def build_distribution(sc: Scenario, n: int):
@@ -212,8 +221,11 @@ class RunSummary:
         ]
 
 
+_RESAMPLES = 1000  # bootstrap resamples behind the 95% interval
+
+
 def ratio_of_means(
-    algs: list[float], opts: list[float], seed: int, resamples: int = 1000
+    algs: list[float], opts: list[float], seed: int
 ) -> tuple[float, float, float, bool]:
     """Ratio of sample means with a bootstrap percentile interval."""
     a = np.asarray(algs, dtype=float)
@@ -226,9 +238,9 @@ def ratio_of_means(
     gen = np.random.default_rng(seed)
     # ~1M indices at a time, in blocks of rows: the same indices as one draw
     block = max(1, (1 << 20) // len(a))
-    am, om = np.empty(resamples), np.empty(resamples)
-    for lo in range(0, resamples, block):
-        idx = gen.integers(0, len(a), size=(min(block, resamples - lo), len(a)))
+    am, om = np.empty(_RESAMPLES), np.empty(_RESAMPLES)
+    for lo in range(0, _RESAMPLES, block):
+        idx = gen.integers(0, len(a), size=(min(block, _RESAMPLES - lo), len(a)))
         am[lo : lo + block] = a[idx].mean(axis=1)
         om[lo : lo + block] = o[idx].mean(axis=1)
     ratios = np.where(
@@ -433,6 +445,10 @@ def _matching_value(instance: MetricInstance, T, memo: dict) -> Fraction:
     return hit
 
 
+def _verdict(ok: bool) -> str:
+    return "ok" if ok else "FAIL"
+
+
 @dataclass(frozen=True)
 class ChiSquareRow:
     k: int
@@ -441,33 +457,51 @@ class ChiSquareRow:
     pvalue: float
     ok: bool
 
+    def line(self) -> str:
+        return (
+            f"k={self.k} cells={self.categories} chi2={self.statistic:.3f} "
+            f"p={self.pvalue:.4f} {_verdict(self.ok)}"
+        )
+
 
 @dataclass(frozen=True)
-class StructureReport:
-    n: int
-    trials: int
-    rows: tuple[ChiSquareRow, ...]
+class ReplacementRow:
+    k: int
+    e_subsets: Fraction  # uniform k-subset of the servers
+    e_iid: Fraction  # k independent uniform draws (multiset)
+    ok: bool
+
+    def line(self) -> str:
+        verdict = _verdict(self.ok)
+        return f"k={self.k} subsets={self.e_subsets} iid={self.e_iid} {verdict}"
+
+
+@dataclass(frozen=True)
+class RowReport:
+    """One row per free-set size k; ok when every row is."""
+
+    rows: tuple[ChiSquareRow, ...] | tuple[ReplacementRow, ...]
 
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.rows)
 
+    def lines(self, name: str) -> list[str]:
+        return [r.line() for r in self.rows] + [f"{name}: {_verdict(self.ok)}"]
+
 
 def verify_structure_lemma(
-    n: int, trials: int, seed: int, instance: MetricInstance | None = None
-) -> StructureReport:
+    instance: MetricInstance, trials: int, seed: int
+) -> RowReport:
     """Chi-square test that each free set is uniform over its k-subsets."""
     from scipy.stats import chi2  # slow to import; only this verifier needs it
 
+    n = instance.n
     if n > 8:
         raise ValueError("subset space too large to tabulate beyond n=8")
     if n < 2:
         raise ValueError(f"no free set to tabulate with n={n} < 2 points")
     _at_least_one("trials", trials)
-    if instance is None:
-        instance = uniform_metric(n)
-    if instance.n != n:
-        raise ValueError(f"instance has {instance.n} points, not n={n}")
     provider = PlanProvider(instance)
     counts: dict[int, Counter] = {k: Counter() for k in range(1, n)}
     for t in range(trials):
@@ -486,30 +520,12 @@ def verify_structure_lemma(
         )
         pvalue = float(chi2.sf(stat, len(cats) - 1))
         rows.append(ChiSquareRow(k, len(cats), stat, pvalue, pvalue > 0.01))
-    return StructureReport(n, trials, tuple(rows))
-
-
-@dataclass(frozen=True)
-class ReplacementRow:
-    k: int
-    e_subsets: Fraction  # uniform k-subset of the servers
-    e_iid: Fraction  # k independent uniform draws (multiset)
-    ok: bool
-
-
-@dataclass(frozen=True)
-class ReplacementReport:
-    n: int
-    rows: tuple[ReplacementRow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
+    return RowReport(tuple(rows))
 
 
 def verify_replacement(
     instance: MetricInstance, ks: list[int] | None = None
-) -> ReplacementReport:
+) -> RowReport:
     """Exact check that subset-average cost is at most iid-average cost."""
     n = instance.n
     if n > 6:
@@ -538,13 +554,11 @@ def verify_replacement(
         if total_w != 1:
             raise RuntimeError("multiset weights must sum to one")
         rows.append(ReplacementRow(k, e_sub, e_iid, e_sub <= e_iid))
-    return ReplacementReport(n, tuple(rows))
+    return RowReport(tuple(rows))
 
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    n: int
-    trials: int
     mean_alg: float
     stderr_alg: float
     sum_per_size: float
@@ -558,6 +572,14 @@ class DecompositionReport:
     @property
     def ok(self) -> bool:
         return abs(self.mean_alg - self.sum_per_size) <= 3 * self.combined_sigma
+
+    def lines(self, name: str) -> list[str]:
+        return [
+            f"episodes   {self.mean_alg:.4f} +- {self.stderr_alg:.4f}",
+            f"summed     {self.sum_per_size:.4f} +- {self.stderr_sum:.4f}",
+            f"3 sigma    {3 * self.combined_sigma:.4f}",
+            f"{name}: {_verdict(self.ok)}",
+        ]
 
 
 def verify_cost_decomposition(
@@ -595,7 +617,7 @@ def verify_cost_decomposition(
         rhs += mean_k
         var_sum += se_k**2
     return DecompositionReport(
-        n, trials, mean_alg, se_alg, rhs, math.sqrt(var_sum), tuple(per_size)
+        mean_alg, se_alg, rhs, math.sqrt(var_sum), tuple(per_size)
     )
 
 
@@ -607,6 +629,9 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def lines(self, name: str) -> list[str]:
+        return [*self.failures, f"{name}: {self.checked} checks, {_verdict(self.ok)}"]
 
 
 def random_metric(n: int, rng: random.Random, max_d: int = 64) -> MetricInstance:
@@ -627,17 +652,23 @@ def random_metric(n: int, rng: random.Random, max_d: int = 64) -> MetricInstance
     return matrix_metric(d)
 
 
-def verify_match_to_self(
-    count: int, seed: int, max_n: int = 8
-) -> CheckReport:
-    """The canonical plan has the optimal value and pins every diagonal entry."""
+_CASE_MAX_N = 8  # points in the largest random case
+
+
+def _random_cases(count: int, seed: int):
+    """(case, instance, rng) per random metric; a case draws the rest from rng."""
     _at_least_one("count", count)
     rng = random.Random(seed)
+    for case in range(count):
+        yield case, random_metric(rng.randint(2, _CASE_MAX_N), rng), rng
+
+
+def verify_match_to_self(count: int, seed: int) -> CheckReport:
+    """The canonical plan has the optimal value and pins every diagonal entry."""
     failures = []
     checked = 0
-    for case in range(count):
-        n = rng.randint(2, max_n)
-        instance = random_metric(n, rng)
+    for case, instance, rng in _random_cases(count, seed):
+        n = instance.n
         k = rng.randint(1, n)
         T = [rng.randrange(n) for _ in range(k)]
         base = solve_min_cost(instance, T)
@@ -659,17 +690,13 @@ def verify_match_to_self(
     return CheckReport(checked, tuple(failures))
 
 
-def verify_scaling(count: int, seed: int, max_n: int = 8) -> CheckReport:
+def verify_scaling(count: int, seed: int) -> CheckReport:
     """Complement identity over every small subset of random instances."""
-    _at_least_one("count", count)
-    rng = random.Random(seed)
     failures = []
     checked = 0
-    for case in range(count):
-        n = rng.randint(2, max_n)
-        instance = random_metric(n, rng)
-        for k in range(1, n // 2 + 1):
-            for T in combinations(range(n), k):
+    for case, instance, _ in _random_cases(count, seed):
+        for k in range(1, instance.n // 2 + 1):
+            for T in combinations(range(instance.n), k):
                 lhs, rhs, ok = scaling_identity_check(instance, set(T))
                 checked += 1
                 if not ok:

@@ -478,7 +478,18 @@ def frt_embed(instance: MetricInstance, rng: random.Random) -> WeightedTree:
     top = 1
     while (1 << (top - 1)) < diameter:
         top += 1
-    # cluster tree: clusters[level] maps cluster key -> member list
+    # per point, the (distance, center) pairs where the running minimum over
+    # the permutation drops: the first within a radius is the first center
+    # covering the point, and radii only shrink, so a cursor walks them once
+    records = []
+    for p in range(n):
+        row, recs, best = matrix[p], [], diameter + 1
+        for c in order:
+            if row[c] < best:
+                best = row[c]
+                recs.append((best, c))
+        records.append(recs)
+    cursor = [0] * n
     node_count = 1
     edges = []
     # (members, tree node id) at the current level
@@ -489,10 +500,11 @@ def frt_embed(instance: MetricInstance, rng: random.Random) -> WeightedTree:
         for members, node in current:
             groups: dict[int, list[int]] = {}
             for p in members:
-                for c in order:
-                    if matrix[c][p] <= radius:
-                        groups.setdefault(c, []).append(p)
-                        break
+                recs, i = records[p], cursor[p]
+                while recs[i][0] > radius:
+                    i += 1
+                cursor[p] = i
+                groups.setdefault(recs[i][1], []).append(p)
             for c in sorted(groups):
                 child = node_count
                 node_count += 1

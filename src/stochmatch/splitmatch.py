@@ -90,7 +90,6 @@ class Region:
 @dataclass
 class HierarchicalDecomposition:
     tree: WeightedTree  # the ternarized copy the regions live on
-    source: WeightedTree  # the tree the decomposition was asked for
     regions: list[Region] = field(default_factory=list)
     chains: dict[int, list[int]] = field(default_factory=dict)
     # per leaf, aligned with its chain: distance to the end of the region's
@@ -113,7 +112,7 @@ def split_decomposition(tree: WeightedTree) -> HierarchicalDecomposition:
     first is its top, and every other node's parent edge lies inside it.
     """
     tern = ternarize(tree)
-    decomp = HierarchicalDecomposition(tern, tree)
+    decomp = HierarchicalDecomposition(tern)
     decomp.chains = {leaf: [] for leaf in tern.leaf_for_point.values()}
     decomp.offsets = {leaf: [] for leaf in tern.leaf_for_point.values()}
     parent, point, depth = tern.parent, tern.node_point, tern.depth
@@ -253,7 +252,7 @@ def hmatch(
 def run_episode_hier(
     decomp: HierarchicalDecomposition, stream: list[int], rng: random.Random
 ) -> MatchingResult:
-    """One episode of the hierarchical matcher on ``decomp``'s source tree.
+    """One episode of the hierarchical matcher on ``decomp``'s tree.
 
     A step from u to v across the cut of chain index i, the one this
     step's ``hmatch`` crossed, costs offsets[u][i] + offsets[v][i]:
@@ -261,7 +260,7 @@ def run_episode_hier(
     """
     tern, offsets = decomp.tree, decomp.offsets
     leaf_for_point, node_point = tern.leaf_for_point, tern.node_point
-    check_stream(decomp.source.n_points, stream)
+    check_stream(tern.n_points, stream)
     occ = OccupancyState(decomp)
     assignments = []
     costs = []

@@ -81,7 +81,10 @@ def load_distribution(path: str, n: int) -> RequestDistribution:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            pid, w = line.split()
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"weight line {line!r} is not 'point weight'")
+            pid, w = parts
             p = int(pid)
             if not 0 <= p < n:
                 raise ValueError(f"point {pid} outside 0..{n - 1}")

@@ -84,7 +84,10 @@ def test_02_skewed_arrivals_stay_under_nine():
 
 def test_03_free_sets_are_uniform_subsets():
     t0 = time.perf_counter()
-    reports = [verify_structure_lemma(n, 100_000, seed=60 + n) for n in (4, 5)]
+    reports = [
+        verify_structure_lemma(uniform_metric(n), 100_000, seed=60 + n)
+        for n in (4, 5)
+    ]
     min_p = min(row.pvalue for rep in reports for row in rep.rows)
     ok = all(rep.ok for rep in reports)
     _report(

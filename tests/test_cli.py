@@ -2,8 +2,48 @@ from __future__ import annotations
 
 import pytest
 
-from stochmatch.cli import main
-from stochmatch.metrics import dump_metric, line_metric, uniform_metric
+from stochmatch import cli
+from stochmatch.cli import VERIFIERS, main
+from stochmatch.metrics import (
+    dump_metric,
+    line_metric,
+    star_tree,
+    tree_metric,
+    uniform_metric,
+)
+
+# stdout and exit code of deterministic verify commands
+PINNED_VERIFY = {
+    "structure --n 4 --trials 20000 --seed 7": (
+        0,
+        "k=1 cells=4 chi2=4.168 p=0.2439 ok\n"
+        "k=2 cells=6 chi2=2.099 p=0.8353 ok\n"
+        "k=3 cells=4 chi2=2.290 p=0.5144 ok\n"
+        "structure: ok\n",
+    ),
+    "replacement --n 4": (
+        0,
+        "k=1 subsets=5/4 iid=5/4 ok\n"
+        "k=2 subsets=2/3 iid=13/16 ok\n"
+        "k=3 subsets=5/12 iid=43/64 ok\n"
+        "k=4 subsets=0 iid=129/256 ok\n"
+        "replacement: ok\n",
+    ),
+    "replacement --n 5 --kind star": (
+        0,
+        "k=1 subsets=8/5 iid=8/5 ok\n"
+        "k=2 subsets=6/5 iid=32/25 ok\n"
+        "k=3 subsets=4/5 iid=128/125 ok\n"
+        "k=4 subsets=2/5 iid=512/625 ok\n"
+        "k=5 subsets=0 iid=2048/3125 ok\n"
+        "replacement: ok\n",
+    ),
+    "scaling --count 25 --seed 7": (0, "scaling: 949 checks, ok\n"),
+    "match-to-self --count 25 --seed 7": (0, "match-to-self: 25 checks, ok\n"),
+    "structure --n 1": (1, ""),
+    "scaling --count 0": (1, ""),
+    "match-to-self --count 0": (1, ""),
+}
 
 
 @pytest.fixture
@@ -87,6 +127,40 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "count must be >= 1" in captured.err
         assert "ok" not in captured.out
+
+    @pytest.mark.parametrize("which", list(VERIFIERS))
+    def test_every_verifier_runs(self, which, capsys):
+        args = ["--n", "3", "--trials", "200", "--count", "2", "--seed", "1"]
+        assert main(["verify", which, *args]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith(f"{which}: ")
+
+    @pytest.mark.parametrize("command", list(PINNED_VERIFY))
+    def test_pinned_output(self, command, capsys):
+        rc, out = PINNED_VERIFY[command]
+        assert main(["verify", *command.split()]) == rc
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize(
+        "which, name",
+        [
+            ("structure", "verify_structure_lemma"),
+            ("decomposition", "verify_cost_decomposition"),
+        ],
+    )
+    def test_kind_reaches_the_instance(self, which, name, monkeypatch, capsys):
+        # --kind was read by replacement only; the others ran their fixture
+        seen = []
+        real = getattr(cli, name)
+
+        def spy(instance, trials, seed):
+            seen.append(instance)
+            return real(instance, trials, seed)
+
+        monkeypatch.setattr(cli, name, spy)
+        args = ["--n", "4", "--kind", "star", "--trials", "300", "--seed", "3"]
+        assert main(["verify", which, *args]) == 0
+        assert seen[0].matrix == tree_metric(star_tree(4)).matrix
+        assert f"{which}: ok" in capsys.readouterr().out
 
     def test_match_to_self(self, capsys):
         rc = main(["verify", "match-to-self", "--count", "5", "--seed", "4"])

@@ -109,8 +109,23 @@ class TestParseScenario:
         with pytest.raises(ValueError, match="distribution"):
             Scenario("line", "4", distribution="zipf")
 
+    @pytest.mark.parametrize("algorithm", ["fair-bias", "split-match", "max-weight"])
+    def test_frt_mode_once_refused_where_it_does_not_apply(self, tmp_path, algorithm):
+        # frt_mode = once beside plain fair-bias ran it and printed a summary
+        text = f"metric = line 4\nalgorithm = {algorithm}\nfrt_mode = once\n"
+        with pytest.raises(ValueError, match=f"fair-bias-on-frt, not {algorithm}$"):
+            parse_scenario(_scenario_file(tmp_path, text))
+        Scenario("line", "4", algorithm=algorithm, frt_mode="per-trial")
+
 
 class TestBuildInstance:
+    @pytest.mark.parametrize("kind", ["line", "star", "uniform", "random", "nonmetric"])
+    def test_generator_needs_a_size(self, tmp_path, kind):
+        # "metric = line" with no size failed in int('')
+        sc = parse_scenario(_scenario_file(tmp_path, f"metric = {kind}\n"))
+        with pytest.raises(ValueError, match=f"^metric {kind} needs a size$"):
+            build_instance(sc)
+
     def test_line_with_spacing(self):
         inst = build_instance(Scenario("line", "3", spacing=4))
         assert inst.matrix[0][2] == 8
@@ -370,21 +385,14 @@ class TestNonmetric:
 
 class TestVerifiers:
     def test_structure_small(self):
-        report = verify_structure_lemma(2, 600, seed=5)
+        report = verify_structure_lemma(uniform_metric(2), 600, seed=5)
         assert report.ok
         assert [r.k for r in report.rows] == [1]
         assert report.rows[0].categories == 2
 
     def test_structure_size_cap(self):
         with pytest.raises(ValueError, match="n=8"):
-            verify_structure_lemma(9, 10, seed=0)
-
-    @pytest.mark.parametrize("n, points", [(3, 5), (5, 3)])
-    def test_structure_instance_size_must_match(self, n, points):
-        # n=3 on 5 points never finished an episode yet reported ok;
-        # n=5 on 3 points raised IndexError
-        with pytest.raises(ValueError, match=f"{points} points, not n={n}"):
-            verify_structure_lemma(n, 10, seed=0, instance=uniform_metric(points))
+            verify_structure_lemma(uniform_metric(9), 10, seed=0)
 
     def test_replacement_first_moment_matches(self):
         report = verify_replacement(line_metric(4))
@@ -393,16 +401,16 @@ class TestVerifiers:
         assert k1.k == 1
         assert k1.e_subsets == k1.e_iid == F(5, 4)
 
-    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("n", [1])
     def test_structure_needs_two_points(self, n):
         # n < 2 tabulated no free set and reported ok
         with pytest.raises(ValueError, match=f"n={n} < 2"):
-            verify_structure_lemma(n, 10, seed=0)
+            verify_structure_lemma(uniform_metric(n), 10, seed=0)
 
     def test_verifiers_need_a_trial(self):
         # trials=0 divided by zero in both
         with pytest.raises(ValueError, match="trials"):
-            verify_structure_lemma(3, 0, seed=0)
+            verify_structure_lemma(uniform_metric(3), 0, seed=0)
         with pytest.raises(ValueError, match="trials"):
             verify_cost_decomposition(line_metric(3), trials=0, seed=0)
 
@@ -432,7 +440,7 @@ class TestVerifiers:
         assert report.checked == 10
 
     def test_scaling_random_instances(self):
-        report = verify_scaling(5, seed=2, max_n=6)
+        report = verify_scaling(5, seed=2)
         assert report.ok
         assert report.checked >= 5
 

@@ -193,7 +193,61 @@ class TestMetricValidation:
         assert inst.dist(2, 2) == 0
 
 
+def scan_frt_embed(instance, rng: random.Random) -> WeightedTree:
+    """Reference embedding: scans the permutation per point per level.
+
+    Same draws and clusters as ``frt_embed`` for n >= 2 and a positive
+    diameter; finds each point's center by the first-covering scan.
+    """
+    n, matrix = instance.n, instance.matrix
+    diameter = max(max(row) for row in matrix)
+    order = list(range(n))
+    rng.shuffle(order)
+    beta = 2.0 ** rng.random()
+    top = 1
+    while (1 << (top - 1)) < diameter:
+        top += 1
+    node_count, edges = 1, []
+    current = [(list(range(n)), 0)]
+    for level in range(top - 1, -1, -1):
+        radius = beta * (1 << level) / 2.0
+        nxt = []
+        for members, node in current:
+            groups: dict[int, list[int]] = {}
+            for p in members:
+                c = next(c for c in order if matrix[c][p] <= radius)
+                groups.setdefault(c, []).append(p)
+            for c in sorted(groups):
+                edges.append((node, node_count, 1 << (level + 1)))
+                nxt.append((groups[c], node_count))
+                node_count += 1
+        current = nxt
+    leaf_for_point = {}
+    for members, node in current:
+        for p in members:
+            edges.append((node, node_count, 0))
+            leaf_for_point[p] = node_count
+            node_count += 1
+    return WeightedTree(node_count, edges, leaf_for_point)
+
+
 class TestFrtEmbedding:
+    def test_matches_the_permutation_scan(self):
+        from stochmatch.harness import random_metric
+
+        rng = random.Random(3)
+        instances = [
+            line_metric(256),
+            tree_metric(random_recursive_tree(256, random.Random(4))),
+        ] + [random_metric(rng.randint(2, 30), rng) for _ in range(60)]
+        for inst in instances:
+            for seed in range(3):
+                got = frt_embed(inst, random.Random(seed))
+                want = scan_frt_embed(inst, random.Random(seed))
+                assert got.num_nodes == want.num_nodes
+                assert got.edges == want.edges
+                assert got.leaf_for_point == want.leaf_for_point
+
     def test_refuses_unchecked(self):
         with pytest.raises(ValueError, match="checked"):
             frt_embed(matrix_unchecked([[0, 2], [2, 0]]), random.Random(0))

@@ -95,6 +95,15 @@ class TestLoadDistribution:
         with pytest.raises(ValueError, match="duplicate weight line for point 0"):
             load_distribution(str(p), 3)
 
+    @pytest.mark.parametrize("line", ["0 1 2", "3"])
+    def test_malformed_line_rejected(self, tmp_path, line):
+        # failed with "too many values to unpack (expected 2)"
+        p = tmp_path / "dist.txt"
+        p.write_text(f"1 1\n{line}  # note\n")
+        with pytest.raises(ValueError) as err:
+            load_distribution(str(p), 4)
+        assert str(err.value) == f"weight line {line!r} is not 'point weight'"
+
     def test_all_zero_rejected(self, tmp_path):
         p = tmp_path / "dist.txt"
         p.write_text("\n")

@@ -229,5 +229,5 @@ def test_free_sets_are_uniform_on_trees():
         line_metric(5),
         tree_metric(random_recursive_tree(5, random.Random(65))),
     ):
-        report = verify_structure_lemma(5, 40_000, seed=71, instance=instance)
+        report = verify_structure_lemma(instance, 40_000, seed=71)
         assert report.ok, [(row.k, row.pvalue) for row in report.rows]
