@@ -15,6 +15,13 @@ and solve_max_weight.
 co-located mass to itself, the one the fair-bias sampler draws from:
 canonical_plan.
 
+Each core takes optional ``duals``: 2n potentials, a row potential per
+point (server) then a column potential per point (location), None where
+a column has none yet.  A solve starts from those of its rows and
+columns and writes their final values back, so the next solve over a
+smaller free set starts from this one's optimal duals (see
+``flows.transport``).  The public solves below always start cold.
+
 On trees no plan is built.  Optimal transport there has one edge flow:
 tree_walk samples one column entry of it by walking it back from the
 request, from free-point counts per node (free_below, kept current by
@@ -105,7 +112,27 @@ def check_gains(weights) -> int:
     return n
 
 
-def _units(cost_rows, counts, location_weights: list[int]):
+def _plan(rows, cols, supplies, demands, cost_rows, duals):
+    """``flows.transport`` between points; cost and (row, col, units) triples.
+
+    ``duals``, if not None, holds 2n potentials: a row potential per
+    point, then a column potential per point (None where the point has
+    none yet).  The solve starts from those of ``rows`` and ``cols`` and
+    writes their final values back.
+    """
+    if duals is None:
+        cost, flows = transport(supplies, demands, cost_rows)
+    else:
+        n = len(duals) // 2
+        slots = [*rows, *(n + j for j in cols)]
+        local = [duals[p] for p in slots]
+        cost, flows = transport(supplies, demands, cost_rows, local)
+        for p, v in zip(slots, local):
+            duals[p] = v
+    return cost, [(rows[a], cols[b], f) for (a, b), f in flows.items()]
+
+
+def _units(cost_rows, counts, location_weights: list[int], duals=None):
     """Cost and row-major (server, location, units) triples of the plan.
 
     Server i ships counts[i] * W units, location j with w_j > 0 takes
@@ -115,15 +142,17 @@ def _units(cost_rows, counts, location_weights: list[int]):
     total = sum(location_weights)
     lefts = sorted(counts)
     spots = [j for j, w in enumerate(location_weights) if w > 0]
-    cost, flows = transport(
+    return _plan(
+        lefts,
+        spots,
         [counts[i] * total for i in lefts],
         [k * location_weights[j] for j in spots],
         [[cost_rows[i][j] for j in spots] for i in lefts],
+        duals,
     )
-    return cost, [(lefts[a], spots[b], f) for (a, b), f in flows.items()]
 
 
-def _canonical_units(matrix, counts, n: int):
+def _canonical_units(matrix, counts, n: int, duals=None):
     """Cost and off-diagonal triples of the canonical plan, in n * k units.
 
     Point i keeps min(n * c_i, k) units on itself; the surpluses
@@ -135,19 +164,34 @@ def _canonical_units(matrix, counts, n: int):
     if not rows:
         return 0, []
     cols = [j for j in range(n) if n * counts.get(j, 0) < k]
-    cost, flows = transport(
+    return _plan(
+        rows,
+        cols,
         [n * counts[i] - k for i in rows],
         [k - n * counts.get(j, 0) for j in cols],
         [[matrix[i][j] for j in cols] for i in rows],
+        duals,
     )
-    return cost, [(rows[a], cols[b], f) for (a, b), f in flows.items()]
 
 
-def _gain_units(weights, counts, location_weights: list[int]):
-    """Shift (the largest gain in a free row) and ``_units`` of shift - gain."""
+def _gain_units(weights, counts, location_weights: list[int], duals=None):
+    """Shift (the largest gain in a free row) and ``_units`` of shift - gain.
+
+    Row duals are kept against -gain, which no shift moves: the solve
+    reads u - shift and writes u + shift back.  So when the shift drops
+    by d as rows leave, lowering every arc by d, every row potential
+    the solve sees rises by d and stays feasible.
+    """
     shift = max(max(weights[i]) for i in counts)
     shifted = {i: [shift - w for w in weights[i]] for i in counts}
-    return (shift, *_units(shifted, counts, location_weights))
+    if duals is not None:
+        for i in counts:
+            duals[i] -= shift
+    cost, units = _units(shifted, counts, location_weights, duals)
+    if duals is not None:
+        for i in counts:
+            duals[i] += shift
+    return shift, cost, units
 
 
 def _matching(counts, location_weights, cost: int, units) -> FractionalMatching:

@@ -20,15 +20,25 @@ canonical plan's off-diagonal units on checked matrix metrics
 instances, the shifted plan's for maximum weight.  These providers
 memoize plans per free set up to ``memo_max_n`` points, past which free
 sets rarely recur, and stop adding plans once ``memo_max_plans`` are
-held; the solver is deterministic, so memoization cannot change behavior.
-Tree providers keep no memo: the walk needs none.
+held; they solve every plan cold, from zero potentials, so a memoized
+plan does not depend on the episode that solved it first, and
+memoization cannot change behavior.  Past ``memo_max_n`` a provider
+keeps no memo and warm-starts instead: the episode's ``OnlineState``
+carries the potentials of its last plan solve (``plan_duals``, made at
+the first solve, so tree episodes never hold them), and the next
+arrival's solve starts from them.  Consecutive free sets differ by the
+servers just taken, and the last optimal duals stay feasible for the
+new plan, so every plan is still an exact optimum.  Where optimal plans
+tie, the one drawn from may depend on the episode's earlier solves,
+which keeps free sets uniform and the expected step cost M(T).
+Tree providers keep neither memo nor duals: the walk needs neither.
 
 Every provider exposes ``sample(state, r, rng)``, which returns the
-server and the step's cost or gain, ``columns(free)``, the cost-or-gain
-``matrix``, the expected ``column_mass(r, k)`` and ``canonical``.  On a
-tree ``matrix`` is the instance's table, built on first read, and
-``columns`` is the canonical plan of that table, like any checked
-metric's; the walk never asks for either.
+server and the step's cost or gain, ``columns(free, duals=None)``, the
+cost-or-gain ``matrix``, the expected ``column_mass(r, k)`` and
+``canonical``.  On a tree ``matrix`` is the instance's table, built on
+first read, and ``columns`` is the canonical plan of that table, like
+any checked metric's; the walk never asks for either.
 
 An episode is ``run_episode(provider, stream, rng)``: the provider is
 the only source of the instance, and the trial's generator drives every
@@ -72,13 +82,25 @@ class OnlineState:
     ``free_set`` gives O(1) membership and removal; ``free`` builds the
     sorted tuple that plan memos key on, only when asked.  A tree
     provider's free-point counts per node are built on first use by
-    ``below`` and kept current by ``remove``.
+    ``below`` and kept current by ``remove``.  A warm-starting provider's
+    plan potentials are made on first use by ``plan_duals``.
     """
 
     def __init__(self, free_set: set[int]):
         self.free_set = free_set
         self._tree: WeightedTree | None = None  # whose counts _below holds
         self._below: list[int] = []
+        self._duals: list[int | None] | None = None  # made by plan_duals
+
+    def plan_duals(self, n: int) -> list[int | None]:
+        """The potentials warm plan solves start from and write back.
+
+        A row potential per point, then a column potential per point:
+        zero rows and no columns (None) at the episode's first solve.
+        """
+        if self._duals is None:
+            self._duals = [0] * n + [None] * n
+        return self._duals
 
     @property
     def free(self) -> tuple[int, ...]:
@@ -138,30 +160,41 @@ class PlanProvider:
         if tree is not None:
             return tree_walk(tree, state.below(tree), state.k, self.n, request, rng)
         mass = self.column_mass(request, state.k)
-        server = draw(self.columns(state.free)[request], mass, rng)
+        duals = None if self._memo is not None else state.plan_duals(self.n)
+        server = draw(self.columns(state.free, duals)[request], mass, rng)
         return server, self.matrix[server][request]
 
     def column_mass(self, request: int, k: int) -> int:
         """Units in column ``request`` when k servers are free."""
         return k
 
-    def columns(self, free: tuple[int, ...]) -> dict[int, Column]:
-        if self._memo is not None:
-            hit = self._memo.get(free)
+    def columns(
+        self, free: tuple[int, ...], duals: list[int | None] | None = None
+    ) -> dict[int, Column]:
+        """Sampling columns of the plan of ``free``, by location.
+
+        With ``duals`` (``OnlineState.plan_duals``) the solve starts from
+        them and writes them back, and the memo is not read or written.
+        """
+        memo = self._memo if duals is None else None
+        if memo is not None:
+            hit = memo.get(free)
             if hit is not None:
                 return hit
-        cols = self._build(free)
-        if self._memo is not None and len(self._memo) < self.memo_max_plans:
-            self._memo[free] = cols
+        cols = self._build(free, duals)
+        if memo is not None and len(memo) < self.memo_max_plans:
+            memo[free] = cols
         return cols
 
-    def _build(self, free: tuple[int, ...]) -> dict[int, Column]:
+    def _build(
+        self, free: tuple[int, ...], duals: list[int | None] | None
+    ) -> dict[int, Column]:
         # n*k units: the canonical plan's off-diagonal part, or the full plan
         counts = dict.fromkeys(free, 1)
         if self.canonical:
-            _, units = _canonical_units(self.matrix, counts, self.n)
+            _, units = _canonical_units(self.matrix, counts, self.n, duals)
         else:
-            _, units = _units(self.matrix, counts, [1] * self.n)
+            _, units = _units(self.matrix, counts, [1] * self.n, duals)
         return _by_location(units)
 
 
@@ -250,7 +283,10 @@ class MaxWeightProvider(PlanProvider):
             raise ValueError(f"arrival at zero-probability location {request}")
         return k * w_r
 
-    def _build(self, free: tuple[int, ...]) -> dict[int, Column]:
+    def _build(
+        self, free: tuple[int, ...], duals: list[int | None] | None
+    ) -> dict[int, Column]:
         # k*W units, W the total location weight
         counts = dict.fromkeys(free, 1)
-        return _by_location(_gain_units(self.weights, counts, self.location_weights)[2])
+        units = _gain_units(self.weights, counts, self.location_weights, duals)[2]
+        return _by_location(units)

@@ -10,6 +10,15 @@ on the arcs of zero reduced cost.  Everything is integer arithmetic:
 capacities, costs and flows are Python ints, so results are exact at
 any magnitude.
 
+Warm starts: ``transport(..., duals=...)`` starts the solve from a
+potential per row and per column, and writes the final ones back, so a
+caller that re-solves a slightly changed problem (the online
+providers, once per arrival) starts each solve from the last one's
+optimal duals.  Duals are potentials p with c_ab + p_a - p_b >= 0 on
+every row/column arc; any such p is a valid start, the plan is optimal
+whatever p is, and only the number of phases depends on it.  With
+``duals=None`` the solve starts from zero potentials.
+
 Determinism: arcs keep insertion order, every search scans them in that
 order and Dijkstra breaks ties by node index, so identical inputs
 produce identical flows.
@@ -73,13 +82,20 @@ class MinCostFlow:
         """Units currently routed through arc idx (its reverse residual)."""
         return self.cap[idx ^ 1]
 
-    def min_cost_flow(self, s: int, t: int, maxf: int) -> tuple[int, int]:
+    def min_cost_flow(
+        self, s: int, t: int, maxf: int, potential: list[int] | None = None
+    ) -> tuple[int, int]:
         """Push up to maxf units from s to t; returns (flow, cost).
 
-        Raises ValueError if fewer than maxf units can be routed, so
-        callers can rely on exact saturation.
+        Starts from ``potential`` (one per node, default all zero), which
+        must leave every residual arc at non-negative reduced cost
+        cost + p[u] - p[v]; the list is updated in place to the final
+        potentials.  Raises ValueError if fewer than maxf units can be
+        routed, so callers can rely on exact saturation.
         """
-        potential = [0] * self.n
+        if potential is None:
+            potential = [0] * self.n
+        self._check_reduced_costs(potential)
         total_flow = 0
         total_cost = 0
         while total_flow < maxf:
@@ -92,6 +108,19 @@ class MinCostFlow:
             total_flow += pushed
             total_cost += pushed * length
         return total_flow, total_cost
+
+    def _check_reduced_costs(self, potential: list[int]) -> None:
+        """Raise ValueError unless every residual arc has reduced cost >= 0."""
+        if len(potential) != self.n:
+            raise ValueError(f"need {self.n} potentials, got {len(potential)}")
+        to, cap, cost = self.to, self.cap, self.cost
+        for u, arcs in enumerate(self.adj):
+            pu = potential[u]
+            for idx in arcs:
+                if cap[idx] > 0 and cost[idx] + pu < potential[to[idx]]:
+                    raise ValueError(
+                        f"potentials leave arc {u}->{to[idx]} at negative reduced cost"
+                    )
 
     def _raise_potentials(self, s: int, t: int, potential: list[int]) -> int | None:
         """One phase's Dijkstra on reduced costs, stopped once t is settled.
@@ -224,6 +253,7 @@ def transport(
     supplies: Sequence[int],
     demands: Sequence[int],
     cost_rows: Sequence[Sequence[int]],
+    duals: list[int | None] | None = None,
 ) -> tuple[int, dict[tuple[int, int], int]]:
     """Min-cost transportation plan; returns (cost, flows).
 
@@ -231,6 +261,16 @@ def transport(
     and a unit from a to b costs cost_rows[a][b] (non-negative).  Every
     row/column arc is uncapacitated.  flows maps (row index, column
     index) to its positive integer flow, in row-major order.
+
+    ``duals``, if given, holds a potential per row then per column and
+    must satisfy u_a + c_ab >= v_b; a column's None means it has none
+    yet and gets min_a(u_a + c_ab).  The source and sink arcs are priced
+    u_a - min u and max v - v_b, so every row and column starts at
+    reduced distance 0 from the source and to the sink: the pseudoflow
+    start of Ahuja, Magnanti & Orlin, *Network Flows*, section 9.7.
+    Every row and column saturates, so that pricing adds the same
+    constant to every plan, and the returned cost is the plan's sum c * x.
+    The final potentials are written back into ``duals``.
     """
     total = sum(supplies)
     if total != sum(demands):
@@ -238,25 +278,42 @@ def transport(
             f"supplies ({total}) and demands ({sum(demands)}) must balance"
         )
     m, n = len(supplies), len(demands)
+    if duals is None:
+        row_p, col_p = [0] * m, [0] * n
+    elif len(duals) != m + n:
+        raise ValueError(f"need {m + n} duals, got {len(duals)}")
+    else:
+        row_p = duals[:m]
+        col_p = [
+            min((u + row[b] for u, row in zip(row_p, cost_rows)), default=0)
+            if v is None
+            else v
+            for b, v in enumerate(duals[m:])
+        ]
+    low = min(row_p, default=0)
+    high = max(col_p, default=0)
     # nodes: 0 source, 1..m rows, m+1..m+n columns, m+n+1 sink
     g = MinCostFlow(m + n + 2)
     sink = m + n + 1
     for a, units in enumerate(supplies):
-        g.add_edge(0, 1 + a, units, 0)
+        g.add_edge(0, 1 + a, units, row_p[a] - low)
     arcs = [
         [g.add_edge(1 + a, 1 + m + b, total, row[b]) for b in range(n)]
         for a, row in enumerate(cost_rows)
     ]
     for b, units in enumerate(demands):
-        g.add_edge(1 + m + b, sink, units, 0)
-    _, cost = g.min_cost_flow(0, sink, total)
+        g.add_edge(1 + m + b, sink, units, high - col_p[b])
+    potential = [low, *row_p, *col_p, high]
+    g.min_cost_flow(0, sink, total, potential)
+    if duals is not None:
+        duals[:] = potential[1:sink]
     flows = {}
     for a, row_arcs in enumerate(arcs):
         for b, idx in enumerate(row_arcs):
             f = g.flow_on(idx)
             if f > 0:
                 flows[(a, b)] = f
-    return cost, flows
+    return sum(cost_rows[a][b] * f for (a, b), f in flows.items()), flows
 
 
 def column(pairs: Iterable[tuple[object, int]]) -> Column:

@@ -164,7 +164,12 @@ def build_instance(sc: Scenario) -> MetricInstance:
         return load_metric(arg)
     if not arg:
         raise ValueError(f"metric {kind} needs a size")
-    n = int(arg)
+    try:
+        n = int(arg)
+    except ValueError:
+        raise ValueError(
+            f"metric {kind} {arg}: the size must be an integer"
+        ) from None
     if kind == "line":
         return line_metric(n, sc.spacing)
     if kind == "star":

@@ -95,6 +95,33 @@ def test_negative_arc_cost_rejected():
         transport([0, 2], [2, 0], [[2, 1], [-1, 2]])
 
 
+def test_start_potentials_with_a_negative_reduced_cost_rejected():
+    # arc 0->1 costs 2, and 2 + p[0] - p[1] = -1 under these potentials
+    f = MinCostFlow(3)
+    f.add_edge(0, 1, 1, 2)
+    f.add_edge(1, 2, 1, 0)
+    with pytest.raises(ValueError, match="arc 0->1 at negative reduced cost"):
+        f.min_cost_flow(0, 2, 1, [0, 3, 3])
+    with pytest.raises(ValueError, match="need 3 potentials, got 2"):
+        f.min_cost_flow(0, 2, 1, [0, 0])
+    assert f.flow_on(0) == 0
+
+
+def test_feasible_start_potentials_give_the_same_optimum():
+    # 2 units on 0-1-3 at 2 each, then 0-1 is full and one unit takes 0-2-3
+    arcs = [(0, 1, 2, 1), (1, 3, 2, 1), (0, 2, 2, 5), (2, 3, 2, 5), (1, 2, 1, 0)]
+    for start in (None, [0, 1, 1, 2], [5, 6, 6, 7]):
+        f = MinCostFlow(4)
+        for arc in arcs:
+            f.add_edge(*arc)
+        potential = None if start is None else list(start)
+        assert f.min_cost_flow(0, 3, 3, potential) == (3, 14)
+        if potential is not None:
+            # updated in place to potentials that certify the final flow
+            assert potential != start
+            f._check_reduced_costs(potential)
+
+
 def _lp_optimum(n, arcs, s, t, units=None):
     """The arc LP on the same digraph: the max flow value when units is
     None, else the min cost of sending units from s to t."""

@@ -126,6 +126,14 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match=f"^metric {kind} needs a size$"):
             build_instance(sc)
 
+    @pytest.mark.parametrize("kind", ["line", "star", "uniform", "random", "nonmetric"])
+    @pytest.mark.parametrize("arg", ["abc", "4 extra"])
+    def test_generator_size_must_be_an_integer(self, kind, arg):
+        # reported as int()'s own parse error, which names no metric line
+        message = f"^metric {kind} {arg}: the size must be an integer$"
+        with pytest.raises(ValueError, match=message):
+            build_instance(Scenario(kind, arg))
+
     def test_line_with_spacing(self):
         inst = build_instance(Scenario("line", "3", spacing=4))
         assert inst.matrix[0][2] == 8

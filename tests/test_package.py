@@ -92,17 +92,28 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
-# every algorithm, and the wrapped route skewed arrivals take: the
-# scenario line that picks it, and spans its replay must record
+# every algorithm, the wrapped route skewed arrivals take, and a matrix
+# route past the plan memo's size, where every arrival warm-starts a plan
+# solve: the scenario lines that pick it, and spans its replay must record
 TRACED_ROUTES = {
-    "fair-bias": ("", {"offline.opt_tree"}),
+    "fair-bias": ("metric = random 8", {"offline.opt_tree"}),
     "split-match": (
-        "algorithm = split-match",
+        "metric = random 8\nalgorithm = split-match",
         {"splitmatch.decomposition", "splitmatch.hmatch"},
     ),
-    "fair-bias-on-frt": ("algorithm = fair-bias-on-frt", {"offline.opt_tree"}),
-    "max-weight": ("algorithm = max-weight", {"fairbias.columns"}),
-    "wrapped": ("distribution = geometric", {"transship.solve", "transship.relocate"}),
+    "fair-bias-on-frt": (
+        "metric = random 8\nalgorithm = fair-bias-on-frt",
+        {"offline.opt_tree"},
+    ),
+    "max-weight": ("metric = random 8\nalgorithm = max-weight", {"fairbias.columns"}),
+    "wrapped": (
+        "metric = random 8\ndistribution = geometric",
+        {"transship.solve", "transship.relocate"},
+    ),
+    "matrix": (
+        "metric = uniform 24",
+        {"fairbias.columns", "flows.solve", "offline.opt_general"},
+    ),
 }
 
 
@@ -110,10 +121,11 @@ TRACED_ROUTES = {
 def test_benchmark_tracer_installs_and_replays_a_tree_scenario(tmp_path, route):
     # bench/tracing.py wraps package names in place, so a refactor that
     # drops or moves one of them, or that plays an episode through a name
-    # the tracer does not mark, must fail here as well as in the bench
-    scenario = tmp_path / "tree.scenario"
-    line, spans = TRACED_ROUTES[route]
-    scenario.write_text(f"metric = random 8\ntrials = 2\nseed = 3\n{line}\n")
+    # the tracer does not mark, must fail here as well as in the bench;
+    # every route but "matrix" runs on a tree
+    scenario = tmp_path / "route.scenario"
+    lines, spans = TRACED_ROUTES[route]
+    scenario.write_text(f"{lines}\ntrials = 2\nseed = 3\n")
     code = (
         "import sys, tracing, stochmatch.harness as harness\n"
         "probe = tracing.Probe(True)\n"

@@ -51,6 +51,58 @@ def test_transport_matches_hand_built_graph(data):
         assert sum(f for (_, j), f in flows.items() if j == b) == d
 
 
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_warm_duals_keep_the_optimum_and_come_back_feasible(data):
+    # any feasible start, with some columns left to the min rule, gives
+    # an optimal plan with exact marginals and feasible final duals
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 5))
+    supplies = data.draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
+    total = sum(supplies)
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    demands = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    cost_rows = data.draw(
+        st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+    rows = data.draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m))
+    cols = []
+    for b in range(n):
+        ceiling = min(u + row[b] for u, row in zip(rows, cost_rows))
+        slack = data.draw(st.none() | st.integers(0, 5))
+        cols.append(None if slack is None else ceiling - slack)
+    duals = rows + cols
+    cold_cost, _ = transport(supplies, demands, cost_rows)
+    cost, flows = transport(supplies, demands, cost_rows, duals)
+    assert cost == cold_cost
+    assert cost == sum(cost_rows[a][b] * f for (a, b), f in flows.items())
+    for a, s in enumerate(supplies):
+        assert sum(f for (i, _), f in flows.items() if i == a) == s
+    for b, d in enumerate(demands):
+        assert sum(f for (_, j), f in flows.items() if j == b) == d
+    assert None not in duals
+    for a, row in enumerate(cost_rows):
+        for b, c in enumerate(row):
+            assert c + duals[a] >= duals[m + b]
+            if (a, b) in flows:
+                assert c + duals[a] == duals[m + b]
+
+
+def test_warm_duals_checked():
+    with pytest.raises(ValueError, match="need 3 duals, got 2"):
+        transport([1], [1, 0], [[0, 0]], [0, 0])
+    # column 0 at 5 > row 0 at 0 plus cost 1
+    with pytest.raises(ValueError, match="negative reduced cost"):
+        transport([1], [1], [[1]], [0, 5])
+
+
+def test_new_column_gets_the_min_rule():
+    duals = [0, 3, None]
+    transport([1, 1], [2], [[4], [2]], duals)
+    # row 1 sends at 3 + 2 = 5, the tightest, and both rows are used
+    assert duals[2] - duals[0] == 4 and duals[2] - duals[1] == 2
+
+
 def test_transport_rejects_unbalanced_totals():
     with pytest.raises(ValueError, match="balance"):
         transport([2, 1], [2], [[0], [0]])
