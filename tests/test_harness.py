@@ -462,7 +462,9 @@ class TestVerifiers:
 # per-trial (alg_cost, opt_cost, reloc_cost, step_costs) of four trials
 # from seed 41, one route of each runner; the four tree-backed fair-bias
 # routes (fair-bias-tree, wrapped-geometric, frt-*) draw servers with the
-# tree flow walk, and their optima are those of the plan-column draw
+# tree flow walk, and their optima are those of the plan-column draw.
+# The *-warm routes run past the plan memo's size, so every plan they
+# draw from is a warm-started solve
 GOLDEN_ROUTES = {
     "fair-bias-tree": (
         dict(metric_kind="random", metric_arg="7"),
@@ -515,6 +517,36 @@ GOLDEN_ROUTES = {
          (13, 13, 0, [3, 2, 3, 4, 1]),
          (12, 12, 0, [3, 1, 3, 4, 1]),
          (9, 11, 0, [1, 4, 3, 1, 0])],
+    ),
+    "matrix-warm": (
+        dict(metric_kind="uniform", metric_arg="24"),
+        [(11, 10, 0, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1,
+                      1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 1]),
+         (11, 8, 0, [0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 1,
+                     0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1]),
+         (13, 7, 0, [0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1,
+                     1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1]),
+         (13, 12, 0, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1,
+                      0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1])],
+    ),
+    "unchecked-warm": (
+        dict(metric_kind="nonmetric", metric_arg="22"),
+        [(2058, 9, 0, [0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1,
+                       0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 2048]),
+         (8, 7, 0, [0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0,
+                    0, 0, 0, 1, 1, 0, 1, 0, 1, 1, 1]),
+         (11, 6, 0, [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1,
+                     0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1]),
+         (2058, 10, 0, [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1,
+                        0, 1, 1, 1, 1, 1, 0, 1, 1, 1, 2048])],
+    ),
+    "max-weight-warm": (
+        dict(metric_kind="line", metric_arg="14", distribution="geometric",
+             algorithm="max-weight"),
+        [(86, 88, 0, [8, 7, 2, 7, 11, 6, 2, 10, 5, 4, 10, 11, 3, 0]),
+         (89, 89, 0, [12, 2, 5, 8, 10, 11, 8, 7, 3, 1, 6, 4, 5, 7]),
+         (90, 90, 0, [4, 8, 8, 3, 11, 4, 9, 10, 6, 12, 7, 2, 4, 2]),
+         (85, 87, 0, [12, 7, 6, 3, 5, 2, 10, 8, 2, 9, 3, 9, 5, 4])],
     ),
 }
 
