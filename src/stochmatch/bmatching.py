@@ -15,12 +15,11 @@ and solve_max_weight.
 co-located mass to itself, the one the fair-bias sampler draws from:
 canonical_plan.
 
-Each core takes optional ``duals``: 2n potentials, a row potential per
-point (server) then a column potential per point (location), None where
-a column has none yet.  A solve starts from those of its rows and
-columns and writes their final values back, so the next solve over a
-smaller free set starts from this one's optimal duals (see
-``flows.transport``).  The public solves below always start cold.
+Each core takes optional ``duals``: a row potential per point (server).
+A solve starts from those of its rows, every column from the tightest
+potential they allow, and writes the rows' final values back, so the
+next solve over a smaller free set starts from this one's optimal duals
+(see ``flows.transport``).  The public solves below always start cold.
 
 On trees no plan is built.  Optimal transport there has one edge flow:
 tree_walk samples one column entry of it by walking it back from the
@@ -115,19 +114,13 @@ def check_gains(weights) -> int:
 def _plan(rows, cols, supplies, demands, cost_rows, duals):
     """``flows.transport`` between points; cost and (row, col, units) triples.
 
-    ``duals``, if not None, holds 2n potentials: a row potential per
-    point, then a column potential per point (None where the point has
-    none yet).  The solve starts from those of ``rows`` and ``cols`` and
-    writes their final values back.
+    ``duals``, if not None, holds a row potential per point.  The solve
+    starts from those of ``rows`` and writes their final values back.
     """
-    if duals is None:
-        cost, flows = transport(supplies, demands, cost_rows)
-    else:
-        n = len(duals) // 2
-        slots = [*rows, *(n + j for j in cols)]
-        local = [duals[p] for p in slots]
-        cost, flows = transport(supplies, demands, cost_rows, local)
-        for p, v in zip(slots, local):
+    local = None if duals is None else [duals[p] for p in rows]
+    cost, flows = transport(supplies, demands, cost_rows, local)
+    if duals is not None:
+        for p, v in zip(rows, local):
             duals[p] = v
     return cost, [(rows[a], cols[b], f) for (a, b), f in flows.items()]
 

@@ -18,19 +18,18 @@ inverse-CDF sampling with no floating point and no Fraction: the
 canonical plan's off-diagonal units on checked matrix metrics
 (self-matches are implicit), the full min-cost plan's on unchecked
 instances, the shifted plan's for maximum weight.  These providers
-memoize plans per free set up to ``memo_max_n`` points, past which free
-sets rarely recur, and stop adding plans once ``memo_max_plans`` are
-held; they solve every plan cold, from zero potentials, so a memoized
-plan does not depend on the episode that solved it first, and
-memoization cannot change behavior.  Past ``memo_max_n`` a provider
-keeps no memo and warm-starts instead: the episode's ``OnlineState``
-carries the potentials of its last plan solve (``plan_duals``, made at
-the first solve, so tree episodes never hold them), and the next
-arrival's solve starts from them.  Consecutive free sets differ by the
-servers just taken, and the last optimal duals stay feasible for the
-new plan, so every plan is still an exact optimum.  Where optimal plans
-tie, the one drawn from may depend on the episode's earlier solves,
-which keeps free sets uniform and the expected step cost M(T).
+memoize plans per free set up to ``memo_max_n`` (12) points, at most
+2^12 - 1 plans, each solved cold from zero potentials, so a memoized
+plan does not depend on the episode that solved it first and memoization
+cannot change behavior.  Past ``memo_max_n``, where a warm solve beats
+the memo, a provider keeps no memo: the episode's ``OnlineState``
+carries one row potential per point from its last plan solve
+(``plan_duals``, made at the first solve, so tree episodes never hold
+them), and the next arrival's solve starts from them.  Any row
+potentials give an exact optimal plan, and the last optimal ones leave
+little to re-optimize.  Where optimal plans tie, the one drawn from may
+depend on the episode's earlier solves, which keeps free sets uniform
+and the expected step cost M(T).
 Tree providers keep neither memo nor duals: the walk needs neither.
 
 Every provider exposes ``sample(state, r, rng)``, which returns the
@@ -83,23 +82,20 @@ class OnlineState:
     sorted tuple that plan memos key on, only when asked.  A tree
     provider's free-point counts per node are built on first use by
     ``below`` and kept current by ``remove``.  A warm-starting provider's
-    plan potentials are made on first use by ``plan_duals``.
+    row potentials are made on first use by ``plan_duals``.
     """
 
     def __init__(self, free_set: set[int]):
         self.free_set = free_set
         self._tree: WeightedTree | None = None  # whose counts _below holds
         self._below: list[int] = []
-        self._duals: list[int | None] | None = None  # made by plan_duals
+        self._duals: list[int] | None = None  # made by plan_duals
 
-    def plan_duals(self, n: int) -> list[int | None]:
-        """The potentials warm plan solves start from and write back.
-
-        A row potential per point, then a column potential per point:
-        zero rows and no columns (None) at the episode's first solve.
-        """
+    def plan_duals(self, n: int) -> list[int]:
+        """The row potential per point that warm plan solves start from
+        and write back: all zero at the episode's first solve."""
         if self._duals is None:
-            self._duals = [0] * n + [None] * n
+            self._duals = [0] * n
         return self._duals
 
     @property
@@ -126,8 +122,7 @@ class PlanProvider:
     """Samples servers from the canonical plan of each free set."""
 
     algorithm = "fair-bias"
-    memo_max_n = 20
-    memo_max_plans = 1 << 12  # the memo stops growing at this many plans
+    memo_max_n = 12
 
     def __init__(self, instance: MetricInstance, *, allow_unchecked: bool = False):
         if not instance.verified_metric and not allow_unchecked:
@@ -169,7 +164,7 @@ class PlanProvider:
         return k
 
     def columns(
-        self, free: tuple[int, ...], duals: list[int | None] | None = None
+        self, free: tuple[int, ...], duals: list[int] | None = None
     ) -> dict[int, Column]:
         """Sampling columns of the plan of ``free``, by location.
 
@@ -182,12 +177,12 @@ class PlanProvider:
             if hit is not None:
                 return hit
         cols = self._build(free, duals)
-        if memo is not None and len(memo) < self.memo_max_plans:
+        if memo is not None:
             memo[free] = cols
         return cols
 
     def _build(
-        self, free: tuple[int, ...], duals: list[int | None] | None
+        self, free: tuple[int, ...], duals: list[int] | None
     ) -> dict[int, Column]:
         # n*k units: the canonical plan's off-diagonal part, or the full plan
         counts = dict.fromkeys(free, 1)
@@ -262,7 +257,6 @@ class MaxWeightProvider(PlanProvider):
 
     algorithm = "max-weight"
     canonical = False
-    memo_max_n = 12
     _tree = None  # gains are sampled from plan columns on every backing
 
     def __init__(self, weights: list[list[int]], location_weights: list[int]):
@@ -284,7 +278,7 @@ class MaxWeightProvider(PlanProvider):
         return k * w_r
 
     def _build(
-        self, free: tuple[int, ...], duals: list[int | None] | None
+        self, free: tuple[int, ...], duals: list[int] | None
     ) -> dict[int, Column]:
         # k*W units, W the total location weight
         counts = dict.fromkeys(free, 1)

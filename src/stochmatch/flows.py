@@ -10,14 +10,14 @@ on the arcs of zero reduced cost.  Everything is integer arithmetic:
 capacities, costs and flows are Python ints, so results are exact at
 any magnitude.
 
-Warm starts: ``transport(..., duals=...)`` starts the solve from a
-potential per row and per column, and writes the final ones back, so a
-caller that re-solves a slightly changed problem (the online
-providers, once per arrival) starts each solve from the last one's
-optimal duals.  Duals are potentials p with c_ab + p_a - p_b >= 0 on
-every row/column arc; any such p is a valid start, the plan is optimal
-whatever p is, and only the number of phases depends on it.  With
-``duals=None`` the solve starts from zero potentials.
+Warm starts: ``transport(..., duals=...)`` starts the solve from one
+potential per row, and writes the final ones back, so a caller that
+re-solves a slightly changed problem (the online providers, once per
+arrival) starts each solve from the last one's optimal row duals.
+Each column starts at the tightest potential those rows allow, so
+every row/column arc starts at non-negative reduced cost; the plan is
+optimal whatever the rows hold, and only the number of phases depends
+on them.  With ``duals=None`` the solve starts from zero potentials.
 
 Determinism: arcs keep insertion order, every search scans them in that
 order and Dijkstra breaks ties by node index, so identical inputs
@@ -253,7 +253,7 @@ def transport(
     supplies: Sequence[int],
     demands: Sequence[int],
     cost_rows: Sequence[Sequence[int]],
-    duals: list[int | None] | None = None,
+    duals: list[int] | None = None,
 ) -> tuple[int, dict[tuple[int, int], int]]:
     """Min-cost transportation plan; returns (cost, flows).
 
@@ -262,15 +262,16 @@ def transport(
     row/column arc is uncapacitated.  flows maps (row index, column
     index) to its positive integer flow, in row-major order.
 
-    ``duals``, if given, holds a potential per row then per column and
-    must satisfy u_a + c_ab >= v_b; a column's None means it has none
-    yet and gets min_a(u_a + c_ab).  The source and sink arcs are priced
-    u_a - min u and max v - v_b, so every row and column starts at
-    reduced distance 0 from the source and to the sink: the pseudoflow
-    start of Ahuja, Magnanti & Orlin, *Network Flows*, section 9.7.
-    Every row and column saturates, so that pricing adds the same
-    constant to every plan, and the returned cost is the plan's sum c * x.
-    The final potentials are written back into ``duals``.
+    ``duals``, if given, holds a potential u_a per row; every column
+    starts at v_b = min_a(u_a + c_ab), the largest potential that keeps
+    its arcs at non-negative reduced cost, and the value complementary
+    slackness gives any column that receives flow.  The source and sink
+    arcs are priced u_a - min u and max v - v_b, so every row and column
+    starts at reduced distance 0 from the source and to the sink: the
+    pseudoflow start of Ahuja, Magnanti & Orlin, *Network Flows*,
+    section 9.7.  Every row and column saturates, so that pricing adds
+    the same constant to every plan, and the returned cost is the plan's
+    sum c * x.  The final row potentials are written back into ``duals``.
     """
     total = sum(supplies)
     if total != sum(demands):
@@ -280,15 +281,13 @@ def transport(
     m, n = len(supplies), len(demands)
     if duals is None:
         row_p, col_p = [0] * m, [0] * n
-    elif len(duals) != m + n:
-        raise ValueError(f"need {m + n} duals, got {len(duals)}")
+    elif len(duals) != m:
+        raise ValueError(f"need {m} duals, got {len(duals)}")
     else:
-        row_p = duals[:m]
+        row_p = duals
         col_p = [
             min((u + row[b] for u, row in zip(row_p, cost_rows)), default=0)
-            if v is None
-            else v
-            for b, v in enumerate(duals[m:])
+            for b in range(n)
         ]
     low = min(row_p, default=0)
     high = max(col_p, default=0)
@@ -306,7 +305,7 @@ def transport(
     potential = [low, *row_p, *col_p, high]
     g.min_cost_flow(0, sink, total, potential)
     if duals is not None:
-        duals[:] = potential[1:sink]
+        duals[:] = potential[1 : 1 + m]
     flows = {}
     for a, row_arcs in enumerate(arcs):
         for b, idx in enumerate(row_arcs):

@@ -61,6 +61,7 @@ from .metrics import (
     load_metric,
     matrix_metric,
     matrix_unchecked,
+    parse_int,
     random_recursive_tree,
     star_tree,
     tree_metric,
@@ -137,21 +138,19 @@ def parse_scenario(path: str) -> Scenario:
     if "metric" not in fields:
         raise ValueError("scenario needs a metric line")
     mk, _, marg = fields.pop("metric").partition(" ")
-    sc = Scenario(metric_kind=mk, metric_arg=marg.strip())
+    keys = {"metric_kind": mk, "metric_arg": marg.strip()}
     if "distribution" in fields:
         dk, _, darg = fields.pop("distribution").partition(" ")
-        sc.distribution = dk
-        sc.dist_arg = darg.strip()
+        keys.update(distribution=dk, dist_arg=darg.strip())
     for key in ("algorithm", "frt_mode", "output"):
         if key in fields:
-            setattr(sc, key, fields.pop(key))
+            keys[key] = fields.pop(key)
     for key in ("trials", "seed", "spacing"):
         if key in fields:
-            setattr(sc, key, int(fields.pop(key)))
+            keys[key] = parse_int(fields.pop(key), f"scenario key {key}")
     if fields:
         raise ValueError(f"unknown scenario keys: {sorted(fields)}")
-    sc.__post_init__()
-    return sc
+    return Scenario(**keys)
 
 
 def build_instance(sc: Scenario) -> MetricInstance:

@@ -525,6 +525,14 @@ def frt_embed(instance: MetricInstance, rng: random.Random) -> WeightedTree:
 # file format
 
 
+def parse_int(text: str, where: str) -> int:
+    """``int(text)`` from an input file; a ValueError names ``where``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: {text!r} is not an integer") from None
+
+
 def load_metric(path: str) -> MetricInstance:
     """Read a metric file: a kind/n/scale header then rows or edges.
 
@@ -550,8 +558,8 @@ def load_metric(path: str) -> MetricInstance:
     if "kind" not in header or "n" not in header:
         raise ValueError("metric file needs kind and n header lines")
     kind = header["kind"]
-    n = int(header["n"])
-    scale = int(header.get("scale", 1))
+    n = parse_int(header["n"], "header n")
+    scale = parse_int(header.get("scale", "1"), "header scale")
     if kind == "line":
         if body:
             raise ValueError("a kind line metric file takes no body lines")
@@ -559,16 +567,22 @@ def load_metric(path: str) -> MetricInstance:
     if kind == "matrix":
         if len(body) != n:
             raise ValueError(f"expected {n} matrix rows, got {len(body)}")
-        matrix = [[scale * int(x) for x in row] for row in body]
+        matrix = [
+            [scale * parse_int(x, f"matrix row {i}") for x in row]
+            for i, row in enumerate(body)
+        ]
         report = validate_metric(matrix)
         if report.ok:
             return MetricInstance(matrix, "matrix", verified_metric=True)
         return matrix_unchecked(matrix)
     if kind == "tree":
+        host_edges = []
         for t in body:
+            line = " ".join(t)
             if len(t) != 3:
-                raise ValueError(f"tree line {' '.join(t)!r} is not 'u v length'")
-        host_edges = [(int(u), int(v), scale * int(w)) for u, v, w in body]
+                raise ValueError(f"tree line {line!r} is not 'u v length'")
+            u, v, w = (parse_int(x, f"tree line {line!r}") for x in t)
+            host_edges.append((u, v, scale * w))
         tree = tree_from_host_edges(n, host_edges)
         return tree_metric(tree)
     raise ValueError(f"unknown metric kind {kind!r}")

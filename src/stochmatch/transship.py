@@ -24,7 +24,7 @@ from functools import cached_property
 from .bmatching import check_location_weights
 from .fairbias import MatchingResult, PlanProvider, check_stream, init_state, step
 from .flows import Column, column, column_units, draw, transport
-from .metrics import MetricInstance
+from .metrics import MetricInstance, parse_int
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,13 @@ def load_distribution(path: str, n: int) -> RequestDistribution:
             if len(parts) != 2:
                 raise ValueError(f"weight line {line!r} is not 'point weight'")
             pid, w = parts
-            p = int(pid)
+            p = parse_int(pid, f"weight line {line!r}")
             if not 0 <= p < n:
                 raise ValueError(f"point {pid} outside 0..{n - 1}")
             if p in seen:
                 raise ValueError(f"duplicate weight line for point {p}")
             seen.add(p)
-            weights[p] = int(w)
+            weights[p] = parse_int(w, f"weight line {line!r}")
     return RequestDistribution(tuple(weights))
 
 

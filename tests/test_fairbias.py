@@ -146,23 +146,29 @@ class TestProviders:
         # the shared memo served hits: fewer plans than the fresh ones solved
         assert len(hot._memo) < sum(len(p._memo) for p in fresh)
 
-    def test_memo_stops_growing_at_its_cap(self, monkeypatch):
-        inst = random_metric(5, random.Random(8))
-        uncapped = PlanProvider(inst)
-        monkeypatch.setattr(PlanProvider, "memo_max_plans", 3)
-        uncapped.memo_max_plans = 1 << 30
-        capped = PlanProvider(inst)
-        for seed in range(15):
-            stream = [random.Random(seed ^ 0xA5).randrange(5) for _ in range(5)]
-            a = run_episode(capped, stream, random.Random(seed))
-            b = run_episode(uncapped, stream, random.Random(seed))
-            assert a.assignments == b.assignments
-            assert len(capped._memo) <= 3
-        assert len(uncapped._memo) > 3
+    def test_memo_stays_bounded(self, monkeypatch):
+        # at the largest memoized size the memo holds one plan per free
+        # set it has seen, each solved once: at most 2^12 - 1 plans
+        n = 12
+        provider = PlanProvider(random_metric(n, random.Random(8)))
+        builds = []
+        build = provider._build
+
+        def spy(free, duals):
+            builds.append(free)
+            return build(free, duals)
+
+        monkeypatch.setattr(provider, "_build", spy)
+        for seed in range(30):
+            stream = [random.Random(seed ^ 0xA5).randrange(n) for _ in range(n)]
+            run_episode(provider, stream, random.Random(seed))
+        assert len(builds) == len(set(builds)) == len(provider._memo)
+        assert all(set(free) <= set(range(n)) for free in provider._memo)
+        assert len(provider._memo) < 2**n
 
     def test_memo_follows_instance_size(self):
-        assert PlanProvider(uniform_metric(20))._memo is not None
-        assert PlanProvider(uniform_metric(21))._memo is None
+        assert PlanProvider(uniform_metric(12))._memo is not None
+        assert PlanProvider(uniform_metric(13))._memo is None
         # trees walk their flow and keep no plans at any size
         assert PlanProvider(line_metric(5))._memo is None
         w = [[1] * 12 for _ in range(12)]

@@ -96,6 +96,14 @@ class TestParseScenario:
                 )
             )
 
+    @pytest.mark.parametrize("key", ["trials", "seed", "spacing"])
+    def test_bad_integer_names_its_key(self, tmp_path, key):
+        # raised "invalid literal for int() with base 10" with no context
+        text = f"metric = line 4\n{key} = abc\n"
+        with pytest.raises(ValueError) as err:
+            parse_scenario(_scenario_file(tmp_path, text))
+        assert str(err.value) == f"scenario key {key}: 'abc' is not an integer"
+
     def test_duplicate_key_rejected(self, tmp_path):
         text = "metric = line 4\ntrials = 5\ntrials = 6\n"
         with pytest.raises(ValueError, match="duplicate scenario key 'trials'"):
@@ -532,11 +540,11 @@ GOLDEN_ROUTES = {
     "unchecked-warm": (
         dict(metric_kind="nonmetric", metric_arg="22"),
         [(2058, 9, 0, [0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1,
-                       0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 2048]),
-         (8, 7, 0, [0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0,
-                    0, 0, 0, 1, 1, 0, 1, 0, 1, 1, 1]),
-         (11, 6, 0, [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1,
-                     0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1]),
+                       1, 1, 0, 1, 0, 0, 1, 1, 1, 1, 2048]),
+         (9, 7, 0, [0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0,
+                    1, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1]),
+         (9, 6, 0, [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1,
+                    0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1]),
          (2058, 10, 0, [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1,
                         0, 1, 1, 1, 1, 1, 0, 1, 1, 1, 2048])],
     ),

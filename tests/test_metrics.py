@@ -370,6 +370,25 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=f"tree line '{line}'"):
             load_metric(str(path))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("kind line\nn abc\n", "header n: 'abc' is not an integer"),
+            ("kind line\nn 3\nscale 1.5\n", "header scale: '1.5' is not an integer"),
+            ("kind matrix\nn 2\n0 1\n1 x\n", "matrix row 1: 'x' is not an integer"),
+            ("kind tree\nn 2\n0 1 4\n1 b 2\n", "tree line '1 b 2': 'b' is not an integer"),
+            ("kind tree\nn 2\n0 1 4.5\n", "tree line '0 1 4.5': '4.5' is not an integer"),
+        ],
+        ids=["n", "scale", "matrix-entry", "tree-v", "tree-length"],
+    )
+    def test_bad_integer_names_its_key_or_line(self, tmp_path, text, message):
+        # raised "invalid literal for int() with base 10" with no context
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_metric(str(path))
+        assert str(err.value) == message
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("kind blob\nn 2\n")

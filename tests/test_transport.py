@@ -54,8 +54,9 @@ def test_transport_matches_hand_built_graph(data):
 @settings(deadline=None, max_examples=80)
 @given(data=st.data())
 def test_warm_duals_keep_the_optimum_and_come_back_feasible(data):
-    # any feasible start, with some columns left to the min rule, gives
-    # an optimal plan with exact marginals and feasible final duals
+    # any row potentials give an optimal plan with exact marginals, and
+    # the final ones, with every column at the min rule, price every
+    # arc that carries flow at zero reduced cost
     m = data.draw(st.integers(1, 5))
     n = data.draw(st.integers(1, 5))
     supplies = data.draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
@@ -65,13 +66,7 @@ def test_warm_duals_keep_the_optimum_and_come_back_feasible(data):
     cost_rows = data.draw(
         st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n), min_size=m, max_size=m)
     )
-    rows = data.draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m))
-    cols = []
-    for b in range(n):
-        ceiling = min(u + row[b] for u, row in zip(rows, cost_rows))
-        slack = data.draw(st.none() | st.integers(0, 5))
-        cols.append(None if slack is None else ceiling - slack)
-    duals = rows + cols
+    duals = data.draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m))
     cold_cost, _ = transport(supplies, demands, cost_rows)
     cost, flows = transport(supplies, demands, cost_rows, duals)
     assert cost == cold_cost
@@ -80,27 +75,35 @@ def test_warm_duals_keep_the_optimum_and_come_back_feasible(data):
         assert sum(f for (i, _), f in flows.items() if i == a) == s
     for b, d in enumerate(demands):
         assert sum(f for (_, j), f in flows.items() if j == b) == d
-    assert None not in duals
-    for a, row in enumerate(cost_rows):
-        for b, c in enumerate(row):
-            assert c + duals[a] >= duals[m + b]
-            if (a, b) in flows:
-                assert c + duals[a] == duals[m + b]
+    assert len(duals) == m
+    cols = [min(u + row[b] for u, row in zip(duals, cost_rows)) for b in range(n)]
+    for a, b in flows:
+        assert cost_rows[a][b] + duals[a] == cols[b]
 
 
 def test_warm_duals_checked():
-    with pytest.raises(ValueError, match="need 3 duals, got 2"):
+    with pytest.raises(ValueError, match="need 1 duals, got 2"):
         transport([1], [1, 0], [[0, 0]], [0, 0])
-    # column 0 at 5 > row 0 at 0 plus cost 1
-    with pytest.raises(ValueError, match="negative reduced cost"):
-        transport([1], [1], [[1]], [0, 5])
 
 
-def test_new_column_gets_the_min_rule():
-    duals = [0, 3, None]
-    transport([1, 1], [2], [[4], [2]], duals)
-    # row 1 sends at 3 + 2 = 5, the tightest, and both rows are used
-    assert duals[2] - duals[0] == 4 and duals[2] - duals[1] == 2
+def test_new_column_gets_the_min_rule(monkeypatch):
+    # every column starts at min over rows of u_a + c_ab
+    starts = []
+    solve = MinCostFlow.min_cost_flow
+
+    def spy(self, s, t, maxf, potential=None):
+        starts.append(list(potential))
+        return solve(self, s, t, maxf, potential)
+
+    monkeypatch.setattr(MinCostFlow, "min_cost_flow", spy)
+    duals = [0, 3]
+    transport([1, 1], [1, 1], [[4, 9], [2, 1]], duals)
+    # source at min u, rows, columns min(0 + 4, 3 + 2) and min(0 + 9, 3 + 1),
+    # sink at max v
+    assert starts == [[0, 0, 3, 4, 4, 4]]
+    # row 0 ships to column 0 and row 1 to column 1, both at zero reduced cost
+    assert duals[0] + 4 == min(duals[0] + 4, duals[1] + 2)
+    assert duals[1] + 1 == min(duals[0] + 9, duals[1] + 1)
 
 
 def test_transport_rejects_unbalanced_totals():

@@ -104,6 +104,15 @@ class TestLoadDistribution:
             load_distribution(str(p), 4)
         assert str(err.value) == f"weight line {line!r} is not 'point weight'"
 
+    @pytest.mark.parametrize("line, token", [("x 1", "x"), ("1 2.5", "2.5")])
+    def test_bad_integer_names_its_line(self, tmp_path, line, token):
+        # raised "invalid literal for int() with base 10" with no context
+        p = tmp_path / "dist.txt"
+        p.write_text(f"0 1\n{line}\n")
+        with pytest.raises(ValueError) as err:
+            load_distribution(str(p), 4)
+        assert str(err.value) == f"weight line {line!r}: {token!r} is not an integer"
+
     def test_all_zero_rejected(self, tmp_path):
         p = tmp_path / "dist.txt"
         p.write_text("\n")

@@ -1,6 +1,6 @@
 """Warm-started plan solves: providers without a memo carry the last
-solve's potentials to the next arrival's solve.  Every warm plan must
-be exact and optimal, and the episodes keep their distribution and
+solve's row potentials to the next arrival's solve.  Every warm plan
+must be exact and optimal, and the episodes keep their distribution and
 their determinism."""
 from __future__ import annotations
 
@@ -50,10 +50,12 @@ def _check_plan(triples, row_units, col_units, cost, price):
     assert cost == sum(price(s, r) * u for s, r, u in triples)
 
 
-def _check_feasible(duals, rows, cols, price):
-    """The written-back potentials are feasible for the next solve."""
-    n = len(duals) // 2
-    assert all(price(i, j) + duals[i] >= duals[n + j] for i in rows for j in cols)
+def _check_feasible(duals, rows, cols, price, triples):
+    """The written-back row potentials are optimal duals: with every
+    column at the min rule, v_j = min_i(price(i, j) + duals[i]), every
+    arc that carries flow has zero reduced cost."""
+    v = {j: min(price(i, j) + duals[i] for i in rows) for j in cols}
+    assert all(price(s, r) + duals[s] == v[r] for s, r, _ in triples)
 
 
 def _episodes(provider, count, rng, weights=None):
@@ -63,7 +65,7 @@ def _episodes(provider, count, rng, weights=None):
         run_episode(provider, stream, rng)
 
 
-@pytest.mark.parametrize("n", [21, 24, 33, 40])
+@pytest.mark.parametrize("n", [16, 21, 24, 33, 40])
 def test_warm_canonical_plans_are_exact_and_optimal(monkeypatch, n):
     calls = _warm_calls(monkeypatch, "_canonical_units")
     rng = random.Random(n)
@@ -83,7 +85,7 @@ def test_warm_canonical_plans_are_exact_and_optimal(monkeypatch, n):
             lambda s, r: matrix[s][r],
         )
         assert Fraction(cost, n * k) == canonical_plan(instance, free).value
-        _check_feasible(duals, free, taken, lambda i, j: matrix[i][j])
+        _check_feasible(duals, free, taken, lambda i, j: matrix[i][j], triples)
 
 
 def test_warm_unchecked_plans_are_exact_and_optimal(monkeypatch):
@@ -97,7 +99,7 @@ def test_warm_unchecked_plans_are_exact_and_optimal(monkeypatch):
     for counts, (cost, triples), duals in calls:
         free = sorted(counts)
         k = len(free)
-        _check_feasible(duals, free, range(n), lambda i, j: matrix[i][j])
+        _check_feasible(duals, free, range(n), lambda i, j: matrix[i][j], triples)
         _check_plan(
             triples,
             Counter(dict.fromkeys(free, n)),
@@ -121,7 +123,7 @@ def test_warm_max_weight_plans_are_exact_and_optimal(monkeypatch, n):
         free = sorted(counts)
         k = len(free)
         # row potentials are kept against -gain, whatever the shift
-        _check_feasible(duals, free, range(n), lambda i, j: -gains[i][j])
+        _check_feasible(duals, free, range(n), lambda i, j: -gains[i][j], triples)
         _check_plan(
             triples,
             Counter(dict.fromkeys(free, total)),
