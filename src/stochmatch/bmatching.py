@@ -3,14 +3,19 @@
 The base problem: given the free multiset T of servers over a metric on
 n points, spread each server's 1/|T| of mass over locations so every
 location receives exactly 1/n (weighted variants replace 1/n by p_j).
-Each solve is an integer core, one ``flows.transport`` call returning
-its cost and (server, location, units) triples, which the online
-providers read directly, and a wrapper that turns the units into a
+Every transportation problem in the package is built here, by one of
+two integer cores, each one ``flows.transport`` call (in ``_plan``)
+returning its cost and (server, location, units) triples, which the
+callers read directly; the public solves wrap the units into a
 FractionalMatching of Fractions.  ``_units`` solves T against integer
-location weights (all 1 for min-cost; the caller's, on shift - weight,
-for max-weight) and keeps the plan the primal-dual flow engine returns
-as it is, an optimal plan whose support may hold cycles: solve_min_cost
-and solve_max_weight.
+location weights and keeps the plan the primal-dual flow engine returns
+as it is, an optimal plan whose support may hold cycles.  It serves
+solve_min_cost, solve_max_weight, the unchecked and max-weight online
+providers, the offline optima (``offline``: requests against one
+location per server) and the arrival coupling (``transship``: arrival
+weights against weight 1 per location).  Max-weight is min-cost on one
+fixed table: ``gain_costs`` gives S - gain, S the table's largest gain,
+and every caller of either objective solves that table.
 ``_canonical_units`` solves, on a checked metric, the plan that matches
 co-located mass to itself, the one the fair-bias sampler draws from:
 canonical_plan.
@@ -103,14 +108,6 @@ def check_location_weights(weights, n: int) -> None:
         raise ValueError("location weights must have positive total")
 
 
-def check_gains(weights) -> int:
-    """Side of a non-empty square table of integer gains."""
-    n = square_size(weights)
-    if not all(isinstance(w, int) for row in weights for w in row):
-        raise ValueError("gains must be integers")
-    return n
-
-
 def _plan(rows, cols, supplies, demands, cost_rows, duals):
     """``flows.transport`` between points; cost and (row, col, units) triples.
 
@@ -167,24 +164,18 @@ def _canonical_units(matrix, counts, n: int, duals=None):
     )
 
 
-def _gain_units(weights, counts, location_weights: list[int], duals=None):
-    """Shift (the largest gain in a free row) and ``_units`` of shift - gain.
+def gain_costs(weights) -> tuple[int, list[list[int]]]:
+    """The largest gain S and the cost table S - gain of a gain table.
 
-    Row duals are kept against -gain, which no shift moves: the solve
-    reads u - shift and writes u + shift back.  So when the shift drops
-    by d as rows leave, lowering every arc by d, every row potential
-    the solve sees rises by d and stays feasible.
+    Every plan ships the same mass out of every row, so a plan of least
+    cost on S - gain has the most gain, worth S minus its cost per unit.
+    The table must be non-empty, square and of integers.
     """
-    shift = max(max(weights[i]) for i in counts)
-    shifted = {i: [shift - w for w in weights[i]] for i in counts}
-    if duals is not None:
-        for i in counts:
-            duals[i] -= shift
-    cost, units = _units(shifted, counts, location_weights, duals)
-    if duals is not None:
-        for i in counts:
-            duals[i] += shift
-    return shift, cost, units
+    square_size(weights)
+    if not all(isinstance(w, int) for row in weights for w in row):
+        raise ValueError("gains must be integers")
+    shift = max(w for row in weights for w in row)
+    return shift, [[shift - w for w in row] for row in weights]
 
 
 def _matching(counts, location_weights, cost: int, units) -> FractionalMatching:
@@ -234,14 +225,15 @@ def solve_max_weight(
 
     Each free server is matched 1/|T| in total and each location j
     receives exactly w_j / sum(w).  Solved as the min-cost plan on
-    shifted costs (shift - weight, shift the largest weight in a free
-    row), which keeps everything integral and exact.
+    ``gain_costs`` (shift - weight, shift the table's largest weight),
+    which keeps everything integral and exact.
     """
-    n = check_gains(weights)
+    shift, costs = gain_costs(weights)
+    n = len(costs)
     counts = _counts(T, n)
     check_location_weights(location_weights, n)
-    shift, cost, units = _gain_units(weights, counts, location_weights)
-    plan = _matching(counts, location_weights, cost, units)
+    units = _units(costs, counts, location_weights)
+    plan = _matching(counts, location_weights, *units)
     return replace(plan, value=shift - plan.value)
 
 

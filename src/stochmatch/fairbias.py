@@ -17,7 +17,10 @@ integer units read straight from a ``bmatching`` core, so the draw is
 inverse-CDF sampling with no floating point and no Fraction: the
 canonical plan's off-diagonal units on checked matrix metrics
 (self-matches are implicit), the full min-cost plan's on unchecked
-instances, the shifted plan's for maximum weight.  These providers
+instances.  ``MaxWeightProvider`` is that unchecked provider on the
+cost table S - gain (``bmatching.gain_costs``, S the largest gain) with
+its caller's location weights: only its ``matrix``, the gains that
+steps are paid in, differs.  These providers
 memoize plans per free set up to ``memo_max_n`` (12) points, at most
 2^12 - 1 plans, each solved cold from zero potentials, so a memoized
 plan does not depend on the episode that solved it first and memoization
@@ -34,8 +37,8 @@ Tree providers keep neither memo nor duals: the walk needs neither.
 
 Every provider exposes ``sample(state, r, rng)``, which returns the
 server and the step's cost or gain, ``columns(free, duals=None)``, the
-cost-or-gain ``matrix``, the expected ``column_mass(r, k)`` and
-``canonical``.  On a tree ``matrix`` is the instance's table, built on
+cost-or-gain ``matrix``, the ``location_weights`` (all 1 for min-cost),
+the expected ``column_mass(r, k)``, k * w_r units, and ``canonical``.  On a tree ``matrix`` is the instance's table, built on
 first read, and ``columns`` is the canonical plan of that table, like
 any checked metric's; the walk never asks for either.
 
@@ -52,17 +55,16 @@ from dataclasses import dataclass
 
 from .bmatching import (
     _canonical_units,
-    _gain_units,
     _units,
-    check_gains,
     check_location_weights,
     free_below,
+    gain_costs,
     release,
     tree_plan,  # unused here; bench/tracing.py wraps fairbias.tree_plan by name
     tree_walk,
 )
 from .flows import Column, column, draw
-from .metrics import MetricInstance, WeightedTree
+from .metrics import MetricInstance, WeightedTree, matrix_unchecked
 
 
 @dataclass
@@ -132,6 +134,7 @@ class PlanProvider:
             )
         self.n = instance.n
         self._instance = instance
+        self.location_weights = [1] * self.n
         self.canonical = instance.verified_metric
         self._tree = instance.tree if instance.verified_metric else None
         # free set -> columns; tree episodes walk and never ask for columns
@@ -160,8 +163,11 @@ class PlanProvider:
         return server, self.matrix[server][request]
 
     def column_mass(self, request: int, k: int) -> int:
-        """Units in column ``request`` when k servers are free."""
-        return k
+        """Units in column ``request`` when k servers are free: k * w_r."""
+        w_r = self.location_weights[request]
+        if w_r <= 0:
+            raise ValueError(f"arrival at zero-probability location {request}")
+        return k * w_r
 
     def columns(
         self, free: tuple[int, ...], duals: list[int] | None = None
@@ -184,12 +190,14 @@ class PlanProvider:
     def _build(
         self, free: tuple[int, ...], duals: list[int] | None
     ) -> dict[int, Column]:
-        # n*k units: the canonical plan's off-diagonal part, or the full plan
+        # the canonical plan's off-diagonal part in n*k units, or the full
+        # plan in k*W units, W the total location weight
+        costs = self._instance.matrix
         counts = dict.fromkeys(free, 1)
         if self.canonical:
-            _, units = _canonical_units(self.matrix, counts, self.n, duals)
+            _, units = _canonical_units(costs, counts, self.n, duals)
         else:
-            _, units = _units(self.matrix, counts, [1] * self.n, duals)
+            _, units = _units(costs, counts, self.location_weights, duals)
         return _by_location(units)
 
 
@@ -253,34 +261,19 @@ def run_episode(
 
 
 class MaxWeightProvider(PlanProvider):
-    """Plan columns for the weighted-gain variant, memoized per free set."""
+    """Plan columns for the weighted-gain variant: the min-cost plans of
+    the cost table S - gain (``bmatching.gain_costs``), S the largest gain."""
 
     algorithm = "max-weight"
-    canonical = False
-    _tree = None  # gains are sampled from plan columns on every backing
 
     def __init__(self, weights: list[list[int]], location_weights: list[int]):
-        self.n = check_gains(weights)
-        self.weights = weights
+        _, costs = gain_costs(weights)
+        super().__init__(matrix_unchecked(costs), allow_unchecked=True)
         check_location_weights(location_weights, self.n)
+        self.weights = weights
         self.location_weights = list(location_weights)
-        self._memo = {} if self.n <= self.memo_max_n else None
 
     @property
     def matrix(self) -> list[list[int]]:
         """The gain table, read where the base provider reads costs."""
         return self.weights
-
-    def column_mass(self, request: int, k: int) -> int:
-        w_r = self.location_weights[request]
-        if w_r <= 0:
-            raise ValueError(f"arrival at zero-probability location {request}")
-        return k * w_r
-
-    def _build(
-        self, free: tuple[int, ...], duals: list[int] | None
-    ) -> dict[int, Column]:
-        # k*W units, W the total location weight
-        counts = dict.fromkeys(free, 1)
-        units = _gain_units(self.weights, counts, self.location_weights, duals)[2]
-        return _by_location(units)

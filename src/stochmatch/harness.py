@@ -120,6 +120,11 @@ class Scenario:
             )
         if self.distribution not in ("uniform", "geometric", "weights"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
+        if self.distribution == "weights":
+            if not self.dist_arg:
+                raise ValueError("distribution weights needs a path")
+        elif self.dist_arg:
+            raise ValueError(f"distribution {self.distribution} takes no argument")
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -160,6 +165,8 @@ def build_instance(sc: Scenario) -> MetricInstance:
     if sc.spacing != 1 and kind in ("random", "nonmetric", "file"):
         raise ValueError(f"spacing applies to line, star and uniform, not {kind}")
     if kind == "file":
+        if not arg:
+            raise ValueError("metric file needs a path")
         return load_metric(arg)
     if not arg:
         raise ValueError(f"metric {kind} needs a size")

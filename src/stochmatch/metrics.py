@@ -559,7 +559,11 @@ def load_metric(path: str) -> MetricInstance:
         raise ValueError("metric file needs kind and n header lines")
     kind = header["kind"]
     n = parse_int(header["n"], "header n")
+    if n < 1:
+        raise ValueError(f"header n: {header['n']!r} must be >= 1")
     scale = parse_int(header.get("scale", "1"), "header scale")
+    if scale < 0:
+        raise ValueError(f"header scale: {header['scale']!r} must be >= 0")
     if kind == "line":
         if body:
             raise ValueError("a kind line metric file takes no body lines")
@@ -567,6 +571,11 @@ def load_metric(path: str) -> MetricInstance:
     if kind == "matrix":
         if len(body) != n:
             raise ValueError(f"expected {n} matrix rows, got {len(body)}")
+        for i, row in enumerate(body):
+            if len(row) != n:
+                raise ValueError(
+                    f"matrix row {i} has {len(row)} entries, expected {n}"
+                )
         matrix = [
             [scale * parse_int(x, f"matrix row {i}") for x in row]
             for i, row in enumerate(body)

@@ -1,23 +1,22 @@
 """Offline benchmarks: optimal cost of a realized request stream.
 
-One min-cost assignment solves both objectives: an exact transportation
-problem with ``flows.transport`` (requests collapsed by location, one
-unit per server), priced like the online loop: server s serving a
-request at r costs cost[s][r].  opt_general runs it on the instance's
-matrix; opt_max_weight runs it on shift - weight (shift the largest
-weight) and returns n * shift minus its optimum.  On a tree optimal
-transport has one edge flow, the kind the online walk samples, and
-``WeightedTree.imbalance_cost`` prices it: opt_tree is the sum over
-edges of length times |requests below - servers below|, the assignment
-optimum there.
+One min-cost assignment solves both objectives: the plan core
+``bmatching._units`` with the requests as rows (collapsed by location)
+and one location per server, priced like the online loop: server s
+serving a request at r costs cost[s][r].  opt_general runs it on the
+instance's matrix; opt_max_weight runs it on ``bmatching.gain_costs``
+(shift - weight, shift the largest weight) and returns n * shift minus
+its optimum.  On a tree optimal transport has one edge flow, the kind
+the online walk samples, and ``WeightedTree.imbalance_cost`` prices
+it: opt_tree is the sum over edges of length times |requests below -
+servers below|, the assignment optimum there.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .bmatching import check_gains
-from .flows import transport
+from .bmatching import _units, gain_costs
 from .metrics import MetricInstance, WeightedTree, square_size
 
 
@@ -35,16 +34,15 @@ def _request_counts(n: int, requests) -> Counter:
 
 
 def _min_assignment(cost: list[list[int]], requests) -> int:
-    """Min-cost perfect assignment of the stream to the len(cost) servers."""
+    """Min-cost perfect assignment of the stream to the len(cost) servers.
+
+    The request multiset against one location per server, on the
+    transposed table: ``_units`` ships n units per request, so its cost
+    is n times the optimum, exactly.
+    """
     n = square_size(cost)
     counts = _request_counts(n, requests)
-    spots = sorted(counts)
-    value, _ = transport(
-        [counts[r] for r in spots],
-        [1] * n,
-        [[cost[s][r] for s in range(n)] for r in spots],
-    )
-    return value
+    return _units(list(zip(*cost)), counts, [1] * n)[0] // n
 
 
 def opt_general(instance: MetricInstance, requests) -> int:
@@ -68,7 +66,5 @@ def opt_max_weight(weights: list[list[int]], requests) -> int:
 
     weights[s][r] is the gain of serving a request at r with server s.
     """
-    check_gains(weights)
-    shift = max((w for row in weights for w in row), default=0)
-    shifted = [[shift - w for w in row] for row in weights]
-    return len(weights) * shift - _min_assignment(shifted, requests)
+    shift, costs = gain_costs(weights)
+    return len(costs) * shift - _min_assignment(costs, requests)

@@ -7,11 +7,12 @@ is then exactly uniform, and the online matcher runs on the relocated
 requests while true costs are charged against the original locations.
 The plan's mass moved, M = n * (plan LP value), prices the relocation.
 
-The plan is solved by ``flows.transport``; its rows, and the arrival
-distribution itself, are ``flows.column`` sampling columns drawn from
-with ``flows.draw``.  ``run_wrapped(provider, plan, stream, rng)`` plays
-one episode from a prepared checked-metric provider and a plan of the
-same size, and prices every step on ``provider.matrix``.
+The plan is the plan core ``bmatching._units`` with the arrival weights
+as the server multiset and weight 1 on every location; its rows, and
+the arrival distribution itself, are ``flows.column`` sampling columns
+drawn from with ``flows.draw``.  ``run_wrapped(provider, plan, stream,
+rng)`` plays one episode from a prepared checked-metric provider and a
+plan of the same size, and prices every step on ``provider.matrix``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .bmatching import check_location_weights
+from .bmatching import _units, check_location_weights
 from .fairbias import MatchingResult, PlanProvider, check_stream, init_state, step
-from .flows import Column, column, column_units, draw, transport
+from .flows import Column, column, column_units, draw
 from .metrics import MetricInstance, parse_int
 
 
@@ -145,19 +146,14 @@ def solve_transshipment(
     n = instance.n
     if dist.n != n:
         raise ValueError("distribution size does not match the instance")
-    W = dist.total
-    scale = n * W
-    rows = [i for i in range(n) if dist.weights[i] > 0]
-    cost, flows = transport(
-        [n * dist.weights[i] for i in rows],
-        [W] * n,
-        [instance.matrix[i] for i in rows],
-    )
-    raw: dict[int, list[tuple[int, int]]] = {i: [] for i in rows}
-    for (a, j), f in flows.items():
-        raw[rows[a]].append((j, f))
+    # point i ships n * w_i units, every location takes W = sum w
+    weights = {i: w for i, w in enumerate(dist.weights) if w > 0}
+    cost, units = _units(instance.matrix, weights, [1] * n)
+    raw: dict[int, list[tuple[int, int]]] = {i: [] for i in weights}
+    for i, j, f in units:
+        raw[i].append((j, f))
     plan_rows = {i: column(pairs) for i, pairs in raw.items()}
-    return CouplingPlan(n, dist, plan_rows, Fraction(cost, scale))
+    return CouplingPlan(n, dist, plan_rows, Fraction(cost, n * dist.total))
 
 
 def relocate(plan: CouplingPlan, r: int, rng: random.Random) -> int:

@@ -257,6 +257,22 @@ class TestCanonicalPlan:
 
 
 class TestMaxWeight:
+    @pytest.mark.parametrize("c", [-3, 7])
+    def test_a_constant_on_every_gain_moves_only_the_value(self, c):
+        # max-weight solves min-cost on S - gain, S the table's largest gain
+        rng = random.Random(40 + c)
+        n = 5
+        gains = [[rng.randint(0, 9) for _ in range(n)] for _ in range(n)]
+        raised = [[g + c for g in row] for row in gains]
+        loc_w = [rng.randint(1, 3) for _ in range(n)]
+        for T in ([0], [1, 3], [4, 4, 2], list(range(n))):
+            plan = solve_max_weight(gains, T, loc_w)
+            moved = solve_max_weight(raised, T, loc_w)
+            assert moved.entries == plan.entries
+            assert moved.value == plan.value + c
+        stream = [rng.randrange(n) for _ in range(n)]
+        assert opt_max_weight(raised, stream) == opt_max_weight(gains, stream) + n * c
+
     def test_diagonal_optimum(self):
         m = solve_max_weight([[3, 1], [2, 4]], [0, 1], [1, 1])
         assert m.value == F(7, 2)

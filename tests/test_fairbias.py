@@ -291,6 +291,20 @@ class TestMaxWeight:
         with pytest.raises(ValueError, match="exactly"):
             _max_weight([[1, 1], [1, 1]], [1, 1], [0], 0)
 
+    @pytest.mark.parametrize("n", [8, 14])  # memoized, and warm-started
+    def test_a_constant_on_every_gain_leaves_episodes_unchanged(self, n):
+        rng = random.Random(n)
+        gains = [[rng.randint(0, 30) for _ in range(n)] for _ in range(n)]
+        loc_w = [rng.randint(1, 4) for _ in range(n)]
+        for c in (-5, 11):
+            raised = [[g + c for g in row] for row in gains]
+            for seed in range(3):
+                stream = random.Random(seed).choices(range(n), weights=loc_w, k=n)
+                base = _max_weight(gains, loc_w, stream, seed)
+                moved = _max_weight(raised, loc_w, stream, seed)
+                assert moved.assignments == base.assignments
+                assert moved.total_cost == base.total_cost + n * c
+
 
 def test_episodes_build_no_fraction(monkeypatch):
     # plan columns are read in integer units from the solver cores; the

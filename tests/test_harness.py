@@ -117,6 +117,30 @@ class TestParseScenario:
         with pytest.raises(ValueError, match="distribution"):
             Scenario("line", "4", distribution="zipf")
 
+    @pytest.mark.parametrize("line", ["geometric 3", "uniform whatever"])
+    def test_distribution_argument_refused_where_it_does_not_apply(
+        self, tmp_path, line
+    ):
+        # the argument was silently ignored and the run went ahead
+        kind = line.split()[0]
+        message = f"^distribution {kind} takes no argument$"
+        with pytest.raises(ValueError, match=message):
+            parse_scenario(
+                _scenario_file(tmp_path, f"metric = line 4\ndistribution = {line}\n")
+            )
+        with pytest.raises(ValueError, match=message):
+            Scenario("line", "4", distribution=kind, dist_arg=line.split()[1])
+
+    def test_weights_distribution_needs_a_path(self, tmp_path):
+        # failed in open('') with "[Errno 2] No such file or directory: ''"
+        message = "^distribution weights needs a path$"
+        with pytest.raises(ValueError, match=message):
+            parse_scenario(
+                _scenario_file(tmp_path, "metric = line 4\ndistribution = weights\n")
+            )
+        with pytest.raises(ValueError, match=message):
+            Scenario("line", "4", distribution="weights")
+
     @pytest.mark.parametrize("algorithm", ["fair-bias", "split-match", "max-weight"])
     def test_frt_mode_once_refused_where_it_does_not_apply(self, tmp_path, algorithm):
         # frt_mode = once beside plain fair-bias ran it and printed a summary
@@ -205,6 +229,14 @@ class TestBuildInstance:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown metric kind"):
             build_instance(Scenario("grid", "4"))
+
+    def test_file_metric_needs_a_path(self, tmp_path):
+        # failed in open('') with "[Errno 2] No such file or directory: ''"
+        sc = parse_scenario(_scenario_file(tmp_path, "metric = file\n"))
+        with pytest.raises(ValueError, match="^metric file needs a path$"):
+            build_instance(sc)
+        with pytest.raises(ValueError, match="^metric file needs a path$"):
+            build_instance(Scenario("file", ""))
 
     def test_distributions(self, tmp_path):
         sc = Scenario("line", "3")

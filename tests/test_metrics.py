@@ -389,6 +389,43 @@ class TestFileFormat:
             load_metric(str(path))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("kind matrix\nn 2\n0 1\n1 0 4\n", "matrix row 1 has 3 entries, expected 2"),
+            ("kind matrix\nn 2\n0\n1 0\n", "matrix row 0 has 1 entries, expected 2"),
+            ("kind line\nn 0\n", "header n: '0' must be >= 1"),
+            ("kind matrix\nn -1\n", "header n: '-1' must be >= 1"),
+            ("kind line\nn 3\nscale -2\n", "header scale: '-2' must be >= 0"),
+            ("kind matrix\nn 2\nscale -1\n0 1\n1 0\n", "header scale: '-1' must be >= 0"),
+            ("kind tree\nn 2\nscale -3\n0 1 4\n", "header scale: '-3' must be >= 0"),
+        ],
+        ids=[
+            "long-row",
+            "short-row",
+            "n-zero",
+            "n-negative",
+            "scale-line",
+            "scale-matrix",
+            "scale-tree",
+        ],
+    )
+    def test_bad_header_or_row_names_itself(self, tmp_path, text, message):
+        # reported as "need a non-empty square table" or as the line
+        # constructor's "need n >= 1 and spacing >= 0"
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_metric(str(path))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind", ["line", "matrix", "tree"])
+    def test_zero_scale_is_valid(self, tmp_path, kind):
+        body = {"line": "", "matrix": "0 1\n1 0\n", "tree": "0 1 4\n"}[kind]
+        path = tmp_path / "m.txt"
+        path.write_text(f"kind {kind}\nn 2\nscale 0\n{body}")
+        assert load_metric(str(path)).matrix == [[0, 0], [0, 0]]
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("kind blob\nn 2\n")

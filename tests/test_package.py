@@ -43,6 +43,19 @@ def _private_definitions(tree: ast.Module) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names a module reads: loaded names, attributes and imported names."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
 def test_no_orphaned_private_definitions():
     # a private helper nothing reads any more (a deleted caller's leftover)
     # is dead code; every one must be read somewhere in the package
@@ -51,13 +64,7 @@ def test_no_orphaned_private_definitions():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         defined += [f"{path.name}:{n}" for n in _private_definitions(tree)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+        used |= _names_read(tree)
     assert [d for d in defined if d.split(":")[1] not in used] == []
 
 
@@ -94,7 +101,8 @@ def test_import_leaves_scipy_stats_unloaded():
 
 # every algorithm, the wrapped route skewed arrivals take, and a matrix
 # route past the plan memo's size, where every arrival warm-starts a plan
-# solve: the scenario lines that pick it, and spans its replay must record
+# solve: the scenario lines that pick it, and the spans and positive
+# counts its replay must record
 TRACED_ROUTES = {
     "fair-bias": ("metric = random 8", {"offline.opt_tree"}),
     "split-match": (
@@ -105,14 +113,22 @@ TRACED_ROUTES = {
         "metric = random 8\nalgorithm = fair-bias-on-frt",
         {"offline.opt_tree"},
     ),
-    "max-weight": ("metric = random 8\nalgorithm = max-weight", {"fairbias.columns"}),
+    "max-weight": (
+        "metric = random 8\nalgorithm = max-weight",
+        {"fairbias.columns", "fairbias.plan_solves"},
+    ),
     "wrapped": (
         "metric = random 8\ndistribution = geometric",
         {"transship.solve", "transship.relocate"},
     ),
     "matrix": (
         "metric = uniform 24",
-        {"fairbias.columns", "flows.solve", "offline.opt_general"},
+        {
+            "fairbias.columns",
+            "fairbias.plan_solves",
+            "flows.solve",
+            "offline.opt_general",
+        },
     ),
 }
 
@@ -131,7 +147,8 @@ def test_benchmark_tracer_installs_and_replays_a_tree_scenario(tmp_path, route):
         "probe = tracing.Probe(True)\n"
         "probe.install(harness)\n"
         "records, _ = harness.run_trials(harness.parse_scenario(sys.argv[1]))\n"
-        "print(len(records), ' '.join(sorted(set(probe.names))))\n"
+        "counted = {k for c in probe.counts for k, v in c.items() if v > 0}\n"
+        "print(len(records), ' '.join(sorted(set(probe.names) | counted)))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, str(scenario)],
@@ -147,3 +164,15 @@ def test_benchmark_tracer_installs_and_replays_a_tree_scenario(tmp_path, route):
 
 def test_traced_routes_cover_every_algorithm():
     assert set(harness.ALGORITHMS) < set(TRACED_ROUTES)
+
+
+def test_only_flows_and_bmatching_reference_transport():
+    # every transport problem is built by the bmatching plan cores, so a
+    # solver kernel swap touches one call site
+    users = {
+        path.stem
+        for path in SRC.glob("*.py")
+        if "transport" in _names_read(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert "bmatching" in users
+    assert users <= {"flows", "bmatching"}

@@ -11,7 +11,12 @@ from fractions import Fraction
 import pytest
 
 from stochmatch import fairbias
-from stochmatch.bmatching import canonical_plan, solve_max_weight, solve_min_cost
+from stochmatch.bmatching import (
+    canonical_plan,
+    gain_costs,
+    solve_max_weight,
+    solve_min_cost,
+)
 from stochmatch.fairbias import MaxWeightProvider, PlanProvider, run_episode
 from stochmatch.harness import (
     gen_nonmetric_instance,
@@ -112,18 +117,19 @@ def test_warm_unchecked_plans_are_exact_and_optimal(monkeypatch):
 
 @pytest.mark.parametrize("n", [13, 14, 15, 16])
 def test_warm_max_weight_plans_are_exact_and_optimal(monkeypatch, n):
-    calls = _warm_calls(monkeypatch, "_gain_units")
+    calls = _warm_calls(monkeypatch, "_units")
     rng = random.Random(100 + n)
     gains = [[rng.randint(0, 40) for _ in range(n)] for _ in range(n)]
     location_weights = [2**i for i in range(n)]
     total = sum(location_weights)
     _episodes(MaxWeightProvider(gains, location_weights), 2, rng, location_weights)
     assert len(calls) == 2 * n
-    for counts, (shift, cost, triples), duals in calls:
+    # every solve is a min-cost plan of the one table S - gain
+    shift, costs = gain_costs(gains)
+    for counts, (cost, triples), duals in calls:
         free = sorted(counts)
         k = len(free)
-        # row potentials are kept against -gain, whatever the shift
-        _check_feasible(duals, free, range(n), lambda i, j: -gains[i][j], triples)
+        _check_feasible(duals, free, range(n), lambda i, j: costs[i][j], triples)
         _check_plan(
             triples,
             Counter(dict.fromkeys(free, total)),
