@@ -41,6 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import index
 
 from .flows import transport
 from .metrics import MetricInstance, WeightedTree, square_size
@@ -84,15 +85,24 @@ class FractionalMatching:
             raise AssertionError("mass on points outside the profile")
 
 
+def check_points(points, n: int, what: str) -> None:
+    """Reject any entry that is not an integer point 0..n-1, naming it."""
+    for p in points:
+        try:
+            index(p)
+        except TypeError:
+            raise ValueError(f"{what} {p!r} is not an integer") from None
+        if not 0 <= p < n:
+            raise ValueError(f"{what} {p} outside the instance")
+
+
 def _counts(T, n: int) -> Counter:
     counts = Counter(T)
     if not counts:
         raise ValueError("T must be non-empty")
     if any(c <= 0 for c in counts.values()):
         raise ValueError("multiplicities must be positive")
-    for i in counts:
-        if not 0 <= i < n:
-            raise ValueError(f"server point {i} outside the instance")
+    check_points(counts, n, "server point")
     return counts
 
 

@@ -57,6 +57,7 @@ from .bmatching import (
     _canonical_units,
     _units,
     check_location_weights,
+    check_points,
     free_below,
     gain_costs,
     release,
@@ -236,8 +237,7 @@ def check_stream(n: int, stream: list[int]) -> None:
     """Reject a stream that is not n arrivals at points 0..n-1."""
     if len(stream) != n:
         raise ValueError(f"stream must have exactly n={n} requests")
-    if any(not 0 <= r < n for r in stream):
-        raise ValueError("request location outside the instance")
+    check_points(stream, n, "request location")
 
 
 def run_episode(

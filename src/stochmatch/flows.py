@@ -4,24 +4,25 @@
 integer supplies, columns with integer demands, a cost per row/column
 pair) as a min-cost flow.  It is the one solve behind the fractional
 matchings, the reduced per-arrival plans, the distribution coupling and
-the offline optima.  ``MinCostFlow`` is its engine: the primal-dual
-method, one Dijkstra per shortest-path length and Dinic blocking flows
-on the arcs of zero reduced cost.  Everything is integer arithmetic:
-capacities, costs and flows are Python ints, so results are exact at
-any magnitude.
+the offline optima.  ``MinCostFlow`` is its kernel and works on the
+table itself, not on a general graph: a row x column flow table, a
+potential per row and per column, and the supply and demand left.  It
+runs the primal-dual method: one Dijkstra per shortest-path length, then
+Dinic blocking flows over the pairs of zero reduced cost.  Costs,
+potentials and flows are Python ints, so results are exact at any
+magnitude.
 
 Warm starts: ``transport(..., duals=...)`` starts the solve from one
-potential per row, and writes the final ones back, so a caller that
+potential per row and writes the final ones back, so a caller that
 re-solves a slightly changed problem (the online providers, once per
-arrival) starts each solve from the last one's optimal row duals.
-Each column starts at the tightest potential those rows allow, so
-every row/column arc starts at non-negative reduced cost; the plan is
-optimal whatever the rows hold, and only the number of phases depends
-on them.  With ``duals=None`` the solve starts from zero potentials.
+arrival) starts from the last solve's optimal row duals.  Each column
+starts at the tightest potential those rows allow, so the plan is
+optimal whatever the rows hold; only the number of phases depends on
+them.  With ``duals=None`` every potential starts at zero.
 
-Determinism: arcs keep insertion order, every search scans them in that
-order and Dijkstra breaks ties by node index, so identical inputs
-produce identical flows.
+Determinism: searches scan rows in ascending order, then columns in
+ascending order, a column tries its rows before the sink, and Dijkstra
+breaks ties by node index, so identical inputs give identical flows.
 
 A plan's column is carried as ``(items, cumulative units)``.  ``column``
 builds one from (item, units) pairs, ``column_units`` decodes it back,
@@ -35,6 +36,8 @@ import bisect
 import heapq
 import random
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import compress, repeat
+from operator import add, eq, lt
 
 _INF = float("inf")
 
@@ -42,211 +45,230 @@ Column = tuple[list, list[int]]  # items, cumulative units
 
 
 class MinCostFlow:
-    """Primal-dual min-cost flow on a directed graph.
+    """Primal-dual min-cost flow on one transportation table.
 
-    Node ids are 0..n-1 and arc costs must be non-negative, which
-    ``add_edge`` enforces.  Each phase runs one Dijkstra on reduced
-    costs, stopped once the sink is settled, and raises the potentials
-    so every shortest path to the sink has reduced cost 0.  It then
-    pushes blocking flows (Dinic: BFS levels, current-arc search) over
-    the admissible arcs, those with residual capacity and reduced cost
-    0, until the sink is cut off from them.  So there is one Dijkstra
-    per distinct shortest-path length, not one per augmenting path
-    (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, section 9.8).
+    The network is source -> rows -> columns -> sink, with a source arc
+    per row (its supply), a sink arc per column (its demand) and an arc
+    per pair.  A pair needs no capacity: a row ships at most its supply,
+    at most the total.  Dijkstra breaks ties by node number: 0 for the
+    source, 1..m for the rows, m+1..m+n for the columns, m+n+1 the sink.
+    Each phase raises the potentials by one Dijkstra on reduced costs,
+    then pushes blocking flows (BFS levels, current-arc search) over the
+    arcs of reduced cost 0 until the sink is cut off from them (Ahuja,
+    Magnanti & Orlin, *Network Flows*, 1993, sections 9.7-9.8).  A source
+    arc's reduced cost is its row's start potential minus its current
+    one, a sink arc's its column's rise minus the sink's, so every row
+    and column starts at reduced distance 0 from the source and to the
+    sink: the pseudoflow start of section 9.7.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        # arc storage: parallel lists, adj[u] holds arc indices out of u
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
+    def __init__(self, supplies, demands, cost_rows, duals=None):
+        m, n = len(supplies), len(demands)
+        for a, row in enumerate(cost_rows):
+            if min(row, default=0) < 0:
+                raise ValueError(f"row {a} has negative cost {min(row)}")
+        if duals is None:
+            self.row_p, self.col_p = [0] * m, [0] * n
+        elif len(duals) != m:
+            raise ValueError(f"need {m} duals, got {len(duals)}")
+        else:
+            self.row_p = list(duals)
+            self.col_p = [
+                min((u + row[b] for u, row in zip(duals, cost_rows)), default=0)
+                for b in range(n)
+            ]
+        self.row_start, self.col_start = list(self.row_p), list(self.col_p)
+        self.sink_rise = 0
+        self.cost = cost_rows
+        self.flow = [[0] * n for _ in range(m)]
+        self.supply_left, self.demand_left = list(supplies), list(demands)
+        self.flows: dict[tuple[int, int], int] = {}
 
-    def add_edge(self, u: int, v: int, cap: int, cost: int) -> int:
-        """Add arc u->v; returns the arc index (reverse arc is index^1)."""
-        if cost < 0:
-            raise ValueError(f"arc {u}->{v} has negative cost {cost}")
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[u].append(idx)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        self.adj[v].append(idx + 1)
-        return idx
+    # bench/tracing.py binds this name when it installs; the kernel builds
+    # no arcs.  ROADMAP item 1 deletes it, with the fairbias.tree_plan
+    # import and HierarchicalDecomposition.max_level.
+    def add_edge(self, *arc) -> None:
+        raise NotImplementedError("the transport kernel builds no arcs")
 
-    def flow_on(self, idx: int) -> int:
-        """Units currently routed through arc idx (its reverse residual)."""
-        return self.cap[idx ^ 1]
+    def min_cost_flow(self) -> tuple[int, int]:
+        """Route every unit; returns (units, cost of the plan).
 
-    def min_cost_flow(
-        self, s: int, t: int, maxf: int, potential: list[int] | None = None
-    ) -> tuple[int, int]:
-        """Push up to maxf units from s to t; returns (flow, cost).
-
-        Starts from ``potential`` (one per node, default all zero), which
-        must leave every residual arc at non-negative reduced cost
-        cost + p[u] - p[v]; the list is updated in place to the final
-        potentials.  Raises ValueError if fewer than maxf units can be
-        routed, so callers can rely on exact saturation.
+        Leaves the positive pair flows, in row-major order, in ``flows``
+        and the final row potentials in ``row_p``.
         """
-        if potential is None:
-            potential = [0] * self.n
-        self._check_reduced_costs(potential)
-        total_flow = 0
-        total_cost = 0
-        while total_flow < maxf:
-            length = self._raise_potentials(s, t, potential)
-            if length is None:
-                raise ValueError(
-                    f"only {total_flow} of {maxf} units routable"
-                )
-            pushed = self._blocking_flows(s, t, potential, maxf - total_flow)
-            total_flow += pushed
-            total_cost += pushed * length
-        return total_flow, total_cost
+        units = left = sum(self.supply_left)
+        while left:
+            self._raise_potentials()
+            left -= self._blocking_flows(left)
+        self.flows = {
+            (a, b): f for a, row in enumerate(self.flow) for b, f in enumerate(row) if f
+        }
+        return units, sum(self.cost[a][b] * f for (a, b), f in self.flows.items())
 
-    def _check_reduced_costs(self, potential: list[int]) -> None:
-        """Raise ValueError unless every residual arc has reduced cost >= 0."""
-        if len(potential) != self.n:
-            raise ValueError(f"need {self.n} potentials, got {len(potential)}")
-        to, cap, cost = self.to, self.cap, self.cost
-        for u, arcs in enumerate(self.adj):
-            pu = potential[u]
-            for idx in arcs:
-                if cap[idx] > 0 and cost[idx] + pu < potential[to[idx]]:
-                    raise ValueError(
-                        f"potentials leave arc {u}->{to[idx]} at negative reduced cost"
-                    )
+    def _raise_potentials(self) -> None:
+        """One phase's Dijkstra on reduced costs, stopped once the sink settles.
 
-    def _raise_potentials(self, s: int, t: int, potential: list[int]) -> int | None:
-        """One phase's Dijkstra on reduced costs, stopped once t is settled.
-
-        Raises every potential by min(dist, dist[t]), which keeps all
-        residual reduced costs non-negative and makes every shortest s-t
-        path one of reduced cost 0.  Returns that path length in true
-        costs, or None if t is unreachable.
+        Raises every potential by min(dist, dist[sink]), which keeps every
+        residual reduced cost non-negative and puts every shortest path to
+        the sink at reduced cost 0.  So a settled node is never improved
+        on, and a pair that carries flow has reduced cost 0.  While units
+        are left the sink is reachable, over any row with supply left.
         """
-        to, cap, cost, adj = self.to, self.cap, self.cost, self.adj
-        heappush, heappop = heapq.heappush, heapq.heappop
-        dist: list[float] = [_INF] * self.n
-        dist[s] = 0
-        done = [False] * self.n
-        heap: list[tuple[int, int]] = [(0, s)]
-        while heap:
+        m, n = len(self.row_p), len(self.col_p)
+        cost, flow, row_p, col_p = self.cost, self.flow, self.row_p, self.col_p
+        row_d: list[float] = [_INF] * m
+        col_d: list[float] = [_INF] * n
+        sink_d: float = _INF
+        heap = []  # the source is settled first, at distance 0
+        for a, (units, start, p) in enumerate(zip(self.supply_left, self.row_start, row_p)):
+            if units > 0:
+                row_d[a] = start - p
+                heap.append((start - p, 1 + a))
+        heapq.heapify(heap)
+        heappush, heappop, sink = heapq.heappush, heapq.heappop, m + n + 1
+        while True:
             d, u = heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            if u == t:
+            if u == sink:
                 break
-            pu = potential[u]
-            for idx in adj[u]:
-                if cap[idx] > 0:
-                    v = to[idx]
-                    if not done[v]:
-                        nd = d + cost[idx] + pu - potential[v]
-                        if nd < dist[v]:
-                            dist[v] = nd
-                            heappush(heap, (nd, v))
-        if not done[t]:
-            return None
-        # nodes not settled lie at least dist[t] away
-        dt = dist[t]
-        potential[:] = [p + (d if d < dt else dt) for p, d in zip(potential, dist)]
-        return potential[t] - potential[s]
+            if u <= m:
+                a = u - 1
+                if d > row_d[a]:
+                    continue
+                base = d + row_p[a]
+                dist = [base + c - q for c, q in zip(cost[a], col_p)]
+                for b in compress(range(n), map(lt, dist, col_d)):
+                    col_d[b] = dist[b]
+                    heappush(heap, (dist[b], 1 + m + b))
+            else:
+                b = u - 1 - m
+                if d > col_d[b]:
+                    continue
+                for a, row in enumerate(flow):
+                    if row[b] and d < row_d[a]:
+                        row_d[a] = d
+                        heappush(heap, (d, 1 + a))
+                if self.demand_left[b]:
+                    nd = d + col_p[b] - self.col_start[b] - self.sink_rise
+                    if nd < sink_d:
+                        sink_d = nd
+                        heappush(heap, (nd, sink))
+        # nodes not settled lie at least dist[sink] away
+        row_p[:] = [p + (d if d < sink_d else sink_d) for p, d in zip(row_p, row_d)]
+        col_p[:] = [p + (d if d < sink_d else sink_d) for p, d in zip(col_p, col_d)]
+        self.sink_rise += sink_d
 
-    def _blocking_flows(self, s: int, t: int, potential: list[int], limit: int) -> int:
+    def _blocking_flows(self, limit: int) -> int:
         """Dinic on the arcs of reduced cost 0; pushes up to limit units.
 
-        Stops when limit units are pushed or t is cut off from s along
-        arcs of reduced cost 0 with residual capacity.
+        A path holds rows and columns in turn, a1, b1, a2, ...: it ships
+        a1 -> b1 on their pair, b1 -> a2 against a pair's flow, and so
+        on, and ends at the sink.
         """
-        n = self.n
-        to, cap, cost = self.to, self.cap, self.cost
+        flow, row_p, col_p = self.flow, self.row_p, self.col_p
+        m, n, supply_left, demand_left = len(row_p), len(col_p), self.supply_left, self.demand_left
         # listed whatever their capacity: potentials hold for the phase, and
-        # a reverse arc gains capacity once its arc carries flow
-        zero = [
-            [idx for idx in arcs if cost[idx] + pu == potential[to[idx]]]
-            for arcs, pu in zip(self.adj, potential)
+        # a pair's return arc gains capacity once the pair carries flow
+        sources = [a for a, (s, p) in enumerate(zip(self.row_start, row_p)) if s == p]
+        row_zero = [
+            list(compress(range(n), map(eq, map(add, row, repeat(p)), col_p)))
+            for row, p in zip(self.cost, row_p)
         ]
+        col_zero: list[list[int]] = [[] for _ in range(n)]  # rows, then m: the sink
+        for a, cols in enumerate(row_zero):
+            for b in cols:
+                col_zero[b].append(a)
+        for b, (p, start) in enumerate(zip(col_p, self.col_start)):
+            if p - start == self.sink_rise:
+                col_zero[b].append(m)
         pushed = 0
         while pushed < limit:
-            # BFS levels, up to the sink's level
-            level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                lu = level[u]
-                if lu == level[t]:
-                    break
-                for idx in zero[u]:
-                    if cap[idx] > 0:
-                        v = to[idx]
-                        if level[v] < 0:
-                            level[v] = lu + 1
-                            queue.append(v)
-            if level[t] < 0:
+            # BFS levels, a layer of rows and then one of columns at a time,
+            # up to the sink's level
+            row_lv, col_lv, sink_lv = [-1] * m, [-1] * n, -1
+            rows = [a for a in sources if supply_left[a]]
+            for a in rows:
+                row_lv[a] = 1
+            level = 1
+            while rows and sink_lv < 0:
+                cols = []
+                for a in rows:
+                    for b in row_zero[a]:
+                        if col_lv[b] < 0:
+                            col_lv[b] = level + 1
+                            cols.append(b)
+                level += 2
+                rows = []
+                for b in cols:
+                    for a in col_zero[b]:
+                        if a == m:
+                            if demand_left[b]:
+                                sink_lv = level
+                        elif row_lv[a] < 0 and flow[a][b]:
+                            row_lv[a] = level
+                            rows.append(a)
+            if sink_lv < 0:
                 break
             # advance along current arcs one level at a time, retreat at dead ends
-            current = [0] * n
+            next_source, row_next, col_next = 0, [0] * m, [0] * n
             path: list[int] = []
-            u = s
             while pushed < limit:
-                if u == t:
-                    push = limit - pushed
-                    for idx in path:
-                        if cap[idx] < push:
-                            push = cap[idx]
-                    for idx in path:
-                        cap[idx] -= push
-                        cap[idx ^ 1] += push
-                    pushed += push
-                    path.clear()
-                    u = s
-                    continue
-                arcs = zero[u]
-                i = current[u]
-                lv = level[u] + 1
-                while i < len(arcs) and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == lv):
-                    i += 1
-                current[u] = i
-                if i < len(arcs):
-                    path.append(arcs[i])
-                    u = to[arcs[i]]
-                elif u == s:
-                    break
+                if not path:
+                    i = next_source
+                    while i < len(sources) and not (
+                        supply_left[sources[i]] and row_lv[sources[i]] == 1
+                    ):
+                        i += 1
+                    next_source = i
+                    if i == len(sources):
+                        break
+                    path.append(sources[i])
+                elif len(path) % 2:
+                    a = path[-1]
+                    cols, i, lv = row_zero[a], row_next[a], row_lv[a] + 1
+                    while i < len(cols) and col_lv[cols[i]] != lv:
+                        i += 1
+                    row_next[a] = i
+                    if i < len(cols):
+                        path.append(cols[i])
+                    else:  # back over the arc into a
+                        path.pop()
+                        if path:
+                            col_next[path[-1]] += 1
+                        else:
+                            next_source += 1
                 else:
-                    u = to[path.pop() ^ 1]
-                    current[u] += 1
+                    b = path[-1]
+                    rows, i, lv = col_zero[b], col_next[b], col_lv[b] + 1
+                    while i < len(rows) and not (
+                        (demand_left[b] and sink_lv == lv)
+                        if rows[i] == m
+                        else (flow[rows[i]][b] and row_lv[rows[i]] == lv)
+                    ):
+                        i += 1
+                    col_next[b] = i
+                    if i == len(rows):  # back over the pair into b
+                        path.pop()
+                        row_next[path[-1]] += 1
+                    elif rows[i] < m:
+                        path.append(rows[i])
+                    else:
+                        pushed += self._augment(path, limit - pushed)
+                        path.clear()
         return pushed
 
-    def residual_has_negative_cycle(self) -> bool:
-        """Bellman-Ford over the residual graph; certifies optimality.
-
-        A feasible flow is min-cost iff the residual graph has no
-        negative-cost cycle.  Independent of the search used to build
-        the flow, so tests use it as an optimality certificate.
-        """
-        n = self.n
-        dist = [0] * n  # virtual source into every node
-        to, cap, cost = self.to, self.cap, self.cost
-        for it in range(n):
-            changed = False
-            for idx in range(len(to)):
-                if cap[idx] <= 0:
-                    continue
-                u = to[idx ^ 1]
-                v = to[idx]
-                if dist[u] + cost[idx] < dist[v]:
-                    dist[v] = dist[u] + cost[idx]
-                    changed = True
-            if not changed:
-                return False
-        return changed
+    def _augment(self, path: list[int], limit: int) -> int:
+        """Push up to limit units along a path of rows and columns in turn."""
+        flow = self.flow
+        push = min(limit, self.supply_left[path[0]], self.demand_left[path[-1]])
+        for i in range(2, len(path), 2):
+            push = min(push, flow[path[i]][path[i - 1]])
+        self.supply_left[path[0]] -= push
+        self.demand_left[path[-1]] -= push
+        for i in range(0, len(path), 2):
+            flow[path[i]][path[i + 1]] += push
+            if i:
+                flow[path[i]][path[i - 1]] -= push
+        return push
 
 
 def transport(
@@ -258,61 +280,25 @@ def transport(
     """Min-cost transportation plan; returns (cost, flows).
 
     Row a ships supplies[a] units, column b receives demands[b] units,
-    and a unit from a to b costs cost_rows[a][b] (non-negative).  Every
-    row/column arc is uncapacitated.  flows maps (row index, column
-    index) to its positive integer flow, in row-major order.
-
-    ``duals``, if given, holds a potential u_a per row; every column
-    starts at v_b = min_a(u_a + c_ab), the largest potential that keeps
-    its arcs at non-negative reduced cost, and the value complementary
-    slackness gives any column that receives flow.  The source and sink
-    arcs are priced u_a - min u and max v - v_b, so every row and column
-    starts at reduced distance 0 from the source and to the sink: the
-    pseudoflow start of Ahuja, Magnanti & Orlin, *Network Flows*,
-    section 9.7.  Every row and column saturates, so that pricing adds
-    the same constant to every plan, and the returned cost is the plan's
-    sum c * x.  The final row potentials are written back into ``duals``.
+    and a unit from a to b costs cost_rows[a][b] (non-negative).  flows
+    maps (row, column) to its positive flow, in row-major order, and
+    cost is the plan's sum c * x.  ``duals``, if given, holds a potential
+    u_a per row; every column starts at v_b = min_a(u_a + c_ab), the
+    largest potential that keeps its pairs at non-negative reduced cost,
+    and the final row potentials are written back into ``duals``.
     """
     total = sum(supplies)
     if total != sum(demands):
         raise ValueError(
             f"supplies ({total}) and demands ({sum(demands)}) must balance"
         )
-    m, n = len(supplies), len(demands)
-    if duals is None:
-        row_p, col_p = [0] * m, [0] * n
-    elif len(duals) != m:
-        raise ValueError(f"need {m} duals, got {len(duals)}")
-    else:
-        row_p = duals
-        col_p = [
-            min((u + row[b] for u, row in zip(row_p, cost_rows)), default=0)
-            for b in range(n)
-        ]
-    low = min(row_p, default=0)
-    high = max(col_p, default=0)
-    # nodes: 0 source, 1..m rows, m+1..m+n columns, m+n+1 sink
-    g = MinCostFlow(m + n + 2)
-    sink = m + n + 1
-    for a, units in enumerate(supplies):
-        g.add_edge(0, 1 + a, units, row_p[a] - low)
-    arcs = [
-        [g.add_edge(1 + a, 1 + m + b, total, row[b]) for b in range(n)]
-        for a, row in enumerate(cost_rows)
-    ]
-    for b, units in enumerate(demands):
-        g.add_edge(1 + m + b, sink, units, high - col_p[b])
-    potential = [low, *row_p, *col_p, high]
-    g.min_cost_flow(0, sink, total, potential)
+    if min(supplies, default=0) < 0 or min(demands, default=0) < 0:
+        raise ValueError("supplies and demands must be >= 0")
+    kernel = MinCostFlow(supplies, demands, cost_rows, duals)
+    cost = kernel.min_cost_flow()[1]
     if duals is not None:
-        duals[:] = potential[1 : 1 + m]
-    flows = {}
-    for a, row_arcs in enumerate(arcs):
-        for b, idx in enumerate(row_arcs):
-            f = g.flow_on(idx)
-            if f > 0:
-                flows[(a, b)] = f
-    return sum(cost_rows[a][b] * f for (a, b), f in flows.items()), flows
+        duals[:] = kernel.row_p
+    return cost, kernel.flows
 
 
 def column(pairs: Iterable[tuple[object, int]]) -> Column:

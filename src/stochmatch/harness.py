@@ -91,7 +91,7 @@ def _at_least_one(name: str, value: int) -> None:
 # scenarios
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """One reproducible experiment: metric, distribution, algorithm, seeds."""
 

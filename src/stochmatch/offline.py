@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .bmatching import _units, gain_costs
+from .bmatching import _units, check_points, gain_costs
 from .metrics import MetricInstance, WeightedTree, square_size
 
 
@@ -27,9 +27,7 @@ def _request_counts(n: int, requests) -> Counter:
         raise ValueError(
             f"need exactly {n} requests (exactly n={n}, one per server), got {m}"
         )
-    for r in counts:
-        if not 0 <= r < n:
-            raise ValueError(f"request location {r} outside the instance")
+    check_points(counts, n, "request location")
     return counts
 
 

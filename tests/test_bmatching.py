@@ -9,6 +9,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stochmatch.bmatching import (
@@ -146,6 +147,13 @@ class TestSolveMinCost:
     def test_out_of_range_server_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             solve_min_cost(line_metric(3), [3])
+
+    def test_non_integer_server_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^server point 1.0 is not an integer$"):
+            solve_min_cost(line_metric(3), [1.0])
+        with pytest.raises(ValueError, match="^server point '1' is not an integer$"):
+            solve_min_cost(line_metric(3), ["1"])
+        assert solve_min_cost(line_metric(3), [np.int64(1)]).value == Fraction(2, 3)
 
     def test_value_denominator_divides_scale(self):
         rng = random.Random(5)

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,6 +230,15 @@ class TestValidation:
     def test_stream_range(self):
         with pytest.raises(ValueError, match="outside"):
             _episode(line_metric(3), [0, 1, 5], 0)
+
+    @pytest.mark.parametrize("instance", [line_metric(3), uniform_metric(3)])
+    def test_stream_of_non_integers_rejected_by_name(self, instance):
+        # on a tree the walk would fail on a bare KeyError, on a matrix
+        # on a TypeError; numpy integers are points like any other
+        with pytest.raises(ValueError, match="^request location 1.5 is not an integer$"):
+            _episode(instance, [0, 1.5, 2], 0)
+        stream = [np.int64(2), np.int64(0), np.int64(1)]
+        assert len(_episode(instance, stream, 0).assignments) == 3
 
     def test_step_with_no_free_servers(self):
         inst = line_metric(2)

@@ -1,3 +1,4 @@
+"""The transport kernel: small fixed plans and an LP oracle."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,180 +11,115 @@ from stochmatch.flows import MinCostFlow, transport
 
 
 def test_prefers_cheap_path():
-    f = MinCostFlow(4)
-    f.add_edge(0, 1, 2, 1)
-    f.add_edge(1, 3, 2, 1)
-    f.add_edge(0, 2, 2, 5)
-    f.add_edge(2, 3, 2, 5)
-    flow, cost = f.min_cost_flow(0, 3, 2)
-    assert (flow, cost) == (2, 4)
+    assert transport([1, 1], [1, 1], [[1, 5], [5, 1]]) == (2, {(0, 0): 1, (1, 1): 1})
+    # numpy integer costs price the pairs alike
+    assert transport([1, 1], [1, 1], np.array([[1, 5], [5, 1]])) == (2, {(0, 0): 1, (1, 1): 1})
 
 
 def test_splits_when_cheap_path_saturates():
-    f = MinCostFlow(4)
-    cheap_in = f.add_edge(0, 1, 1, 1)
-    f.add_edge(1, 3, 1, 1)
-    dear_in = f.add_edge(0, 2, 5, 3)
-    f.add_edge(2, 3, 5, 3)
-    flow, cost = f.min_cost_flow(0, 3, 3)
-    assert (flow, cost) == (3, 2 + 2 * 6)
-    assert f.flow_on(cheap_in) == 1
-    assert f.flow_on(dear_in) == 2
-
-
-def test_insufficient_capacity_raises():
-    f = MinCostFlow(3)
-    f.add_edge(0, 1, 1, 0)
-    f.add_edge(1, 2, 1, 0)
-    with pytest.raises(ValueError, match="1 of 2"):
-        f.min_cost_flow(0, 2, 2)
+    # row 0's one unit takes column 0 at cost 1; row 1 fills the rest of
+    # column 0 and all of column 1 at 3 each, never row 0's pair at 9
+    cost, flows = transport([1, 5], [3, 3], [[1, 9], [3, 3]])
+    assert (cost, flows) == (1 + 2 * 3 + 3 * 3, {(0, 0): 1, (1, 0): 2, (1, 1): 3})
 
 
 def test_zero_flow_request():
-    f = MinCostFlow(2)
-    f.add_edge(0, 1, 1, 7)
-    assert f.min_cost_flow(0, 1, 0) == (0, 0)
-
-
-def test_flow_on_reads_reverse_residual():
-    f = MinCostFlow(2)
-    e = f.add_edge(0, 1, 3, 2)
-    f.min_cost_flow(0, 1, 2)
-    assert f.flow_on(e) == 2
-    assert f.cap[e] == 1
+    kernel = MinCostFlow([0, 0], [0], [[7], [3]])
+    assert kernel.min_cost_flow() == (0, 0)
+    assert kernel.flows == {}
+    assert transport([0, 0], [0], [[7], [3]]) == (0, {})
 
 
 def test_certificate_accepts_optimal_flow():
-    f = MinCostFlow(4)
-    f.add_edge(0, 1, 2, 1)
-    f.add_edge(1, 3, 2, 1)
-    f.add_edge(0, 2, 2, 5)
-    f.add_edge(2, 3, 2, 5)
-    f.min_cost_flow(0, 3, 3)
-    assert not f.residual_has_negative_cycle()
-
-
-def test_certificate_flags_forced_expensive_flow():
-    # route a unit over the cost-5 arc by hand; the residual then has
-    # the cycle (reverse at -5, forward parallel at +1)
-    f = MinCostFlow(2)
-    dear = f.add_edge(0, 1, 1, 5)
-    f.add_edge(0, 1, 1, 1)
-    f.cap[dear] -= 1
-    f.cap[dear ^ 1] += 1
-    assert f.residual_has_negative_cycle()
+    # the final potentials certify the plan: no pair at negative reduced
+    # cost, and every pair that carries flow at zero
+    supplies, demands = [2, 3, 1], [1, 4, 1]
+    cost_rows = [[4, 1, 7], [2, 6, 3], [5, 2, 0]]
+    kernel = MinCostFlow(supplies, demands, cost_rows)
+    assert kernel.min_cost_flow() == (6, 15)
+    for a, row in enumerate(cost_rows):
+        for b, c in enumerate(row):
+            reduced = c + kernel.row_p[a] - kernel.col_p[b]
+            assert reduced >= 0
+            assert reduced == 0 or (a, b) not in kernel.flows
 
 
 def test_deterministic_arc_choice():
-    loads = []
-    for _ in range(2):
-        f = MinCostFlow(4)
-        a = f.add_edge(0, 1, 1, 2)
-        b = f.add_edge(0, 2, 1, 2)
-        f.add_edge(1, 3, 1, 0)
-        f.add_edge(2, 3, 1, 0)
-        f.min_cost_flow(0, 3, 1)
-        loads.append((f.flow_on(a), f.flow_on(b)))
-    assert loads[0] == loads[1]
+    # all four pairs tie: the first row takes the first column
+    plans = [transport([1, 1], [1, 1], [[2, 2], [2, 2]]) for _ in range(2)]
+    assert plans[0] == plans[1] == (4, {(0, 0): 1, (1, 1): 1})
 
 
 def test_negative_arc_cost_rejected():
-    f = MinCostFlow(2)
-    with pytest.raises(ValueError, match="negative cost -1"):
-        f.add_edge(0, 1, 1, -1)
-    with pytest.raises(ValueError, match="negative cost"):
+    with pytest.raises(ValueError, match="row 1 has negative cost -1"):
         transport([0, 2], [2, 0], [[2, 1], [-1, 2]])
-
-
-def test_start_potentials_with_a_negative_reduced_cost_rejected():
-    # arc 0->1 costs 2, and 2 + p[0] - p[1] = -1 under these potentials
-    f = MinCostFlow(3)
-    f.add_edge(0, 1, 1, 2)
-    f.add_edge(1, 2, 1, 0)
-    with pytest.raises(ValueError, match="arc 0->1 at negative reduced cost"):
-        f.min_cost_flow(0, 2, 1, [0, 3, 3])
-    with pytest.raises(ValueError, match="need 3 potentials, got 2"):
-        f.min_cost_flow(0, 2, 1, [0, 0])
-    assert f.flow_on(0) == 0
+    with pytest.raises(ValueError, match="negative cost"):
+        MinCostFlow([1], [1], [[-3]], [0])
 
 
 def test_feasible_start_potentials_give_the_same_optimum():
-    # 2 units on 0-1-3 at 2 each, then 0-1 is full and one unit takes 0-2-3
-    arcs = [(0, 1, 2, 1), (1, 3, 2, 1), (0, 2, 2, 5), (2, 3, 2, 5), (1, 2, 1, 0)]
-    for start in (None, [0, 1, 1, 2], [5, 6, 6, 7]):
-        f = MinCostFlow(4)
-        for arc in arcs:
-            f.add_edge(*arc)
-        potential = None if start is None else list(start)
-        assert f.min_cost_flow(0, 3, 3, potential) == (3, 14)
-        if potential is not None:
-            # updated in place to potentials that certify the final flow
-            assert potential != start
-            f._check_reduced_costs(potential)
+    plan = (16, {(0, 0): 1, (1, 0): 2, (1, 1): 3})
+    for start in (None, [0, 0], [0, 1], [5, 6], [-7, 40]):
+        duals = None if start is None else list(start)
+        assert transport([1, 5], [3, 3], [[1, 9], [3, 3]], duals) == plan
+        if duals is not None:
+            # written back: both rows ship to column 0, so their pairs
+            # there price it alike, and row 0's unused pair to column 1
+            # costs no less than row 1's
+            assert duals[0] + 1 == duals[1] + 3
+            assert duals[0] + 9 >= duals[1] + 3
 
 
-def _lp_optimum(n, arcs, s, t, units=None):
-    """The arc LP on the same digraph: the max flow value when units is
-    None, else the min cost of sending units from s to t."""
-    balance = np.zeros((n, len(arcs) + 1))
-    for j, (u, v, _, _) in enumerate(arcs):
-        balance[u, j] += 1
-        balance[v, j] -= 1
-    balance[s, -1] -= 1  # the flow value F leaves s and enters t
-    balance[t, -1] += 1
-    bounds = [(0, cap) for _, _, cap, _ in arcs]
-    if units is None:
-        c = [0] * len(arcs) + [-1]
-        bounds.append((0, None))
-    else:
-        c = [cost for _, _, _, cost in arcs] + [0]
-        bounds.append((units, units))
-    res = linprog(c, A_eq=balance, b_eq=np.zeros(n), bounds=bounds, method="highs")
+def _lp_optimum(supplies, demands, cost_rows):
+    """The transportation LP's optimum, integral by total unimodularity."""
+    m, n = len(supplies), len(demands)
+    rows = np.zeros((m + n, m * n))
+    for a in range(m):
+        for b in range(n):
+            rows[a, a * n + b] = rows[m + b, a * n + b] = 1
+    res = linprog(
+        np.ravel(cost_rows),
+        A_eq=rows,
+        b_eq=[*supplies, *demands],
+        bounds=(0, None),
+        method="highs",
+    )
     assert res.status == 0
-    return round(-res.fun) if units is None else round(res.fun)
-
-
-def _solve(n, arcs, s, t, units):
-    f = MinCostFlow(n)
-    ids = [f.add_edge(u, v, cap, cost) for u, v, cap, cost in arcs]
-    try:
-        result = f.min_cost_flow(s, t, units)
-    except ValueError as exc:
-        result = exc
-    return f, [f.flow_on(i) for i in ids], result
+    return round(res.fun)
 
 
 @st.composite
-def _digraphs(draw):
-    n = draw(st.integers(2, 6))
-    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-    node = st.integers(0, n - 1)
-    arc = st.tuples(node, node, st.integers(0, 4), st.integers(0, 3)).filter(
-        lambda a: a[0] != a[1]
+def _transports(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    supplies = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
+    total = sum(supplies)
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    demands = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    cost_rows = draw(
+        st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n), min_size=m, max_size=m)
     )
-    arcs = draw(st.lists(arc, min_size=n, max_size=16))
-    return n, arcs, s, t, draw(st.integers(0, 6))
+    duals = draw(st.none() | st.lists(st.integers(-20, 20), min_size=m, max_size=m))
+    return supplies, demands, cost_rows, duals
 
 
 @settings(deadline=None, max_examples=200)
-@given(case=_digraphs())
-# node 1 is labelled 2 but not settled when t is; raising its potential
-# by that label instead of dist[t] gives arc 2->1 a negative reduced cost
-@example(case=(4, [(0, 3, 1, 0), (1, 3, 1, 0), (2, 3, 3, 0), (2, 1, 1, 0),
-                   (0, 1, 1, 2), (0, 2, 4, 1)], 0, 3, 5))
-def test_general_graphs_match_the_arc_lp(case):
-    # parallel and antiparallel arcs, zero costs and capacities and cost
-    # ties all occur; the LP optimum is integral (the arc-node incidence
-    # matrix is totally unimodular)
-    n, arcs, s, t, request = case
-    maxflow = _lp_optimum(n, arcs, s, t)
-    units = min(request, maxflow + 1)
-    f, flows, result = _solve(n, arcs, s, t, units)
-    assert _solve(n, arcs, s, t, units)[1] == flows
-    if units > maxflow:
-        assert isinstance(result, ValueError)
-        assert str(result) == f"only {maxflow} of {units} units routable"
-    else:
-        assert result == (units, _lp_optimum(n, arcs, s, t, units))
-        assert result[1] == sum(fl * a[3] for fl, a in zip(flows, arcs))
-    assert not f.residual_has_negative_cycle()
+@given(case=_transports())
+# in the second phase column 0 is labelled 2 but not settled when the
+# sink is, at 1; raising its potential by that label instead of the
+# sink's distance leaves pair (0, 0), which carries flow, at reduced
+# cost -1, and the solve then never ends
+@example(case=([1, 2], [2, 1], [[0, 0], [2, 1]], None))
+def test_transport_matches_the_lp(case):
+    # cost ties, zero supplies and demands and any start duals all occur
+    supplies, demands, cost_rows, duals = case
+    start = None if duals is None else list(duals)
+    cost, flows = transport(supplies, demands, cost_rows, duals)
+    assert transport(supplies, demands, cost_rows, start) == (cost, flows)
+    assert cost == _lp_optimum(supplies, demands, cost_rows)
+    assert cost == sum(cost_rows[a][b] * f for (a, b), f in flows.items())
+    assert all(f > 0 for f in flows.values())
+    assert list(flows) == sorted(flows)
+    for a, s in enumerate(supplies):
+        assert sum(f for (i, _), f in flows.items() if i == a) == s
+    for b, d in enumerate(demands):
+        assert sum(f for (_, j), f in flows.items() if j == b) == d

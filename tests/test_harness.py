@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -241,13 +242,21 @@ class TestBuildInstance:
     def test_distributions(self, tmp_path):
         sc = Scenario("line", "3")
         assert build_distribution(sc, 3).weights == (1, 1, 1)
-        sc.distribution = "geometric"
-        assert build_distribution(sc, 3).weights == (1, 2, 4)
+        geometric = dataclasses.replace(sc, distribution="geometric")
+        assert build_distribution(geometric, 3).weights == (1, 2, 4)
         wpath = tmp_path / "w.txt"
         wpath.write_text("0 2\n1 1\n2 1\n")
-        sc.distribution = "weights"
-        sc.dist_arg = str(wpath)
-        assert build_distribution(sc, 3).weights == (2, 1, 1)
+        weights = dataclasses.replace(sc, distribution="weights", dist_arg=str(wpath))
+        assert build_distribution(weights, 3).weights == (2, 1, 1)
+
+    def test_scenario_is_frozen_so_its_checks_hold(self, tmp_path):
+        # a field set after construction would skip __post_init__, and an
+        # empty weights path would then fail later in open('')
+        sc = Scenario("line", "3", distribution="weights", dist_arg=str(tmp_path / "w"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.dist_arg = ""
+        with pytest.raises(ValueError, match="^distribution weights needs a path$"):
+            dataclasses.replace(sc, dist_arg="")
 
 
 class TestRatioOfMeans:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from stochmatch.harness import random_metric
@@ -66,6 +67,14 @@ class TestOptGeneral:
     def test_stream_range_checked(self):
         with pytest.raises(ValueError, match="outside"):
             opt_general(line_metric(3), [0, 1, 3])
+
+    @pytest.mark.parametrize("opt", [opt_general, opt_tree])
+    def test_non_integer_request_rejected_by_name(self, opt):
+        # 1.5 lies in range, so only an integer check catches it; opt_tree
+        # used to fail on the root balance instead
+        with pytest.raises(ValueError, match="^request location 1.5 is not an integer$"):
+            opt(line_metric(3), [0, 1.5, 2])
+        assert opt(line_metric(3), [np.int64(0), np.int64(0), 2]) == 1
 
 
 class TestOptTree:

@@ -102,7 +102,8 @@ def test_import_leaves_scipy_stats_unloaded():
 # every algorithm, the wrapped route skewed arrivals take, and a matrix
 # route past the plan memo's size, where every arrival warm-starts a plan
 # solve: the scenario lines that pick it, and the spans and positive
-# counts its replay must record
+# counts its replay must record (flows.units sums the units routed, the
+# first item MinCostFlow.min_cost_flow returns)
 TRACED_ROUTES = {
     "fair-bias": ("metric = random 8", {"offline.opt_tree"}),
     "split-match": (
@@ -127,6 +128,7 @@ TRACED_ROUTES = {
             "fairbias.columns",
             "fairbias.plan_solves",
             "flows.solve",
+            "flows.units",
             "offline.opt_general",
         },
     ),
@@ -168,11 +170,13 @@ def test_traced_routes_cover_every_algorithm():
 
 def test_only_flows_and_bmatching_reference_transport():
     # every transport problem is built by the bmatching plan cores, so a
-    # solver kernel swap touches one call site
-    users = {
-        path.stem
+    # solver kernel swap touches one call site, and the kernel class is
+    # reached only through transport
+    names = {
+        path.stem: _names_read(ast.parse(path.read_text(encoding="utf-8")))
         for path in SRC.glob("*.py")
-        if "transport" in _names_read(ast.parse(path.read_text(encoding="utf-8")))
     }
+    users = {module for module, read in names.items() if "transport" in read}
     assert "bmatching" in users
     assert users <= {"flows", "bmatching"}
+    assert {module for module, read in names.items() if "MinCostFlow" in read} == {"flows"}

@@ -10,47 +10,6 @@ from hypothesis import strategies as st
 from stochmatch.flows import MinCostFlow, column, column_units, draw, transport
 
 
-def _hand_built(supplies, demands, cost_rows):
-    # the source -> rows -> columns -> sink graph, arcs capped by total supply
-    m, n = len(supplies), len(demands)
-    total = sum(supplies)
-    f = MinCostFlow(m + n + 2)
-    arcs = {}
-    for a, s in enumerate(supplies):
-        f.add_edge(0, 1 + a, s, 0)
-    for a, row in enumerate(cost_rows):
-        for b in range(n):
-            arcs[(a, b)] = f.add_edge(1 + a, 1 + m + b, total, row[b])
-    for b, d in enumerate(demands):
-        f.add_edge(1 + m + b, m + n + 1, d, 0)
-    _, cost = f.min_cost_flow(0, m + n + 1, total)
-    assert not f.residual_has_negative_cycle()
-    flows = {key: f.flow_on(idx) for key, idx in arcs.items() if f.flow_on(idx)}
-    return cost, flows
-
-
-@settings(deadline=None, max_examples=60)
-@given(data=st.data())
-def test_transport_matches_hand_built_graph(data):
-    m = data.draw(st.integers(1, 4))
-    n = data.draw(st.integers(1, 4))
-    supplies = data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
-    total = sum(supplies)
-    cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
-    demands = [b - a for a, b in zip([0] + cuts, cuts + [total])]
-    cost_rows = data.draw(
-        st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n), min_size=m, max_size=m)
-    )
-    cost, flows = transport(supplies, demands, cost_rows)
-    assert (cost, flows) == _hand_built(supplies, demands, cost_rows)
-    assert all(f > 0 for f in flows.values())
-    assert cost == sum(cost_rows[a][b] * f for (a, b), f in flows.items())
-    for a, s in enumerate(supplies):
-        assert sum(f for (i, _), f in flows.items() if i == a) == s
-    for b, d in enumerate(demands):
-        assert sum(f for (_, j), f in flows.items() if j == b) == d
-
-
 @settings(deadline=None, max_examples=80)
 @given(data=st.data())
 def test_warm_duals_keep_the_optimum_and_come_back_feasible(data):
@@ -86,21 +45,15 @@ def test_warm_duals_checked():
         transport([1], [1, 0], [[0, 0]], [0, 0])
 
 
-def test_new_column_gets_the_min_rule(monkeypatch):
-    # every column starts at min over rows of u_a + c_ab
-    starts = []
-    solve = MinCostFlow.min_cost_flow
-
-    def spy(self, s, t, maxf, potential=None):
-        starts.append(list(potential))
-        return solve(self, s, t, maxf, potential)
-
-    monkeypatch.setattr(MinCostFlow, "min_cost_flow", spy)
+def test_new_column_gets_the_min_rule():
+    # the kernel starts every column at min over rows of u_a + c_ab
+    kernel = MinCostFlow([1, 1], [1, 1], [[4, 9], [2, 1]], [0, 3])
+    assert (kernel.row_p, kernel.col_p) == ([0, 3], [min(0 + 4, 3 + 2), min(0 + 9, 3 + 1)])
+    # cold, every potential starts at zero
+    cold = MinCostFlow([1, 1], [1, 1], [[4, 9], [2, 1]])
+    assert (cold.row_p, cold.col_p) == ([0, 0], [0, 0])
     duals = [0, 3]
-    transport([1, 1], [1, 1], [[4, 9], [2, 1]], duals)
-    # source at min u, rows, columns min(0 + 4, 3 + 2) and min(0 + 9, 3 + 1),
-    # sink at max v
-    assert starts == [[0, 0, 3, 4, 4, 4]]
+    assert transport([1, 1], [1, 1], [[4, 9], [2, 1]], duals) == (5, {(0, 0): 1, (1, 1): 1})
     # row 0 ships to column 0 and row 1 to column 1, both at zero reduced cost
     assert duals[0] + 4 == min(duals[0] + 4, duals[1] + 2)
     assert duals[1] + 1 == min(duals[0] + 9, duals[1] + 1)
@@ -109,6 +62,15 @@ def test_new_column_gets_the_min_rule(monkeypatch):
 def test_transport_rejects_unbalanced_totals():
     with pytest.raises(ValueError, match="balance"):
         transport([2, 1], [2], [[0], [0]])
+
+
+def test_transport_rejects_negative_marginals():
+    # balanced, but a row of -1 would leave its units unshipped and the
+    # plan's marginals wrong
+    with pytest.raises(ValueError, match="must be >= 0"):
+        transport([-1, 2], [1, 0], [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="must be >= 0"):
+        transport([1, 0], [2, -1], [[0, 0], [0, 0]])
 
 
 def test_column_round_trip():
