@@ -1,4 +1,4 @@
-"""The transport kernel: small fixed plans and an LP oracle."""
+"""The transport kernel: small fixed plans and two LP oracles."""
 from __future__ import annotations
 
 import numpy as np
@@ -123,3 +123,49 @@ def test_transport_matches_the_lp(case):
         assert sum(f for (i, _), f in flows.items() if i == a) == s
     for b, d in enumerate(demands):
         assert sum(f for (_, j), f in flows.items() if j == b) == d
+
+
+def _arc_lp_optimum(supplies, demands, cost_rows):
+    """The arc LP on the graph a transport stands for: source -> rows ->
+    columns -> sink, source arcs capped by supply, sink arcs by demand,
+    pairs uncapped, and every unit sent from the source to the sink."""
+    m, n = len(supplies), len(demands)
+    source, sink, total = 0, m + n + 1, sum(supplies)
+    arcs = [(source, 1 + a, s, 0) for a, s in enumerate(supplies)]
+    arcs += [
+        (1 + a, 1 + m + b, None, c) for a, row in enumerate(cost_rows) for b, c in enumerate(row)
+    ]
+    arcs += [(1 + m + b, sink, d, 0) for b, d in enumerate(demands)]
+    balance = np.zeros((m + n + 2, len(arcs)))
+    for j, (u, v, _, _) in enumerate(arcs):
+        balance[u, j] += 1
+        balance[v, j] -= 1
+    b_eq = np.zeros(m + n + 2)
+    b_eq[source], b_eq[sink] = total, -total
+    res = linprog(
+        [cost for _, _, _, cost in arcs],
+        A_eq=balance,
+        b_eq=b_eq,
+        bounds=[(0, cap) for _, _, cap, _ in arcs],
+        method="highs",
+    )
+    assert res.status == 0
+    return round(res.fun)
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=_transports())
+def test_general_graphs_match_the_arc_lp(case):
+    # the kernel on the table against the node-arc LP of the graph it
+    # stands for (totally unimodular, so integral); its final potentials
+    # certify the plan: no pair has negative reduced cost, and every pair
+    # that carries flow has reduced cost zero
+    supplies, demands, cost_rows, duals = case
+    kernel = MinCostFlow(supplies, demands, cost_rows, duals)
+    units, cost = kernel.min_cost_flow()
+    assert (units, cost) == (sum(supplies), _arc_lp_optimum(supplies, demands, cost_rows))
+    for a, row in enumerate(cost_rows):
+        for b, c in enumerate(row):
+            reduced = c + kernel.row_p[a] - kernel.col_p[b]
+            assert reduced >= 0
+            assert reduced == 0 or (a, b) not in kernel.flows

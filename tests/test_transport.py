@@ -1,4 +1,4 @@
-"""The transportation kernel and the integer column sampler."""
+"""The transportation kernel, checked against unit assignment, and the integer column sampler."""
 from __future__ import annotations
 
 import random
@@ -6,8 +6,44 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from stochmatch.flows import MinCostFlow, column, column_units, draw, transport
+
+
+def _unit_assignment_cost(supplies, demands, cost_rows):
+    # the hand-built bipartite graph of unit copies: row a is split into
+    # supplies[a] copies and column b into demands[b], and a min-cost
+    # perfect assignment between the copies is an optimal transport
+    rows = [a for a, s in enumerate(supplies) for _ in range(s)]
+    cols = [b for b, d in enumerate(demands) for _ in range(d)]
+    if not rows:
+        return 0
+    table = [[cost_rows[a][b] for b in cols] for a in rows]
+    r, c = linear_sum_assignment(table)
+    return sum(table[i][j] for i, j in zip(r, c))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_transport_matches_hand_built_graph(data):
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 4))
+    supplies = data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
+    total = sum(supplies)
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    demands = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    cost_rows = data.draw(
+        st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+    cost, flows = transport(supplies, demands, cost_rows)
+    assert cost == _unit_assignment_cost(supplies, demands, cost_rows)
+    assert all(f > 0 for f in flows.values())
+    assert cost == sum(cost_rows[a][b] * f for (a, b), f in flows.items())
+    for a, s in enumerate(supplies):
+        assert sum(f for (i, _), f in flows.items() if i == a) == s
+    for b, d in enumerate(demands):
+        assert sum(f for (_, j), f in flows.items() if j == b) == d
 
 
 @settings(deadline=None, max_examples=80)
