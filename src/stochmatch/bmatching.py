@@ -147,7 +147,7 @@ def _units(cost_rows, counts, location_weights: list[int], duals=None):
         spots,
         [counts[i] * total for i in lefts],
         [k * location_weights[j] for j in spots],
-        [[cost_rows[i][j] for j in spots] for i in lefts],
+        [list(map(row.__getitem__, spots)) for row in map(cost_rows.__getitem__, lefts)],
         duals,
     )
 
@@ -169,7 +169,7 @@ def _canonical_units(matrix, counts, n: int, duals=None):
         cols,
         [n * counts[i] - k for i in rows],
         [k - n * counts.get(j, 0) for j in cols],
-        [[matrix[i][j] for j in cols] for i in rows],
+        [list(map(row.__getitem__, cols)) for row in map(matrix.__getitem__, rows)],
         duals,
     )
 

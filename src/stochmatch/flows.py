@@ -8,9 +8,11 @@ the offline optima.  ``MinCostFlow`` is its kernel and works on the
 table itself, not on a general graph: a row x column flow table, a
 potential per row and per column, and the supply and demand left.  It
 runs the primal-dual method: one Dijkstra per shortest-path length, then
-Dinic blocking flows over the pairs of zero reduced cost.  Costs,
-potentials and flows are Python ints, so results are exact at any
-magnitude.
+Dinic blocking flows over the pairs of zero reduced cost.  It keeps, per
+column, the set of rows that carry flow on it (its flow support), the
+only rows a search can reach from that column, and ships a round whose
+sink is one pair away in one direct pass.  Costs, potentials and flows
+are Python ints, so results are exact at any magnitude.
 
 Warm starts: ``transport(..., duals=...)`` starts the solve from one
 potential per row and writes the final ones back, so a caller that
@@ -21,8 +23,9 @@ optimal whatever the rows hold; only the number of phases depends on
 them.  With ``duals=None`` every potential starts at zero.
 
 Determinism: searches scan rows in ascending order, then columns in
-ascending order, a column tries its rows before the sink, and Dijkstra
-breaks ties by node index, so identical inputs give identical flows.
+ascending order, a column tries its support rows before the sink, and
+Dijkstra breaks ties by node index, so identical inputs give identical
+flows.
 
 A plan's column is carried as ``(items, cumulative units)``.  ``column``
 builds one from (item, units) pairs, ``column_units`` decodes it back,
@@ -37,7 +40,7 @@ import heapq
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress, repeat
-from operator import add, eq, lt
+from operator import add, eq, lt, sub
 
 _INF = float("inf")
 
@@ -60,6 +63,16 @@ class MinCostFlow:
     one, a sink arc's its column's rise minus the sink's, so every row
     and column starts at reduced distance 0 from the source and to the
     sink: the pseudoflow start of section 9.7.
+
+    Flow support: ``support[b]`` is the set of rows that carry flow on
+    column b, kept by every push.  The only residual arcs out of a
+    column, other than to the sink, run back to those rows, so Dijkstra
+    and the blocking-flow searches read them instead of scanning every
+    row.  Within a round the levels stop at the sink's, the search drops
+    a node it retreats from and keeps a path up to its first saturated
+    arc after each push.  When the sink is one pair away (level 3) the
+    round is one direct pass over the source rows' zero pairs, in the
+    order the search would take them.
     """
 
     def __init__(self, supplies, demands, cost_rows, duals=None):
@@ -73,14 +86,17 @@ class MinCostFlow:
             raise ValueError(f"need {m} duals, got {len(duals)}")
         else:
             self.row_p = list(duals)
-            self.col_p = [
-                min((u + row[b] for u, row in zip(duals, cost_rows)), default=0)
-                for b in range(n)
-            ]
+            # each column at min_a(u_a + c_ab)
+            self.col_p = (
+                list(map(min, zip(*[map(add, repeat(u), row) for u, row in zip(duals, cost_rows)])))
+                if m
+                else [0] * n
+            )
         self.row_start, self.col_start = list(self.row_p), list(self.col_p)
         self.sink_rise = 0
         self.cost = cost_rows
         self.flow = [[0] * n for _ in range(m)]
+        self.support: list[set[int]] = [set() for _ in range(n)]
         self.supply_left, self.demand_left = list(supplies), list(demands)
         self.flows: dict[tuple[int, int], int] = {}
 
@@ -100,10 +116,11 @@ class MinCostFlow:
         while left:
             self._raise_potentials()
             left -= self._blocking_flows(left)
-        self.flows = {
-            (a, b): f for a, row in enumerate(self.flow) for b, f in enumerate(row) if f
-        }
-        return units, sum(self.cost[a][b] * f for (a, b), f in self.flows.items())
+        cols = range(len(self.col_p))
+        self.flows = flows = {}
+        for a, row in enumerate(self.flow):
+            flows.update(zip(zip(repeat(a), compress(cols, row)), compress(row, row)))
+        return units, sum(self.cost[a][b] * f for (a, b), f in flows.items())
 
     def _raise_potentials(self) -> None:
         """One phase's Dijkstra on reduced costs, stopped once the sink settles.
@@ -113,9 +130,11 @@ class MinCostFlow:
         the sink at reduced cost 0.  So a settled node is never improved
         on, and a pair that carries flow has reduced cost 0.  While units
         are left the sink is reachable, over any row with supply left.
+        Pops never decrease while reduced costs are non-negative; one that
+        does raises RuntimeError instead of letting the solve run on.
         """
         m, n = len(self.row_p), len(self.col_p)
-        cost, flow, row_p, col_p = self.cost, self.flow, self.row_p, self.col_p
+        cost, support, row_p, col_p = self.cost, self.support, self.row_p, self.col_p
         row_d: list[float] = [_INF] * m
         col_d: list[float] = [_INF] * n
         sink_d: float = _INF
@@ -126,16 +145,21 @@ class MinCostFlow:
                 heap.append((start - p, 1 + a))
         heapq.heapify(heap)
         heappush, heappop, sink = heapq.heappush, heapq.heappop, m + n + 1
+        last = -_INF
         while True:
             d, u = heappop(heap)
+            if d < last:
+                raise RuntimeError(
+                    f"Dijkstra popped {d} after {last}: a reduced cost went negative"
+                )
+            last = d
             if u == sink:
                 break
             if u <= m:
                 a = u - 1
                 if d > row_d[a]:
                     continue
-                base = d + row_p[a]
-                dist = [base + c - q for c, q in zip(cost[a], col_p)]
+                dist = list(map(sub, map(add, repeat(d + row_p[a]), cost[a]), col_p))
                 for b in compress(range(n), map(lt, dist, col_d)):
                     col_d[b] = dist[b]
                     heappush(heap, (dist[b], 1 + m + b))
@@ -143,8 +167,8 @@ class MinCostFlow:
                 b = u - 1 - m
                 if d > col_d[b]:
                     continue
-                for a, row in enumerate(flow):
-                    if row[b] and d < row_d[a]:
+                for a in support[b]:
+                    if d < row_d[a]:
                         row_d[a] = d
                         heappush(heap, (d, 1 + a))
                 if self.demand_left[b]:
@@ -162,54 +186,57 @@ class MinCostFlow:
 
         A path holds rows and columns in turn, a1, b1, a2, ...: it ships
         a1 -> b1 on their pair, b1 -> a2 against a pair's flow, and so
-        on, and ends at the sink.
+        on, and ends at the sink.  A row tries its zero pairs and a
+        column its support rows in ascending order, so the pushes are
+        those of a current-arc search over every zero pair.
         """
-        flow, row_p, col_p = self.flow, self.row_p, self.col_p
-        m, n, supply_left, demand_left = len(row_p), len(col_p), self.supply_left, self.demand_left
-        # listed whatever their capacity: potentials hold for the phase, and
-        # a pair's return arc gains capacity once the pair carries flow
-        sources = [a for a, (s, p) in enumerate(zip(self.row_start, row_p)) if s == p]
-        row_zero = [
-            list(compress(range(n), map(eq, map(add, row, repeat(p)), col_p)))
-            for row, p in zip(self.cost, row_p)
-        ]
-        col_zero: list[list[int]] = [[] for _ in range(n)]  # rows, then m: the sink
-        for a, cols in enumerate(row_zero):
-            for b in cols:
-                col_zero[b].append(a)
-        for b, (p, start) in enumerate(zip(col_p, self.col_start)):
-            if p - start == self.sink_rise:
-                col_zero[b].append(m)
+        cost, flow, support = self.cost, self.flow, self.support
+        row_p, col_p = self.row_p, self.col_p
+        supply_left, demand_left = self.supply_left, self.demand_left
+        m, n = len(row_p), len(col_p)
+        # listed whatever their supply: potentials hold for the phase
+        sources = list(compress(range(m), map(eq, self.row_start, row_p)))
+        to_sink = list(map(eq, map(sub, col_p, self.col_start), repeat(self.sink_rise)))
+        row_zero: list[list[int] | None] = [None] * m  # built on a row's first visit
         pushed = 0
         while pushed < limit:
             # BFS levels, a layer of rows and then one of columns at a time,
-            # up to the sink's level
+            # up to the sink's level; level 0 marks a node the search dropped
             row_lv, col_lv, sink_lv = [-1] * m, [-1] * n, -1
-            rows = [a for a in sources if supply_left[a]]
+            rows = list(compress(sources, map(supply_left.__getitem__, sources)))
             for a in rows:
                 row_lv[a] = 1
             level = 1
-            while rows and sink_lv < 0:
+            while rows:
                 cols = []
                 for a in rows:
-                    for b in row_zero[a]:
+                    zero = row_zero[a]
+                    if zero is None:
+                        zero = row_zero[a] = list(
+                            compress(range(n), map(eq, map(add, cost[a], repeat(row_p[a])), col_p))
+                        )
+                    for b in zero:
                         if col_lv[b] < 0:
                             col_lv[b] = level + 1
                             cols.append(b)
                 level += 2
+                if any(demand_left[b] and to_sink[b] for b in cols):
+                    sink_lv = level
+                    break
                 rows = []
                 for b in cols:
-                    for a in col_zero[b]:
-                        if a == m:
-                            if demand_left[b]:
-                                sink_lv = level
-                        elif row_lv[a] < 0 and flow[a][b]:
+                    for a in support[b]:
+                        if row_lv[a] < 0:
                             row_lv[a] = level
                             rows.append(a)
             if sink_lv < 0:
                 break
+            if sink_lv == 3:
+                pushed += self._one_pair_paths(sources, row_zero, to_sink, limit - pushed)
+                continue
             # advance along current arcs one level at a time, retreat at dead ends
             next_source, row_next, col_next = 0, [0] * m, [0] * n
+            col_rows: list[list[int] | None] = [None] * n
             path: list[int] = []
             while pushed < limit:
                 if not path:
@@ -222,7 +249,8 @@ class MinCostFlow:
                     if i == len(sources):
                         break
                     path.append(sources[i])
-                elif len(path) % 2:
+                    continue
+                if len(path) % 2:
                     a = path[-1]
                     cols, i, lv = row_zero[a], row_next[a], row_lv[a] + 1
                     while i < len(cols) and col_lv[cols[i]] != lv:
@@ -230,44 +258,83 @@ class MinCostFlow:
                     row_next[a] = i
                     if i < len(cols):
                         path.append(cols[i])
-                    else:  # back over the arc into a
+                    else:  # back over the arc into a, for good
+                        row_lv[a] = 0
                         path.pop()
-                        if path:
-                            col_next[path[-1]] += 1
-                        else:
-                            next_source += 1
-                else:
-                    b = path[-1]
-                    rows, i, lv = col_zero[b], col_next[b], col_lv[b] + 1
-                    while i < len(rows) and not (
-                        (demand_left[b] and sink_lv == lv)
-                        if rows[i] == m
-                        else (flow[rows[i]][b] and row_lv[rows[i]] == lv)
-                    ):
-                        i += 1
-                    col_next[b] = i
-                    if i == len(rows):  # back over the pair into b
+                    continue
+                b = path[-1]
+                lv = col_lv[b] + 1
+                if lv == sink_lv:
+                    if not (demand_left[b] and to_sink[b]):
+                        col_lv[b] = 0
                         path.pop()
-                        row_next[path[-1]] += 1
-                    elif rows[i] < m:
-                        path.append(rows[i])
-                    else:
-                        pushed += self._augment(path, limit - pushed)
+                        continue
+                    pushed += self._augment(path, limit - pushed)
+                    # the path up to its first saturated arc still holds
+                    if not supply_left[path[0]]:
                         path.clear()
+                    else:
+                        for i in range(2, len(path), 2):
+                            if not flow[path[i]][path[i - 1]]:
+                                del path[i:]
+                                break
+                    continue
+                rows = col_rows[b]
+                if rows is None:
+                    rows = col_rows[b] = sorted(a for a in support[b] if row_lv[a] == lv)
+                i = col_next[b]
+                while i < len(rows) and not (flow[rows[i]][b] and row_lv[rows[i]] == lv):
+                    i += 1
+                col_next[b] = i
+                if i < len(rows):
+                    path.append(rows[i])
+                else:  # back over the pair into b, for good
+                    col_lv[b] = 0
+                    path.pop()
+        return pushed
+
+    def _one_pair_paths(self, sources, row_zero, to_sink, limit: int) -> int:
+        """A round whose sink is one pair away: each source row with supply
+        ships along its zero pairs in column order, up to limit units."""
+        flow, support = self.flow, self.support
+        supply_left, demand_left = self.supply_left, self.demand_left
+        pushed = 0
+        for a in sources:
+            if not supply_left[a]:
+                continue
+            row = flow[a]
+            for b in row_zero[a]:
+                if demand_left[b] and to_sink[b]:
+                    push = min(limit - pushed, supply_left[a], demand_left[b])
+                    if not row[b]:
+                        support[b].add(a)
+                    row[b] += push
+                    supply_left[a] -= push
+                    demand_left[b] -= push
+                    pushed += push
+                    if not supply_left[a] or pushed == limit:
+                        break
+            if pushed == limit:
+                break
         return pushed
 
     def _augment(self, path: list[int], limit: int) -> int:
         """Push up to limit units along a path of rows and columns in turn."""
-        flow = self.flow
+        flow, support = self.flow, self.support
         push = min(limit, self.supply_left[path[0]], self.demand_left[path[-1]])
         for i in range(2, len(path), 2):
             push = min(push, flow[path[i]][path[i - 1]])
         self.supply_left[path[0]] -= push
         self.demand_left[path[-1]] -= push
         for i in range(0, len(path), 2):
-            flow[path[i]][path[i + 1]] += push
+            row, b = flow[path[i]], path[i + 1]
+            if not row[b]:
+                support[b].add(path[i])
+            row[b] += push
             if i:
-                flow[path[i]][path[i - 1]] -= push
+                row[path[i - 1]] -= push
+                if not row[path[i - 1]]:
+                    support[path[i - 1]].discard(path[i])
         return push
 
 

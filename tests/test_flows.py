@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from stochmatch import flows
 from stochmatch.flows import MinCostFlow, transport
 
 
@@ -110,7 +115,7 @@ def _transports(draw):
 # in the second phase column 0 is labelled 2 but not settled when the
 # sink is, at 1; raising its potential by that label instead of the
 # sink's distance leaves pair (0, 0), which carries flow, at reduced
-# cost -1, and the solve then never ends
+# cost -1, and the next Dijkstra then pops a distance below the last
 @example(case=([1, 2], [2, 1], [[0, 0], [2, 1]], None))
 def test_transport_matches_the_lp(case):
     # cost ties, zero supplies and demands and any start duals all occur
@@ -126,6 +131,42 @@ def test_transport_matches_the_lp(case):
         assert sum(f for (i, _), f in flows.items() if i == a) == s
     for b, d in enumerate(demands):
         assert sum(f for (_, j), f in flows.items() if j == b) == d
+
+
+# the example above with the fault its comment names, patched into the
+# kernel: each labelled node is raised by its label, not by min(label,
+# sink distance)
+_BROKEN_RAISE = """
+import inspect, textwrap
+from stochmatch import flows
+source = textwrap.dedent(inspect.getsource(flows.MinCostFlow._raise_potentials))
+capped = "(d if d < sink_d else sink_d)"
+assert source.count(capped) == 2, "the potential raise changed; re-target this fault"
+namespace = dict(vars(flows))
+exec(source.replace(capped, "(d if d < _INF else sink_d)"), namespace)
+flows.MinCostFlow._raise_potentials = namespace["_raise_potentials"]
+flows.transport([1, 2], [2, 1], [[0, 0], [2, 1]])
+"""
+
+
+def test_a_broken_reduced_cost_invariant_raises_instead_of_spinning():
+    # with a pair that carries flow at negative reduced cost, Dijkstra pops
+    # a smaller distance after a larger one; the solve must stop there,
+    # not loop forever (run apart, so a hang fails the test, not the suite)
+    package_root = str(Path(flows.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _BROKEN_RAISE],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("transport ran on for 20 s after its reduced-cost invariant broke")
+    assert proc.returncode != 0
+    assert "RuntimeError: Dijkstra popped" in proc.stderr, proc.stderr[-2000:]
 
 
 def _arc_lp_optimum(supplies, demands, cost_rows):
