@@ -238,9 +238,9 @@ def _pinned_corpus():
 
 
 def test_kernel_outputs_are_pinned():
-    # (cost, flows, written-back duals) of every corpus transport, as
-    # the kernel returned them before its flow-support search: a change
-    # to the search order that moves any plan or dual breaks the digest
+    # (cost, flows, written-back duals) of every corpus transport: a
+    # change to the kernel's search that moves any plan or dual, even to
+    # another optimal one, breaks the digest and moves per-seed streams
     digest = hashlib.sha256()
     for supplies, demands, cost_rows, duals in _pinned_corpus():
         cost, flows = transport(supplies, demands, cost_rows, duals)
