@@ -295,16 +295,29 @@ class MinCostFlow:
 
     def _one_pair_paths(self, sources, row_zero, to_sink, limit: int) -> int:
         """A round whose sink is one pair away: each source row with supply
-        ships along its zero pairs in column order, up to limit units."""
+        ships along its zero pairs in column order, up to limit units.
+
+        Pushes here, not through ``_augment``: a call per push cost about
+        3% of the kernel's time on the ``matrix-n48`` transports.
+        """
+        flow, support = self.flow, self.support
         supply_left, demand_left = self.supply_left, self.demand_left
         pushed = 0
         for a in sources:
-            if supply_left[a]:
-                for b in row_zero[a]:
-                    if demand_left[b] and to_sink[b]:
-                        pushed += self._augment([a, b], limit - pushed)
-                        if not supply_left[a] or pushed == limit:
-                            break
+            if not supply_left[a]:
+                continue
+            row = flow[a]
+            for b in row_zero[a]:
+                if demand_left[b] and to_sink[b]:
+                    push = min(limit - pushed, supply_left[a], demand_left[b])
+                    if not row[b]:
+                        support[b].add(a)
+                    row[b] += push
+                    supply_left[a] -= push
+                    demand_left[b] -= push
+                    pushed += push
+                    if not supply_left[a] or pushed == limit:
+                        break
             if pushed == limit:
                 break
         return pushed
