@@ -215,16 +215,16 @@ def test_general_graphs_match_the_arc_lp(case):
             assert reduced == 0 or (a, b) not in kernel.flows
 
 
-def _pinned_corpus():
-    """About 3000 seeded transports, m, n <= 12, half of them warm.
+def _pinned_corpus(seed, count, low, high):
+    """count seeded transports, m and n from low to high, half of them warm.
 
     Costs run from 0-1 (ties everywhere) to 0-10^6; some supplies are 0,
-    and the edge shapes m = 0, m = 1, n = 1 and a zero total all occur.
-    Every tenth case prices its pairs with numpy integers.
+    and with low = 0 the edge shapes m = 0, m = 1, n = 1 and a zero total
+    all occur.  Every tenth case prices its pairs with numpy integers.
     """
-    rng = random.Random(2019)
-    for i in range(3000):
-        m, n = rng.randint(0, 12), rng.randint(1, 12)
+    rng = random.Random(seed)
+    for i in range(count):
+        m, n = rng.randint(low, high), rng.randint(max(low, 1), high)
         top = rng.choice((1, 2, 9, 100, 10**6))
         supplies = [rng.choice((0, rng.randint(1, 20))) for _ in range(m)]
         total = sum(supplies)
@@ -237,12 +237,9 @@ def _pinned_corpus():
         yield supplies, demands, cost_rows, duals
 
 
-def test_kernel_outputs_are_pinned():
-    # (cost, flows, written-back duals) of every corpus transport: a
-    # change to the kernel's search that moves any plan or dual, even to
-    # another optimal one, breaks the digest and moves per-seed streams
+def _kernel_digest(corpus):
     digest = hashlib.sha256()
-    for supplies, demands, cost_rows, duals in _pinned_corpus():
+    for supplies, demands, cost_rows, duals in corpus:
         cost, flows = transport(supplies, demands, cost_rows, duals)
         record = (
             int(cost),
@@ -250,4 +247,18 @@ def test_kernel_outputs_are_pinned():
             None if duals is None else [int(u) for u in duals],
         )
         digest.update(repr(record).encode())
-    assert digest.hexdigest() == "16f42e416e9eda05b675dc1cbba5cd11e500b249b1be98c20a0982de6d5d3b79"
+    return digest.hexdigest()
+
+
+def test_kernel_outputs_are_pinned():
+    # (cost, flows, written-back duals) of every corpus transport: a
+    # change to the kernel's search that moves any plan or dual, even to
+    # another optimal one, breaks a digest and moves per-seed streams.
+    # The first corpus holds the small and edge shapes, the second the
+    # shapes of the per-arrival matrix solves.
+    assert _kernel_digest(_pinned_corpus(2019, 3000, 0, 12)) == (
+        "16f42e416e9eda05b675dc1cbba5cd11e500b249b1be98c20a0982de6d5d3b79"
+    )
+    assert _kernel_digest(_pinned_corpus(2020, 200, 13, 48)) == (
+        "932896f29e7de3f1f2ded28b4265652fa23905296236715b72ff96cf8c17da46"
+    )
