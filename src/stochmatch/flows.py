@@ -2,17 +2,11 @@
 
 ``transport`` solves the uncapacitated transportation problem (rows with
 integer supplies, columns with integer demands, a cost per row/column
-pair) as a min-cost flow.  It is the one solve behind the fractional
-matchings, the reduced per-arrival plans, the distribution coupling and
-the offline optima.  ``MinCostFlow`` is its kernel and works on the
-table itself, not on a general graph: a row x column flow table, a
-potential per row and per column, and the supply and demand left.  It
-runs the primal-dual method: one Dijkstra per shortest-path length, then
-Dinic blocking flows over the pairs of zero reduced cost.  It keeps, per
-column, the set of rows that carry flow on it (its flow support), the
-only rows a search can reach from that column, and ships a round whose
-sink is one pair away in one direct pass.  Costs, potentials and flows
-are Python ints, so results are exact at any magnitude.
+pair) as a min-cost flow on the table itself; ``MinCostFlow`` is its
+kernel.  It is the one solve behind the fractional matchings, the
+reduced per-arrival plans, the distribution coupling and the offline
+optima.  Costs, potentials and flows are Python ints, so results are
+exact at any magnitude, and identical inputs give identical flows.
 
 Warm starts: ``transport(..., duals=...)`` starts the solve from one
 potential per row and writes the final ones back, so a caller that
@@ -21,11 +15,6 @@ arrival) starts from the last solve's optimal row duals.  Each column
 starts at the tightest potential those rows allow, so the plan is
 optimal whatever the rows hold; only the number of phases depends on
 them.  With ``duals=None`` every potential starts at zero.
-
-Determinism: searches scan rows in ascending order, then columns in
-ascending order, a column tries its support rows before the sink, and
-Dijkstra breaks ties by node index, so identical inputs give identical
-flows.
 
 A plan's column is carried as ``(items, cumulative units)``.  ``column``
 builds one from (item, units) pairs, ``column_units`` decodes it back,
@@ -53,31 +42,40 @@ class MinCostFlow:
     The network is source -> rows -> columns -> sink, with a source arc
     per row (its supply), a sink arc per column (its demand) and an arc
     per pair.  A pair needs no capacity: a row ships at most its supply,
-    at most the total.  Dijkstra breaks ties by node number: 0 for the
-    source, 1..m for the rows, m+1..m+n for the columns, m+n+1 the sink.
-    Each phase raises the potentials by one Dijkstra on reduced costs,
-    then pushes blocking flows (BFS levels, current-arc search) over the
-    arcs of reduced cost 0 until the sink is cut off from them (Ahuja,
-    Magnanti & Orlin, *Network Flows*, 1993, sections 9.7-9.8).  A source
-    arc's reduced cost is its row's start potential minus its current
-    one, a sink arc's its column's rise minus the sink's, so every row
-    and column starts at reduced distance 0 from the source and to the
-    sink: the pseudoflow start of section 9.7.
+    at most the total.  The kernel keeps a potential per row and per
+    column, the supply and demand left, and the flow record:
+    ``support[b]`` maps each row that carries flow on column b to that
+    flow.  Each phase raises the potentials by one Dijkstra on reduced
+    costs, then pushes blocking flows (BFS levels, current-arc search)
+    over the arcs of reduced cost 0 until the sink is cut off from them
+    (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, sections 9.7-9.8).
+    A source arc's reduced cost is its row's start potential minus its
+    current one, a sink arc's its column's rise minus the sink's, so
+    every row and column starts at reduced distance 0 from the source and
+    to the sink: the pseudoflow start of section 9.7.
 
-    Flow support: ``support[b]`` is the set of rows that carry flow on
-    column b, kept by every push.  The only residual arcs out of a
-    column, other than to the sink, run back to those rows, so Dijkstra
-    and the blocking-flow searches read them instead of scanning every
-    row.  Within a round the levels stop at the sink's, the search drops
-    a node it retreats from and keeps a path up to its first saturated
-    arc after each push.  When the sink is one pair away (level 3) the
-    round is one direct pass over the source rows' zero pairs, in the
-    order the search would take them.
+    The only residual arcs out of a column, other than to the sink, run
+    back to the rows in its flow record, so Dijkstra and the searches
+    read those instead of scanning every row.  Within a round the levels
+    stop at the sink's, the search drops a node it retreats from and
+    keeps a path up to its first saturated arc after each push.  When the
+    sink is one pair away, the round is shipped while the BFS labels its
+    first layer: each source row, in order, sends along its zero pairs,
+    in column order, into the columns next to the sink.
+
+    Determinism: searches scan rows in ascending order, then columns in
+    ascending order, a column tries its rows before the sink, and
+    Dijkstra breaks ties by node number (0 for the source, 1..m for the
+    rows, m+1..m+n for the columns, m+n+1 the sink).
     """
 
     def __init__(self, supplies, demands, cost_rows, duals=None):
         m, n = len(supplies), len(demands)
+        if len(cost_rows) != m:
+            raise ValueError(f"{len(cost_rows)} cost rows for {m} supplies")
         for a, row in enumerate(cost_rows):
+            if len(row) != n:
+                raise ValueError(f"row {a} has {len(row)} costs for {n} columns")
             if min(row, default=0) < 0:
                 raise ValueError(f"row {a} has negative cost {min(row)}")
         if duals is None:
@@ -95,8 +93,7 @@ class MinCostFlow:
         self.row_start, self.col_start = list(self.row_p), list(self.col_p)
         self.sink_rise = 0
         self.cost = cost_rows
-        self.flow = [[0] * n for _ in range(m)]
-        self.support: list[set[int]] = [set() for _ in range(n)]
+        self.support: list[dict[int, int]] = [{} for _ in range(n)]
         self.supply_left, self.demand_left = list(supplies), list(demands)
         self.flows: dict[tuple[int, int], int] = {}
 
@@ -116,10 +113,9 @@ class MinCostFlow:
         while left:
             self._raise_potentials()
             left -= self._blocking_flows(left)
-        cols = range(len(self.col_p))
-        self.flows = flows = {}
-        for a, row in enumerate(self.flow):
-            flows.update(zip(zip(repeat(a), compress(cols, row)), compress(row, row)))
+        self.flows = flows = dict(
+            sorted(((a, b), f) for b, col in enumerate(self.support) for a, f in col.items())
+        )
         return units, sum(self.cost[a][b] * f for (a, b), f in flows.items())
 
     def _raise_potentials(self) -> None:
@@ -187,10 +183,12 @@ class MinCostFlow:
         A path holds rows and columns in turn, a1, b1, a2, ...: it ships
         a1 -> b1 on their pair, b1 -> a2 against a pair's flow, and so
         on, and ends at the sink.  A row tries its zero pairs and a
-        column its support rows in ascending order, so the pushes are
-        those of a current-arc search over every zero pair.
+        column its flow rows in ascending order, so the pushes are those
+        of a current-arc search over every zero pair.  A round whose sink
+        is one pair away makes that search's pushes while its BFS labels
+        the first layer, and ends there.
         """
-        cost, flow, support = self.cost, self.flow, self.support
+        cost, support = self.cost, self.support
         row_p, col_p = self.row_p, self.col_p
         supply_left, demand_left = self.supply_left, self.demand_left
         m, n = len(row_p), len(col_p)
@@ -202,11 +200,11 @@ class MinCostFlow:
         while pushed < limit:
             # BFS levels, a layer of rows and then one of columns at a time,
             # up to the sink's level; level 0 marks a node the search dropped
-            row_lv, col_lv, sink_lv = [-1] * m, [-1] * n, -1
+            row_lv, col_lv = [-1] * m, [-1] * n
             rows = list(compress(sources, map(supply_left.__getitem__, sources)))
             for a in rows:
                 row_lv[a] = 1
-            level = 1
+            level, start = 1, pushed
             while rows:
                 cols = []
                 for a in rows:
@@ -219,9 +217,19 @@ class MinCostFlow:
                         if col_lv[b] < 0:
                             col_lv[b] = level + 1
                             cols.append(b)
+                    if level == 1 and pushed < limit:
+                        for b in zero:
+                            if demand_left[b] and to_sink[b]:
+                                push = min(limit - pushed, supply_left[a], demand_left[b])
+                                col = support[b]
+                                col[a] = col.get(a, 0) + push
+                                supply_left[a] -= push
+                                demand_left[b] -= push
+                                pushed += push
+                                if not supply_left[a] or pushed == limit:
+                                    break
                 level += 2
-                if any(demand_left[b] and to_sink[b] for b in cols):
-                    sink_lv = level
+                if pushed > start or any(demand_left[b] and to_sink[b] for b in cols):
                     break
                 rows = []
                 for b in cols:
@@ -229,11 +237,11 @@ class MinCostFlow:
                         if row_lv[a] < 0:
                             row_lv[a] = level
                             rows.append(a)
-            if sink_lv < 0:
+            else:  # the sink is cut off: the phase is over
                 break
-            if sink_lv == 3:
-                pushed += self._one_pair_paths(sources, row_zero, to_sink, limit - pushed)
+            if pushed > start:
                 continue
+            sink_lv = level
             # advance along current arcs one level at a time, retreat at dead ends
             next_source, row_next, col_next = 0, [0] * m, [0] * n
             col_rows: list[list[int] | None] = [None] * n
@@ -275,15 +283,15 @@ class MinCostFlow:
                         path.clear()
                     else:
                         for i in range(2, len(path), 2):
-                            if not flow[path[i]][path[i - 1]]:
+                            if path[i] not in support[path[i - 1]]:
                                 del path[i:]
                                 break
                     continue
                 rows = col_rows[b]
                 if rows is None:
                     rows = col_rows[b] = sorted(a for a in support[b] if row_lv[a] == lv)
-                i = col_next[b]
-                while i < len(rows) and not (flow[rows[i]][b] and row_lv[rows[i]] == lv):
+                i, col = col_next[b], support[b]
+                while i < len(rows) and not (rows[i] in col and row_lv[rows[i]] == lv):
                     i += 1
                 col_next[b] = i
                 if i < len(rows):
@@ -293,52 +301,23 @@ class MinCostFlow:
                     path.pop()
         return pushed
 
-    def _one_pair_paths(self, sources, row_zero, to_sink, limit: int) -> int:
-        """A round whose sink is one pair away: each source row with supply
-        ships along its zero pairs in column order, up to limit units.
-
-        Pushes here, not through ``_augment``: a call per push cost about
-        3% of the kernel's time on the ``matrix-n48`` transports.
-        """
-        flow, support = self.flow, self.support
-        supply_left, demand_left = self.supply_left, self.demand_left
-        pushed = 0
-        for a in sources:
-            if not supply_left[a]:
-                continue
-            row = flow[a]
-            for b in row_zero[a]:
-                if demand_left[b] and to_sink[b]:
-                    push = min(limit - pushed, supply_left[a], demand_left[b])
-                    if not row[b]:
-                        support[b].add(a)
-                    row[b] += push
-                    supply_left[a] -= push
-                    demand_left[b] -= push
-                    pushed += push
-                    if not supply_left[a] or pushed == limit:
-                        break
-            if pushed == limit:
-                break
-        return pushed
-
     def _augment(self, path: list[int], limit: int) -> int:
         """Push up to limit units along a path of rows and columns in turn."""
-        flow, support = self.flow, self.support
+        support = self.support
         push = min(limit, self.supply_left[path[0]], self.demand_left[path[-1]])
         for i in range(2, len(path), 2):
-            push = min(push, flow[path[i]][path[i - 1]])
+            push = min(push, support[path[i - 1]][path[i]])
         self.supply_left[path[0]] -= push
         self.demand_left[path[-1]] -= push
         for i in range(0, len(path), 2):
-            row, b = flow[path[i]], path[i + 1]
-            if not row[b]:
-                support[b].add(path[i])
-            row[b] += push
+            a, col = path[i], support[path[i + 1]]
+            col[a] = col.get(a, 0) + push
             if i:
-                row[path[i - 1]] -= push
-                if not row[path[i - 1]]:
-                    support[path[i - 1]].discard(path[i])
+                back = support[path[i - 1]]
+                if back[a] == push:
+                    del back[a]
+                else:
+                    back[a] -= push
         return push
 
 

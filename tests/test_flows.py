@@ -63,6 +63,15 @@ def test_negative_arc_cost_rejected():
         transport([0, 2], [2, 0], [[2, 1], [-1, 2]])
     with pytest.raises(ValueError, match="negative cost"):
         MinCostFlow([1], [1], [[-3]], [0])
+    # so is a cost table of the wrong shape, cold or warm
+    for supplies, cost_rows, duals, message in (
+        ([1, 1], [[5], [0, 0]], None, "row 0 has 1 costs for 2 columns"),
+        ([1, 1], [[5], [0, 0]], [0, 0], "row 0 has 1 costs for 2 columns"),
+        ([1], [[0, 7]], None, "row 0 has 2 costs for 1 columns"),
+        ([1, 1], [[0, 0]], None, "1 cost rows for 2 supplies"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            transport(supplies, list(supplies), cost_rows, duals)
 
 
 def test_feasible_start_potentials_give_the_same_optimum():
