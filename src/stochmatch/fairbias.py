@@ -127,12 +127,7 @@ class PlanProvider:
     algorithm = "fair-bias"
     memo_max_n = 12
 
-    def __init__(self, instance: MetricInstance, *, allow_unchecked: bool = False):
-        if not instance.verified_metric and not allow_unchecked:
-            raise ValueError(
-                "instance is not a checked metric; pass allow_unchecked=True "
-                "to run on it anyway"
-            )
+    def __init__(self, instance: MetricInstance):
         self.n = instance.n
         self._instance = instance
         self.location_weights = [1] * self.n
@@ -268,7 +263,7 @@ class MaxWeightProvider(PlanProvider):
 
     def __init__(self, weights: list[list[int]], location_weights: list[int]):
         _, costs = gain_costs(weights)
-        super().__init__(matrix_unchecked(costs), allow_unchecked=True)
+        super().__init__(matrix_unchecked(costs))
         check_location_weights(location_weights, self.n)
         self.weights = weights
         self.location_weights = list(location_weights)

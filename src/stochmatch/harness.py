@@ -297,7 +297,7 @@ def write_csv(records: list[TrialRecord], path: str) -> None:
 
 
 def _fair_bias(sc: Scenario, instance: MetricInstance, dist):
-    provider = PlanProvider(instance, allow_unchecked=not instance.verified_metric)
+    provider = PlanProvider(instance)
     if sc.distribution == "uniform":
         return lambda stream, rng: (run_episode(provider, stream, rng), 0)
     plan = solve_transshipment(instance, dist)

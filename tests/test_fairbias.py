@@ -215,9 +215,7 @@ class TestProviders:
 
     def test_unchecked_needs_opt_in(self):
         inst = matrix_unchecked([[0, 1], [1, 0]])
-        with pytest.raises(ValueError, match="allow_unchecked"):
-            PlanProvider(inst)
-        provider = PlanProvider(inst, allow_unchecked=True)
+        provider = PlanProvider(inst)
         res = run_episode(provider, [0, 1], random.Random(0))
         _assert_episode_shape(inst, [0, 1], res)
 
@@ -327,7 +325,7 @@ def test_episodes_build_no_fraction(monkeypatch):
     unchecked = matrix_unchecked([[0, 5, 1], [1, 0, 1], [2, 1, 0]])
     providers = [
         PlanProvider(checked),
-        PlanProvider(unchecked, allow_unchecked=True),
+        PlanProvider(unchecked),
         MaxWeightProvider([[2, 5, 1], [4, 2, 2], [1, 3, 6]], [1, 2, 1]),
     ]
     for provider in providers:

@@ -231,7 +231,7 @@ class TestRunWrapped:
 
     def test_needs_checked_metric(self):
         inst = matrix_unchecked([[0, 1], [1, 0]])
-        provider = PlanProvider(inst, allow_unchecked=True)
+        provider = PlanProvider(inst)
         plan = solve_transshipment(inst, uniform_distribution(2))
         with pytest.raises(ValueError, match="checked metric"):
             run_wrapped(provider, plan, [0, 1], random.Random(0))

@@ -99,7 +99,7 @@ def test_warm_unchecked_plans_are_exact_and_optimal(monkeypatch):
     instance = gen_nonmetric_instance(22)
     matrix = instance.matrix
     n = instance.n
-    _episodes(PlanProvider(instance, allow_unchecked=True), 3, rng)
+    _episodes(PlanProvider(instance), 3, rng)
     assert len(calls) == 3 * n
     for counts, (cost, triples), duals in calls:
         free = sorted(counts)
