@@ -204,7 +204,8 @@ def solve_min_cost(instance: MetricInstance, T) -> FractionalMatching:
     """Optimal fractional matching of the free multiset T to all locations.
 
     Works for any non-negative cost matrix (no triangle inequality
-    needed); determinism comes from fixed arc insertion order.
+    needed); determinism comes from the transport kernel's fixed scan
+    order (see ``flows.MinCostFlow``).
     """
     n = instance.n
     counts = _counts(T, n)
