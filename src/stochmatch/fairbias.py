@@ -122,7 +122,8 @@ class OnlineState:
 
 
 class PlanProvider:
-    """Samples servers from the canonical plan of each free set."""
+    """Samples servers from the canonical plan of each free set, or from
+    the full min-cost plan on an instance that is not a checked metric."""
 
     algorithm = "fair-bias"
     memo_max_n = 12
