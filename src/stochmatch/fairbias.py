@@ -70,12 +70,17 @@ from .metrics import MetricInstance, WeightedTree, matrix_unchecked
 
 @dataclass
 class MatchingResult:
-    """One episode: per-step assignments and costs plus the total."""
+    """One episode of any route: assignments, step costs at the true
+    arrivals, and how far the relocation wrapper moved them (else 0)."""
 
     algorithm: str
     assignments: list[tuple[int, int]]  # (request, server) in arrival order
     step_costs: list[int]
-    total_cost: int
+    relocation_cost: int = 0
+
+    @property
+    def total_cost(self) -> int:
+        return sum(self.step_costs)
 
 
 class OnlineState:
@@ -249,7 +254,7 @@ def run_episode(
         s, c = step(provider, state, r, rng)
         assignments.append((r, s))
         costs.append(c)
-    return MatchingResult(provider.algorithm, assignments, costs, sum(costs))
+    return MatchingResult(provider.algorithm, assignments, costs)
 
 
 # ---------------------------------------------------------------------------

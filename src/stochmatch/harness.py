@@ -2,11 +2,12 @@
 
 A scenario is a small key-value text file (``key = value`` lines, ``#``
 comments).  ``run_trials`` replays it deterministically through a table
-of per-algorithm episode runners.  A runner prepares its provider,
-coupling plan or decomposition once, and every episode runs from that
-object, the stream and the trial's generator: ``run_episode(provider,
-stream, rng)``, ``run_wrapped(provider, plan, stream, rng)`` or
-``run_episode_hier(decomp, stream, rng)``.  Trial t makes one
+of per-algorithm episode runners.  A runner refuses a scenario its route
+cannot play before any trial, prepares its provider, coupling plan or
+decomposition once, and every episode runs from that object, the stream
+and the trial's generator: ``run_episode(provider, stream, rng)``,
+``run_wrapped(provider, plan, stream, rng)`` or ``run_episode_hier(decomp,
+stream, rng)``, each returning a ``MatchingResult``.  Trial t makes one
 ``random.Random(seed + t)``, which draws the n arrivals and then drives
 the episode, so reruns produce identical CSV rows apart from the
 wall-time column.  That is the only generator made through the
@@ -292,21 +293,18 @@ def write_csv(records: list[TrialRecord], path: str) -> None:
 
 
 # A runner checks the instance, does the algorithm's setup and returns the
-# episode, (stream, rng) -> (result, relocation cost), which looks the
-# episode functions up as module globals at call time.
+# episode, (stream, rng) -> MatchingResult, which looks the episode
+# functions up as module globals at call time.
 
 
 def _fair_bias(sc: Scenario, instance: MetricInstance, dist):
     provider = PlanProvider(instance)
     if sc.distribution == "uniform":
-        return lambda stream, rng: (run_episode(provider, stream, rng), 0)
+        return lambda stream, rng: run_episode(provider, stream, rng)
+    if not instance.verified_metric:
+        raise ValueError("fair-bias with non-uniform arrivals needs a checked metric")
     plan = solve_transshipment(instance, dist)
-
-    def episode(stream, rng):
-        wres = run_wrapped(provider, plan, stream, rng)
-        return wres.result, wres.relocation_cost
-
-    return episode
+    return lambda stream, rng: run_wrapped(provider, plan, stream, rng)
 
 
 def _split_match(sc: Scenario, instance: MetricInstance, dist):
@@ -315,7 +313,7 @@ def _split_match(sc: Scenario, instance: MetricInstance, dist):
     if sc.distribution != "uniform":
         raise ValueError("split-match scenarios are uniform-arrival only")
     decomp = split_decomposition(instance.tree)
-    return lambda stream, rng: (run_episode_hier(decomp, stream, rng), 0)
+    return lambda stream, rng: run_episode_hier(decomp, stream, rng)
 
 
 def _fair_bias_on_frt(sc: Scenario, instance: MetricInstance, dist):
@@ -335,16 +333,14 @@ def _fair_bias_on_frt(sc: Scenario, instance: MetricInstance, dist):
         prov = once or PlanProvider(tree_metric(frt_embed(instance, rng)))
         on_tree = run_episode(prov, stream, rng)
         true_steps = [matrix[s][r] for r, s in on_tree.assignments]
-        return MatchingResult(
-            "fair-bias-on-frt", on_tree.assignments, true_steps, sum(true_steps)
-        ), 0
+        return MatchingResult("fair-bias-on-frt", on_tree.assignments, true_steps)
 
     return episode
 
 
 def _max_weight(sc: Scenario, instance: MetricInstance, dist):
     provider = MaxWeightProvider(instance.matrix, list(dist.weights))
-    return lambda stream, rng: (run_episode(provider, stream, rng), 0)
+    return lambda stream, rng: run_episode(provider, stream, rng)
 
 
 # name -> (runner, whether the result is a gain the optimum bounds above)
@@ -370,21 +366,22 @@ def run_trials(sc: Scenario) -> tuple[list[TrialRecord], RunSummary]:
         rng = random.Random(ep_seed)
         t0 = time.perf_counter()
         stream = [dist.sample(rng) for _ in range(n)]
-        result, reloc = episode(stream, rng)
+        result = episode(stream, rng)
+        alg = result.total_cost
         if gain:
             opt = opt_max_weight(instance.matrix, stream)
-            if result.total_cost > opt:
+            if alg > opt:
                 raise RuntimeError("online gain above the offline optimum")
         else:
             optimum = opt_tree if instance.tree is not None else opt_general
             opt = optimum(instance, stream)
-            if result.total_cost < opt:
+            if alg < opt:
                 raise RuntimeError("online cost below the offline optimum")
         millis = (time.perf_counter() - t0) * 1000.0
         records.append(
             TrialRecord(
-                t, ep_seed, result.total_cost, opt, reloc, n, millis,
-                list(result.step_costs),
+                t, ep_seed, alg, opt, result.relocation_cost, n, millis,
+                result.step_costs,
             )
         )
     if sc.output:
@@ -542,6 +539,8 @@ def verify_replacement(
     if n > 6:
         raise ValueError("exact enumeration is only tractable up to n=6")
     ks = list(ks) if ks is not None else list(range(1, n + 1))
+    if not ks:
+        raise ValueError("no free-set size k to check")
     for k in ks:
         if not 1 <= k <= n:
             raise ValueError(f"k={k} outside 1..{n}")

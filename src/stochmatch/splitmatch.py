@@ -271,4 +271,4 @@ def run_episode_hier(
         costs.append(offsets[u][i] + offsets[v][i] if i >= 0 else 0)
         occ.occupy(v)
         assignments.append((r, node_point[v]))
-    return MatchingResult("split-match", assignments, costs, sum(costs))
+    return MatchingResult("split-match", assignments, costs)

@@ -12,7 +12,9 @@ as the server multiset and weight 1 on every location; its rows, and
 the arrival distribution itself, are ``flows.column`` sampling columns
 drawn from with ``flows.draw``.  ``run_wrapped(provider, plan, stream,
 rng)`` plays one episode from a prepared checked-metric provider and a
-plan of the same size, and prices every step on ``provider.matrix``.
+plan of the same size.  It returns the ``MatchingResult`` of every route,
+with each step priced on ``provider.matrix`` at the true arrival and the
+distance the arrivals moved as ``relocation_cost``.
 """
 
 from __future__ import annotations
@@ -164,22 +166,17 @@ def relocate(plan: CouplingPlan, r: int, rng: random.Random) -> int:
     return draw(plan.rows[r], plan.n * w_r, rng)
 
 
-@dataclass
-class WrappedResult:
-    """Episode under the relocated stream, with both cost accountings."""
-
-    result: MatchingResult  # step costs against the true arrival locations
-    relocated_cost: int  # same assignments, costs against stand-in locations
-    relocation_cost: int  # distance arrivals were moved
-
-
 def run_wrapped(
     provider: PlanProvider,
     plan: CouplingPlan,
     stream: list[int],
     rng: random.Random,
-) -> WrappedResult:
-    """Relocate each arrival of ``stream`` with ``plan`` and match online."""
+) -> MatchingResult:
+    """Relocate each arrival of ``stream`` with ``plan`` and match online.
+
+    The step serving stand-in b is charged d(s, a) at the true arrival a,
+    which must not exceed d(a, b) + d(b, s): the metric must be checked.
+    """
     if not provider.canonical:
         raise ValueError("the wrapper's accounting needs a checked metric")
     n = provider.n
@@ -190,19 +187,16 @@ def run_wrapped(
     matrix = provider.matrix
     assignments = []
     true_costs = []
-    relocated_cost = 0
     relocation_cost = 0
     for a in stream:
         b = relocate(plan, a, rng)
-        s, c_rel = step(provider, state, b, rng)
+        s, _ = step(provider, state, b, rng)
         true_cost = matrix[s][a]
         if true_cost > matrix[a][b] + matrix[b][s]:
             raise RuntimeError("triangle accounting")
         assignments.append((a, s))
         true_costs.append(true_cost)
-        relocated_cost += c_rel
         relocation_cost += matrix[a][b]
-    result = MatchingResult(
-        "fair-bias-wrapped", assignments, true_costs, sum(true_costs)
+    return MatchingResult(
+        "fair-bias-wrapped", assignments, true_costs, relocation_cost
     )
-    return WrappedResult(result, relocated_cost, relocation_cost)

@@ -40,6 +40,21 @@ from stochmatch.metrics import (
 F = Fraction
 
 
+def _count_trial_generators(monkeypatch) -> list[int]:
+    """Patch ``harness.random``; the returned list collects the seed of
+    every generator made through it from then on."""
+    seeds = []
+
+    class CountingRandom:
+        @staticmethod
+        def Random(seed):
+            seeds.append(seed)
+            return random.Random(seed)
+
+    monkeypatch.setattr(harness, "random", CountingRandom)
+    return seeds
+
+
 def _scenario_file(tmp_path, text):
     p = tmp_path / "scenario.txt"
     p.write_text(text)
@@ -374,19 +389,6 @@ class TestRunTrials:
         records, _ = run_trials(sc)
         assert all(r.alg_cost >= r.opt_cost for r in records)
 
-    def test_split_match_needs_a_tree(self):
-        sc = Scenario("uniform", "4", algorithm="split-match", trials=2)
-        with pytest.raises(ValueError, match="tree-backed"):
-            run_trials(sc)
-
-    def test_split_match_uniform_only(self):
-        sc = Scenario(
-            "random", "4", algorithm="split-match",
-            distribution="geometric", trials=2,
-        )
-        with pytest.raises(ValueError, match="uniform-arrival"):
-            run_trials(sc)
-
     def test_embedding_variant_modes_agree_on_bookkeeping(self):
         for mode in ("per-trial", "once"):
             sc = Scenario(
@@ -396,10 +398,40 @@ class TestRunTrials:
             records, _ = run_trials(sc)
             assert all(r.alg_cost >= r.opt_cost for r in records)
 
-    def test_embedding_variant_needs_checked_metric(self):
-        sc = Scenario("nonmetric", "4", algorithm="fair-bias-on-frt", trials=2)
-        with pytest.raises(ValueError, match="checked metric"):
-            run_trials(sc)
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            pytest.param(
+                dict(metric_kind="uniform", metric_arg="4", algorithm="split-match"),
+                "tree-backed", id="split-match-needs-a-tree",
+            ),
+            pytest.param(
+                dict(metric_kind="random", metric_arg="4", algorithm="split-match",
+                     distribution="geometric"),
+                "uniform-arrival", id="split-match-uniform-only",
+            ),
+            pytest.param(
+                dict(metric_kind="nonmetric", metric_arg="4",
+                     algorithm="fair-bias-on-frt"),
+                "checked metric", id="embedding-needs-a-checked-metric",
+            ),
+            pytest.param(
+                dict(metric_kind="line", metric_arg="4", algorithm="fair-bias-on-frt",
+                     distribution="geometric"),
+                "uniform-arrival only", id="embedding-uniform-only",
+            ),
+            pytest.param(
+                dict(metric_kind="nonmetric", metric_arg="6", distribution="geometric"),
+                "checked metric", id="wrapper-needs-a-checked-metric",
+            ),
+        ],
+    )
+    def test_refused_at_set_up(self, monkeypatch, fields, message):
+        # the refusal comes before the first trial's generator is made
+        seeds = _count_trial_generators(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            run_trials(Scenario(trials=2, **fields))
+        assert seeds == []
 
     def test_deterministic_costs(self):
         sc = Scenario("random", "7", trials=15, seed=13)
@@ -471,11 +503,16 @@ class TestVerifiers:
         with pytest.raises(ValueError, match="trials"):
             verify_cost_decomposition(line_metric(3), trials=0, seed=0)
 
-    @pytest.mark.parametrize("k", [0, 5, -1])
-    def test_replacement_k_outside_range(self, k):
-        # k = n + 1 divided by zero over its empty family of subsets
-        with pytest.raises(ValueError, match=f"k={k} outside 1..4"):
-            verify_replacement(line_metric(4), ks=[1, k])
+    @pytest.mark.parametrize(
+        "ks, message",
+        [pytest.param([1, k], f"k={k} outside 1..4", id=str(k)) for k in (0, 5, -1)]
+        + [pytest.param([], "no free-set size", id="empty")],
+    )
+    def test_replacement_k_outside_range(self, ks, message):
+        # k = n + 1 divided by zero over its empty family of subsets, and an
+        # empty ks checked nothing and still reported ok
+        with pytest.raises(ValueError, match=message):
+            verify_replacement(line_metric(4), ks=ks)
 
     def test_replacement_size_cap(self):
         with pytest.raises(ValueError, match="n=6"):
@@ -614,15 +651,7 @@ class TestTrialLoop:
         + [("uniform", a) for a in ALGORITHMS if a != "split-match"],
     )
     def test_one_generator_per_trial(self, monkeypatch, metric, algorithm):
-        seeds = []
-
-        class CountingRandom:
-            @staticmethod
-            def Random(seed):
-                seeds.append(seed)
-                return random.Random(seed)
-
-        monkeypatch.setattr(harness, "random", CountingRandom)
+        seeds = _count_trial_generators(monkeypatch)
         sc = Scenario(metric, "5", algorithm=algorithm, trials=6, seed=30)
         records, _ = run_trials(sc)
         assert len(records) == 6
@@ -642,15 +671,7 @@ class TestTrialLoop:
         # the generated tree and the one embedding keep their own generators,
         # with the same seeds, so a hook on harness.random sees one per trial
         expected, _ = run_trials(Scenario(trials=6, seed=30, **fields))
-        seeds = []
-
-        class CountingRandom:
-            @staticmethod
-            def Random(seed):
-                seeds.append(seed)
-                return random.Random(seed)
-
-        monkeypatch.setattr(harness, "random", CountingRandom)
+        seeds = _count_trial_generators(monkeypatch)
         records, _ = run_trials(Scenario(trials=6, seed=30, **fields))
         assert seeds == list(range(30, 36))
         assert [r.step_costs for r in records] == [r.step_costs for r in expected]

@@ -179,17 +179,17 @@ class TestRunWrapped:
         for seed in range(5):
             out = _wrapped(inst, uniform_distribution(4), seed)
             assert out.relocation_cost == 0
-            assert out.result.algorithm == "fair-bias-wrapped"
+            assert out.algorithm == "fair-bias-wrapped"
 
     def test_episode_shape(self):
         inst = line_metric(5)
         dist = geometric_distribution(5)
         out = _wrapped(inst, dist, 12)
-        assert sorted(s for _, s in out.result.assignments) == list(range(5))
-        for (a, s), c in zip(out.result.assignments, out.result.step_costs):
+        assert sorted(s for _, s in out.assignments) == list(range(5))
+        for (a, s), c in zip(out.assignments, out.step_costs):
             assert c == inst.matrix[s][a]
-        assert out.result.total_cost == sum(out.result.step_costs)
-        assert out.relocated_cost >= 0 and out.relocation_cost >= 0
+        assert out.total_cost == sum(out.step_costs)
+        assert out.relocation_cost >= 0
 
     def test_mean_relocation_matches_plan_mass(self):
         inst = line_metric(2)
@@ -210,7 +210,7 @@ class TestRunWrapped:
         dist = RequestDistribution((1, 2, 1))
         provider, plan = PlanProvider(inst), solve_transshipment(inst, dist)
         out = run_wrapped(provider, plan, [1, 1, 2], random.Random(4))
-        assert [a for a, _ in out.result.assignments] == [1, 1, 2]
+        assert [a for a, _ in out.assignments] == [1, 1, 2]
         with pytest.raises(ValueError, match="exactly n=3"):
             run_wrapped(provider, plan, [1], random.Random(4))
 
@@ -226,7 +226,7 @@ class TestRunWrapped:
         dist = geometric_distribution(4)
         a = _wrapped(inst, dist, 31)
         b = _wrapped(inst, dist, 31)
-        assert a.result.assignments == b.result.assignments
+        assert a.assignments == b.assignments
         assert a.relocation_cost == b.relocation_cost
 
     def test_needs_checked_metric(self):
