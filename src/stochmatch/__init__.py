@@ -61,7 +61,6 @@ from .metrics import (
     tree_from_host_edges,
     tree_metric,
     uniform_metric,
-    validate_metric,
 )
 from .offline import opt_general, opt_max_weight, opt_tree
 from .splitmatch import (
@@ -137,7 +136,6 @@ __all__ = [
     "tree_metric",
     "uniform_distribution",
     "uniform_metric",
-    "validate_metric",
     "verify_cost_decomposition",
     "verify_match_to_self",
     "verify_replacement",

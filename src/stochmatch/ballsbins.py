@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 def sample_loads(n: int, m: int, rng: random.Random) -> list[int]:
@@ -61,18 +62,14 @@ def estimate_Nk_multi(
     """Top-k estimates for several k sharing one set of load samples."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    for k in ks:
+        if not 1 <= k <= n:
+            raise ValueError(f"k={k} out of range for {n} bins")
     per_k: dict[int, list[float]] = {k: [] for k in ks}
     for _ in range(trials):
-        ordered = sorted(sample_loads(n, n, rng), reverse=True)
-        prefix = 0
-        cuts = {}
-        for j, load in enumerate(ordered, start=1):
-            prefix += load
-            cuts[j] = prefix
-        for k in ks:
-            if not 1 <= k <= n:
-                raise ValueError(f"k={k} out of range for {n} bins")
-            per_k[k].append(float(cuts[k]))
+        cuts = list(accumulate(sorted(sample_loads(n, n, rng), reverse=True)))
+        for k, values in per_k.items():
+            values.append(float(cuts[k - 1]))
     return {k: _mean_stderr(v) for k, v in per_k.items()}
 
 
@@ -138,6 +135,8 @@ def monotone_indicator_comparison(
     lowers any order statistic), so the Poisson domination bound with
     factor 2 applies to it.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     fixed = []
     pois = []
     for _ in range(trials):

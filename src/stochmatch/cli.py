@@ -18,6 +18,7 @@ import sys
 
 from .ballsbins import estimate_Nk
 from .harness import (
+    GENERATED_KINDS,
     Scenario,
     build_instance,
     parse_scenario,
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=25, help="random instances")
     p.add_argument(
         "--kind",
-        choices=["line", "uniform", "star", "random"],
+        choices=GENERATED_KINDS,
         help="fixture metric; defaults: structure uniform, replacement line, "
         "decomposition random",
     )

@@ -5,13 +5,14 @@ fractional matching of the current free set (``bmatching.canonical_plan``:
 co-located mass matches itself), the free server s with probability
 n * x[s][r].  An arrival at a free location takes its own server.
 
-A plan provider per backing does the sampling.  Checked tree-backed
-instances never build a plan: ``bmatching.tree_walk`` walks the tree's
-unique optimal edge flow back from the request in O(depth) per arrival,
-on the tree's rooted arrays and free-point counts per node that the
-episode's state keeps current.  The walk is the tree path from the
-request to the server, so the length it returns is the step's cost,
-and a tree provider never reads a distance table.
+A plan provider per backing does the sampling.  Tree-backed instances,
+checked metrics by construction, never build a plan:
+``bmatching.tree_walk`` walks the tree's unique optimal edge flow back
+from the request in O(depth) per arrival, on the tree's rooted arrays
+and free-point counts per node that the episode's state keeps current.
+The walk is the tree path from the request to the server, so the length
+it returns is the step's cost, and a tree provider never reads a
+distance table.
 Every other backing draws with ``flows.draw`` from a ``flows.column`` of
 integer units read straight from a ``bmatching`` core, so the draw is
 inverse-CDF sampling with no floating point and no Fraction: the
@@ -138,7 +139,7 @@ class PlanProvider:
         self._instance = instance
         self.location_weights = [1] * self.n
         self.canonical = instance.verified_metric
-        self._tree = instance.tree if instance.verified_metric else None
+        self._tree = instance.tree
         # free set -> columns; tree episodes walk and never ask for columns
         memo = self._tree is None and self.n <= self.memo_max_n
         self._memo = {} if memo else None

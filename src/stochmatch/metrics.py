@@ -1,9 +1,12 @@
 """Metric instances, weighted trees and the random tree embedding.
 
 Points are integers 0..n-1.  Distances are non-negative integers (use a
-fixed-point scale upstream if fractional lengths are needed).  Instances
-remember whether they were built through the checked path; operations
-that rely on the triangle inequality refuse unchecked instances.
+fixed-point scale upstream if fractional lengths are needed).  Whether an
+instance is a checked metric is a fact of its construction: a tree
+instance is one, and a table is one exactly when the ``check_matrix``
+pass that every table gets at construction finds no violation.
+``matrix_unchecked`` is the one way to skip that pass.  Operations that
+rely on the triangle inequality refuse unchecked instances.
 
 Trees carry servers on leaves.  Hosts that would sit on internal nodes
 are pushed onto zero-length pendant leaves, which preserves all
@@ -238,56 +241,40 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    n: int
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class MetricInstance:
-    """n points with an integer distance matrix.
+    """n points with an integer distance table, given as a table or a tree.
 
-    backing is "matrix", "line" or "tree"; tree/line instances expose a
-    WeightedTree view used by the tree-aware solvers.  verified_metric
-    records whether the instance came through the checked constructor.
-    Negative entries are rejected for every instance: the exact solvers
-    need non-negative costs.
-
-    A tree or line instance is built with ``matrix=None``: its ``matrix``
-    is the tree's ``leaf_distance_matrix``, built on the first read and
-    shared with the tree, not copied.  A given table is copied and
-    checked.
+    ``backing`` and ``verified_metric`` are worked out here, not passed
+    in.  A tree instance (backing "tree") is a metric by construction;
+    its ``matrix`` is the tree's ``leaf_distance_matrix``, built on the
+    first read and shared with the tree, not copied.  A table (backing
+    "matrix") is copied, must hold non-negative integers, and is a
+    checked metric exactly when one ``check_matrix`` pass finds no
+    violation; ``matrix_unchecked`` skips that pass (``_check=False``)
+    and leaves the instance unchecked.  ``line_metric`` relabels its
+    tree instance "line" and keeps its spacing as ``scale``.
     """
 
     def __init__(
-        self,
-        matrix: list[list[int]] | None,
-        backing: str,
-        *,
-        tree: WeightedTree | None = None,
-        verified_metric: bool,
-        scale: int = 1,
+        self, metric: list[list[int]] | WeightedTree, *, _check: bool = True
     ):
-        if matrix is None:
-            if tree is None:
-                raise ValueError("an instance without a table needs a tree")
-            self.n = tree.n_points
+        self.scale = 1
+        if isinstance(metric, WeightedTree):
+            self.n = metric.n_points
+            self.backing = "tree"
+            self._tree = metric
             self._matrix = None
-        else:
-            self.n = square_size(matrix)
-            self._matrix = [list(map(int, row)) for row in matrix]
-            if any(a != list(b) for a, b in zip(self._matrix, matrix)):
-                raise ValueError("distances must be integers")
-            if any(min(row) < 0 for row in self._matrix):
-                raise ValueError("distances must be >= 0")
-        self.backing = backing
-        self._tree = tree
-        self.verified_metric = verified_metric
-        self.scale = scale
+            self.verified_metric = True
+            return
+        self.n = square_size(metric)
+        self.backing = "matrix"
+        self._tree = None
+        self._matrix = [list(map(int, row)) for row in metric]
+        if any(a != list(b) for a, b in zip(self._matrix, metric)):
+            raise ValueError("distances must be integers")
+        if any(min(row) < 0 for row in self._matrix):
+            raise ValueError("distances must be >= 0")
+        self.verified_metric = _check and not check_matrix(self._matrix)
 
     @property
     def matrix(self) -> list[list[int]]:
@@ -295,9 +282,6 @@ class MetricInstance:
         if self._matrix is None:
             self._matrix = self._tree.leaf_distance_matrix()
         return self._matrix
-
-    def dist(self, i: PointId, j: PointId) -> int:
-        return self.matrix[i][j]
 
     @property
     def tree(self) -> WeightedTree | None:
@@ -356,44 +340,42 @@ def check_matrix(matrix: list[list[int]]) -> list[Violation]:
     return out
 
 
-def validate_metric(obj: MetricInstance | list[list[int]]) -> MetricReport:
-    matrix = obj.matrix if isinstance(obj, MetricInstance) else obj
-    violations = check_matrix(matrix)
-    return MetricReport(len(matrix), tuple(violations))
-
-
 def matrix_metric(matrix: list[list[int]]) -> MetricInstance:
     """Checked constructor: raises on the first metric violation."""
-    report = validate_metric(matrix)
-    if not report.ok:
-        v = report.violations[0]
+    instance = MetricInstance(matrix)
+    if not instance.verified_metric:
+        v = check_matrix(instance.matrix)[0]
         raise ValueError(f"not a metric: {v.kind} at {v.indices} ({v.detail})")
-    return MetricInstance(matrix, "matrix", verified_metric=True)
+    return instance
 
 
 def matrix_unchecked(matrix: list[list[int]]) -> MetricInstance:
-    """Explicit escape hatch for cost structures that are not metrics."""
-    return MetricInstance(matrix, "matrix", verified_metric=False)
+    """Explicit escape hatch for cost structures that are not metrics.
+
+    The table is not checked, so the instance is unchecked even when the
+    table happens to be a metric: its plans are full min-cost plans.
+    """
+    return MetricInstance(matrix, _check=False)
 
 
 def line_metric(n: int, spacing: int = 1) -> MetricInstance:
     if n < 1 or spacing < 0:
         raise ValueError("need n >= 1 and spacing >= 0")
-    tree = tree_from_host_edges(
-        n, [(i, i + 1, spacing) for i in range(n - 1)]
+    instance = MetricInstance(
+        tree_from_host_edges(n, [(i, i + 1, spacing) for i in range(n - 1)])
     )
-    return MetricInstance(
-        None, "line", tree=tree, verified_metric=True, scale=spacing
-    )
+    instance.backing, instance.scale = "line", spacing
+    return instance
 
 
 def tree_metric(tree: WeightedTree) -> MetricInstance:
-    return MetricInstance(None, "tree", tree=tree, verified_metric=True)
+    return MetricInstance(tree)
 
 
 def uniform_metric(n: int, c: int = 1) -> MetricInstance:
-    matrix = [[0 if i == j else c for j in range(n)] for i in range(n)]
-    return MetricInstance(matrix, "matrix", verified_metric=True)
+    return matrix_metric(
+        [[0 if i == j else c for j in range(n)] for i in range(n)]
+    )
 
 
 def tree_from_host_edges(
@@ -580,10 +562,7 @@ def load_metric(path: str) -> MetricInstance:
             [scale * parse_int(x, f"matrix row {i}") for x in row]
             for i, row in enumerate(body)
         ]
-        report = validate_metric(matrix)
-        if report.ok:
-            return MetricInstance(matrix, "matrix", verified_metric=True)
-        return matrix_unchecked(matrix)
+        return MetricInstance(matrix)
     if kind == "tree":
         host_edges = []
         for t in body:

@@ -122,6 +122,8 @@ class TestEstimates:
             estimate_Nk(2, 1, 0, random.Random(0))
         with pytest.raises(ValueError, match="out of range"):
             estimate_Nk_multi(3, [4], 10, random.Random(0))
+        with pytest.raises(ValueError, match="at least one trial"):
+            monotone_indicator_comparison(10, 2, 1, 0, random.Random(0))
 
 
 class TestPoisson:

@@ -4,6 +4,7 @@ import pytest
 
 from stochmatch import cli
 from stochmatch.cli import VERIFIERS, main
+from stochmatch.harness import gen_nonmetric_instance
 from stochmatch.metrics import (
     dump_metric,
     line_metric,
@@ -141,13 +142,30 @@ class TestVerify:
         assert capsys.readouterr().out == out
 
     @pytest.mark.parametrize(
-        "which, name",
+        "which, name, kind",
         [
-            ("structure", "verify_structure_lemma"),
-            ("decomposition", "verify_cost_decomposition"),
+            pytest.param(
+                "structure", "verify_structure_lemma", "star",
+                id="structure-verify_structure_lemma",
+            ),
+            pytest.param(
+                "decomposition", "verify_cost_decomposition", "star",
+                id="decomposition-verify_cost_decomposition",
+            ),
+            # argparse refused --kind nonmetric, which build_instance builds
+            pytest.param(
+                "structure", "verify_structure_lemma", "nonmetric",
+                id="structure-verify_structure_lemma-nonmetric",
+            ),
+            pytest.param(
+                "decomposition", "verify_cost_decomposition", "nonmetric",
+                id="decomposition-verify_cost_decomposition-nonmetric",
+            ),
         ],
     )
-    def test_kind_reaches_the_instance(self, which, name, monkeypatch, capsys):
+    def test_kind_reaches_the_instance(
+        self, which, name, kind, monkeypatch, capsys
+    ):
         # --kind was read by replacement only; the others ran their fixture
         seen = []
         real = getattr(cli, name)
@@ -157,9 +175,13 @@ class TestVerify:
             return real(instance, trials, seed)
 
         monkeypatch.setattr(cli, name, spy)
-        args = ["--n", "4", "--kind", "star", "--trials", "300", "--seed", "3"]
+        args = ["--n", "4", "--kind", kind, "--trials", "300", "--seed", "3"]
         assert main(["verify", which, *args]) == 0
-        assert seen[0].matrix == tree_metric(star_tree(4)).matrix
+        expected = {
+            "star": tree_metric(star_tree(4)),
+            "nonmetric": gen_nonmetric_instance(4),
+        }
+        assert seen[0].matrix == expected[kind].matrix
         assert f"{which}: ok" in capsys.readouterr().out
 
     def test_match_to_self(self, capsys):

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
+from stochmatch import metrics
+from stochmatch.bmatching import canonical_plan, solve_min_cost
 from stochmatch.metrics import (
+    MetricInstance,
     WeightedTree,
+    check_matrix,
     dump_metric,
     frt_embed,
     line_metric,
@@ -18,7 +23,6 @@ from stochmatch.metrics import (
     tree_from_host_edges,
     tree_metric,
     uniform_metric,
-    validate_metric,
 )
 
 
@@ -106,25 +110,35 @@ class TestWeightedTree:
                     )
 
 
+# not symmetric and not a metric; at the request set (0, 4) its
+# canonical plan is worth 22/5 and the optimum 43/10
+NOT_A_METRIC = [
+    [0, 19, 3, 20, 1],
+    [16, 0, 9, 18, 8],
+    [7, 16, 0, 18, 18],
+    [16, 13, 5, 0, 8],
+    [5, 17, 13, 1, 0],
+]
+
+
 class TestMetricValidation:
     def test_line_is_metric(self):
-        assert validate_metric(line_metric(6).matrix).ok
+        assert not check_matrix(line_metric(6).matrix)
 
     def test_triangle_violation_found(self):
         bad = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
-        report = validate_metric(bad)
-        assert not report.ok
-        assert any(v.kind == "triangle" for v in report.violations)
+        violations = check_matrix(bad)
+        assert violations
+        assert any(v.kind == "triangle" for v in violations)
 
     def test_symmetry_and_diagonal(self):
-        report = validate_metric([[1, 2], [3, 0]])
-        kinds = {v.kind for v in report.violations}
+        kinds = {v.kind for v in check_matrix([[1, 2], [3, 0]])}
         assert "diagonal" in kinds
         assert "symmetry" in kinds
 
     def test_negative_distance(self):
-        report = validate_metric([[0, -1], [-1, 0]])
-        assert any(v.kind == "negative" for v in report.violations)
+        violations = check_matrix([[0, -1], [-1, 0]])
+        assert any(v.kind == "negative" for v in violations)
 
     def test_triangle_report_is_one_entry_per_pair(self):
         # one Violation per violating triple made this O(n^3) in size
@@ -134,8 +148,7 @@ class TestMetricValidation:
         for i in range(n):
             for j in range(i + 1, n):
                 bad[i][j] = bad[j][i] = rng.randint(1, 100)
-        triangles = [v for v in validate_metric(bad).violations
-                     if v.kind == "triangle"]
+        triangles = [v for v in check_matrix(bad) if v.kind == "triangle"]
         pairs = {(v.indices[0], v.indices[2]) for v in triangles}
         assert len(triangles) == len(pairs) <= n * (n - 1)
         for v in triangles:
@@ -147,8 +160,7 @@ class TestMetricValidation:
         # d(0,1) was read as row 1, column 0 but printed as d(0,1): the
         # printed sum was not the sum of the printed terms
         bad = [[0, 5, 1], [1, 0, 1], [1, 1, 0]]
-        triangles = [v for v in validate_metric(bad).violations
-                     if v.kind == "triangle"]
+        triangles = [v for v in check_matrix(bad) if v.kind == "triangle"]
         assert triangles
         for v in triangles:
             pairs = re.findall(r"d\((\d+),(\d+)\)", v.detail)
@@ -168,7 +180,7 @@ class TestMetricValidation:
     def test_unchecked_escape_hatch(self):
         inst = matrix_unchecked([[0, 9], [1, 0]])
         assert not inst.verified_metric
-        assert inst.dist(0, 1) == 9
+        assert inst.matrix[0][1] == 9
 
     @pytest.mark.parametrize("build", [matrix_metric, matrix_unchecked])
     def test_fractional_distances_rejected(self, build):
@@ -189,8 +201,69 @@ class TestMetricValidation:
     def test_uniform_metric(self):
         inst = uniform_metric(4, 3)
         assert inst.verified_metric
-        assert inst.dist(1, 2) == 3
-        assert inst.dist(2, 2) == 0
+        assert inst.matrix[1][2] == 3
+        assert inst.matrix[2][2] == 0
+
+    def test_a_table_is_checked_at_construction(self):
+        # MetricInstance(table, "matrix", verified_metric=True) marked this
+        # table checked unread; its canonical plan (22/5) undercut the
+        # optimum (43/10), and the fair-bias sampler drew from it
+        inst = MetricInstance(NOT_A_METRIC)
+        assert not inst.verified_metric
+        assert inst.backing == "matrix"
+        with pytest.raises(ValueError, match="checked metric"):
+            canonical_plan(inst, (0, 4))
+        assert solve_min_cost(inst, (0, 4)).value == Fraction(43, 10)
+        with pytest.raises(TypeError):
+            MetricInstance(NOT_A_METRIC, verified_metric=True)
+        assert MetricInstance(line_metric(4).matrix).verified_metric
+
+    @pytest.mark.parametrize(
+        "table, first",
+        [
+            (NOT_A_METRIC, "symmetry at (0, 1) (19 != 16)"),
+            ([[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+             "triangle at (0, 1, 2) (d(0,2)=5 > d(0,1)+d(1,2)=2)"),
+            ([[0, 2, 1], [2, 0, 1], [1, 1, 0]], None),
+        ],
+    )
+    def test_matrix_metric_refuses_exactly_the_unchecked_tables(
+        self, table, first
+    ):
+        assert MetricInstance(table).verified_metric == (first is None)
+        if first is None:
+            assert matrix_metric(table).matrix == table
+        else:
+            message = re.escape(f"not a metric: {first}")
+            with pytest.raises(ValueError, match=message):
+                matrix_metric(table)
+
+    def test_each_table_is_checked_once(self, monkeypatch, tmp_path):
+        # check_matrix is O(n^3), the largest set-up cost on a table metric
+        calls = []
+        real = metrics.check_matrix
+
+        def spy(matrix):
+            calls.append(len(matrix))
+            return real(matrix)
+
+        monkeypatch.setattr(metrics, "check_matrix", spy)
+        path = str(tmp_path / "m.txt")
+        dump_metric(uniform_metric(4, 2), path)
+        assert calls == [4]
+        calls.clear()
+        load_metric(path)
+        assert calls == [4]
+        table = line_metric(5).matrix
+        for build in (matrix_metric, MetricInstance):
+            calls.clear()
+            build(table)
+            assert calls == [5]
+        calls.clear()
+        matrix_unchecked(table)
+        tree_metric(star_tree(3))
+        line_metric(3)
+        assert calls == []
 
 
 def scan_frt_embed(instance, rng: random.Random) -> WeightedTree:
@@ -318,7 +391,7 @@ class TestFileFormat:
             "# a 2x2 matrix\nkind matrix\nn 2\nscale 10\n0 3  # row 0\n3 0\n"
         )
         inst = load_metric(str(path))
-        assert inst.dist(0, 1) == 30
+        assert inst.matrix[0][1] == 30
 
     def test_nonmetric_file_loads_unchecked(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -435,8 +508,8 @@ class TestFileFormat:
 
 def test_line_metric_values():
     inst = line_metric(5, spacing=2)
-    assert inst.dist(0, 4) == 8
-    assert inst.dist(3, 1) == 4
+    assert inst.matrix[0][4] == 8
+    assert inst.matrix[3][1] == 4
     assert inst.tree.tree_distance(0, 4) == 8
 
 

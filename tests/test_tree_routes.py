@@ -66,7 +66,7 @@ def test_tree_distance_and_table_match_bfs(tree):
     n = tree.n_points
     assert [[tree.tree_distance(p, q) for q in range(n)] for p in range(n)] == ref
     instance = tree_metric(tree)
-    assert [[instance.dist(p, q) for q in range(n)] for p in range(n)] == ref
+    assert [[instance.matrix[p][q] for q in range(n)] for p in range(n)] == ref
     assert instance.matrix is tree.leaf_distance_matrix()  # shared, not copied
 
 
