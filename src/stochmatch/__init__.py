@@ -36,7 +36,6 @@ from .harness import (
     Scenario,
     TrialRecord,
     gen_nonmetric_instance,
-    gen_nonmetric_scenario,
     parse_scenario,
     random_metric,
     ratio_of_means,
@@ -100,7 +99,6 @@ __all__ = [
     "estimate_Nk_multi",
     "frt_embed",
     "gen_nonmetric_instance",
-    "gen_nonmetric_scenario",
     "geometric_distribution",
     "hmatch",
     "line_metric",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -78,15 +79,17 @@ def poisson_sample(mean: float, rng: random.Random) -> int:
         raise ValueError("mean must be >= 0")
     if mean == 0:
         return 0
-    u = rng.random()
     p = math.exp(-mean)
+    if not p >= sys.float_info.min:  # nan, inf, or a subnormal pmf head
+        raise ValueError(f"mean {mean} is not finite or too large (> ~708)")
+    u = rng.random()
     cum = p
     x = 0
     while u > cum:
         x += 1
         p *= mean / x
         cum += p
-        if x > 1000:  # mean <= a few in every caller; this is unreachable
+        if x > 1000:  # the summed pmf fell short of u by rounding
             raise RuntimeError("poisson inversion ran away")
     return x
 

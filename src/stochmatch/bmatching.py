@@ -30,10 +30,11 @@ On trees no plan is built.  Optimal transport there has one edge flow:
 tree_walk samples one column entry of it by walking it back from the
 request, from free-point counts per node (free_below, kept current by
 release) that the caller holds across arrivals, and returns the length
-of the path it walked, the step's cost, so no distance table is read; and
+of the path it walked, the step's cost, so no distance table is read;
 ``WeightedTree.imbalance_cost`` prices it, so tree_plan is that one
 call.  solve_min_cost and canonical_plan give explicit plans on any
-instance, trees included.
+instance, trees included.  ``check_stream`` is the one stream contract,
+n arrivals at points 0..n-1, of every online episode and offline optimum.
 """
 
 from __future__ import annotations
@@ -94,6 +95,14 @@ def check_points(points, n: int, what: str) -> None:
             raise ValueError(f"{what} {p!r} is not an integer") from None
         if not 0 <= p < n:
             raise ValueError(f"{what} {p} outside the instance")
+
+
+def check_stream(n: int, stream) -> None:
+    """Reject a stream that is not exactly n arrivals at points 0..n-1."""
+    if len(stream) != n:
+        need = f"need exactly {n} requests (exactly n={n}, one per server)"
+        raise ValueError(f"{need}, got {len(stream)}")
+    check_points(stream, n, "request location")
 
 
 def _counts(T, n: int) -> Counter:

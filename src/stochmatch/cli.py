@@ -21,6 +21,7 @@ from .harness import (
     GENERATED_KINDS,
     Scenario,
     build_instance,
+    offline_opt,
     parse_scenario,
     run_trials,
     verify_cost_decomposition,
@@ -30,7 +31,6 @@ from .harness import (
     verify_structure_lemma,
 )
 from .metrics import dump_metric, frt_embed, load_metric, tree_metric
-from .offline import opt_general, opt_tree
 
 
 def _instance(args, default: str):
@@ -111,12 +111,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_opt(args) -> int:
-    instance = load_metric(args.metric)
-    if instance.tree is not None:
-        value = opt_tree(instance, args.requests)
-    else:
-        value = opt_general(instance, args.requests)
-    print(value)
+    print(offline_opt(load_metric(args.metric), args.requests))
     return 0
 
 

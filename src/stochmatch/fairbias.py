@@ -13,40 +13,41 @@ and free-point counts per node that the episode's state keeps current.
 The walk is the tree path from the request to the server, so the length
 it returns is the step's cost, and a tree provider never reads a
 distance table.
-Every other backing draws with ``flows.draw`` from a ``flows.column`` of
-integer units read straight from a ``bmatching`` core, so the draw is
-inverse-CDF sampling with no floating point and no Fraction: the
-canonical plan's off-diagonal units on checked matrix metrics
-(self-matches are implicit), the full min-cost plan's on unchecked
-instances.  ``MaxWeightProvider`` is that unchecked provider on the
-cost table S - gain (``bmatching.gain_costs``, S the largest gain) with
-its caller's location weights: only its ``matrix``, the gains that
-steps are paid in, differs.  These providers
-memoize plans per free set up to ``memo_max_n`` (12) points, at most
-2^12 - 1 plans, each solved cold from zero potentials, so a memoized
-plan does not depend on the episode that solved it first and memoization
-cannot change behavior.  Past ``memo_max_n``, where a warm solve beats
-the memo, a provider keeps no memo: the episode's ``OnlineState``
-carries one row potential per point from its last plan solve
-(``plan_duals``, made at the first solve, so tree episodes never hold
-them), and the next arrival's solve starts from them.  Any row
-potentials give an exact optimal plan, and the last optimal ones leave
-little to re-optimize.  Where optimal plans tie, the one drawn from may
-depend on the episode's earlier solves, which keeps free sets uniform
-and the expected step cost M(T).
-Tree providers keep neither memo nor duals: the walk needs neither.
+Every other backing draws with ``flows.draw`` from the columns that
+``flows.columns_by_key`` groups, by location, out of a ``bmatching``
+core's integer units, so the draw is inverse-CDF sampling with no
+floating point and no Fraction: the canonical plan's off-diagonal units
+on checked matrix metrics (self-matches are implicit), the full min-cost
+plan's on unchecked instances.  ``MaxWeightProvider`` is that unchecked
+provider on the cost table S - gain (``bmatching.gain_costs``, S the
+largest gain) with its caller's location weights: only its ``matrix``,
+the gains that steps are paid in, differs.  These providers memoize
+plans per free set up to ``memo_max_n`` (12) points, at most 2^12 - 1
+plans, each solved cold from zero potentials, so a memoized plan does
+not depend on the episode that solved it first and memoization cannot
+change behavior.  Past ``memo_max_n``, where a warm solve beats the
+memo, a provider keeps no memo: the episode's ``OnlineState`` carries
+one row potential per point from its last plan solve (``plan_duals``,
+made at the first solve, so tree episodes never hold them), and the next
+arrival's solve starts from them.  Any row potentials give an exact
+optimal plan, and the last optimal ones leave little to re-optimize.
+Where optimal plans tie, the one drawn from may depend on the episode's
+earlier solves, which keeps free sets uniform and the expected step cost
+M(T).  Tree providers keep neither memo nor duals: the walk needs neither.
 
 Every provider exposes ``sample(state, r, rng)``, which returns the
 server and the step's cost or gain, ``columns(free, duals=None)``, the
 cost-or-gain ``matrix``, the ``location_weights`` (all 1 for min-cost),
-the expected ``column_mass(r, k)``, k * w_r units, and ``canonical``.  On a tree ``matrix`` is the instance's table, built on
-first read, and ``columns`` is the canonical plan of that table, like
-any checked metric's; the walk never asks for either.
+the expected ``column_mass(r, k)``, k * w_r units, and ``canonical``.
+On a tree ``matrix`` is the instance's table, built on first read, and
+``columns`` is the canonical plan of that table, like any checked
+metric's; the walk never asks for either.
 
-An episode is ``run_episode(provider, stream, rng)``: the provider is
-the only source of the instance, and the trial's generator drives every
-draw.  The result is named by ``provider.algorithm``, so the
-maximum-weight variant is the same loop over ``MaxWeightProvider``.
+An episode is ``run_episode(provider, stream, rng)``: it holds the
+stream to ``bmatching.check_stream``, the provider is the only source of
+the instance, and the trial's generator drives every draw.  The result
+is named by ``provider.algorithm``, so the maximum-weight variant is the
+same loop over ``MaxWeightProvider``.
 """
 
 from __future__ import annotations
@@ -58,14 +59,14 @@ from .bmatching import (
     _canonical_units,
     _units,
     check_location_weights,
-    check_points,
+    check_stream,
     free_below,
     gain_costs,
     release,
     tree_plan,  # unused here; bench/tracing.py wraps fairbias.tree_plan by name
     tree_walk,
 )
-from .flows import Column, column, draw
+from .flows import Column, columns_by_key, draw
 from .metrics import MetricInstance, WeightedTree, matrix_unchecked
 
 
@@ -201,15 +202,7 @@ class PlanProvider:
             _, units = _canonical_units(costs, counts, self.n, duals)
         else:
             _, units = _units(costs, counts, self.location_weights, duals)
-        return _by_location(units)
-
-
-def _by_location(triples) -> dict[int, Column]:
-    """Sampling columns from (server, location, units) triples."""
-    raw: dict[int, list[tuple[int, int]]] = {}
-    for s, r, u in triples:
-        raw.setdefault(r, []).append((s, u))
-    return {r: column(pairs) for r, pairs in raw.items()}
+        return columns_by_key(units)  # (server, location, units) triples
 
 
 def init_state(n: int) -> OnlineState:
@@ -233,13 +226,6 @@ def step(
         server, cost = provider.sample(state, request, rng)
     state.remove(server)
     return server, cost
-
-
-def check_stream(n: int, stream: list[int]) -> None:
-    """Reject a stream that is not n arrivals at points 0..n-1."""
-    if len(stream) != n:
-        raise ValueError(f"stream must have exactly n={n} requests")
-    check_points(stream, n, "request location")
 
 
 def run_episode(

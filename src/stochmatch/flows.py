@@ -16,10 +16,10 @@ starts at the tightest potential those rows allow, so the plan is
 optimal whatever the rows hold; only the number of phases depends on
 them.  With ``duals=None`` every potential starts at zero.
 
-A plan's column is carried as ``(items, cumulative units)``.  ``column``
-builds one from (item, units) pairs, ``column_units`` decodes it back,
-and ``draw`` samples an item with probability units / total from one
-uniform integer draw, so sampling involves no floating point.
+A plan's column is ``(items, cumulative units)``: ``column`` builds one
+from (item, units) pairs, ``columns_by_key`` one per key from (item,
+key, units) triples, ``column_units`` decodes one, and ``draw`` samples
+an item with probability units / total from one uniform integer draw.
 """
 
 from __future__ import annotations
@@ -361,6 +361,14 @@ def column(pairs: Iterable[tuple[object, int]]) -> Column:
         items.append(item)
         cum.append(acc)
     return items, cum
+
+
+def columns_by_key(triples: Iterable[tuple]) -> dict[object, Column]:
+    """Sampling columns from (item, key, units) triples, one per key."""
+    raw: dict = {}
+    for item, key, units in triples:
+        raw.setdefault(key, []).append((item, units))
+    return {key: column(pairs) for key, pairs in raw.items()}
 
 
 def column_units(col: Column) -> Iterator[tuple[object, int]]:

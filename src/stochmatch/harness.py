@@ -10,9 +10,9 @@ and the trial's generator: ``run_episode(provider, stream, rng)``,
 stream, rng)``, each returning a ``MatchingResult``.  Trial t makes one
 ``random.Random(seed + t)``, which draws the n arrivals and then drives
 the episode, so reruns produce identical CSV rows apart from the
-wall-time column.  That is the only generator made through the
-``random`` module name: set-up generators (the ``random N`` tree, the
-``once`` embedding) come from ``_SetupRandom``, so a hook on
+wall-time column.  In ``run_trials`` that is the only generator made
+through the ``random`` module name: set-up generators (the ``random N``
+tree, the ``once`` embedding) come from ``_SetupRandom``, so a hook on
 ``harness.random`` sees one per trial.
 Summaries report the ratio of sample means E[ALG]/E[OPT] with a
 bootstrap 95% interval, never a mean of ratios.
@@ -58,6 +58,7 @@ from .fairbias import (
 from .metrics import (
     MetricInstance,
     frt_embed,
+    input_lines,
     line_metric,
     load_metric,
     matrix_metric,
@@ -133,17 +134,13 @@ class Scenario:
 
 def parse_scenario(path: str) -> Scenario:
     fields: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad scenario line {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in fields:
-                raise ValueError(f"duplicate scenario key {key!r}")
-            fields[key] = value
+    for line in input_lines(path):
+        if "=" not in line:
+            raise ValueError(f"bad scenario line {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in fields:
+            raise ValueError(f"duplicate scenario key {key!r}")
+        fields[key] = value
     if "metric" not in fields:
         raise ValueError("scenario needs a metric line")
     mk, _, marg = fields.pop("metric").partition(" ")
@@ -243,6 +240,8 @@ def ratio_of_means(
     algs: list[float], opts: list[float], seed: int
 ) -> tuple[float, float, float, bool]:
     """Ratio of sample means with a bootstrap percentile interval."""
+    if len(algs) != len(opts) or len(algs) == 0:
+        raise ValueError(f"need paired trials: {len(algs)} costs, {len(opts)} optima")
     a = np.asarray(algs, dtype=float)
     o = np.asarray(opts, dtype=float)
     ma, mo = float(a.mean()), float(o.mean())
@@ -356,6 +355,11 @@ _RUNNERS = {
 ALGORITHMS = tuple(_RUNNERS)
 
 
+def offline_opt(instance: MetricInstance, stream) -> int:
+    """opt_tree on a tree, else opt_general, each read as a global per call."""
+    return (opt_tree if instance.tree is not None else opt_general)(instance, stream)
+
+
 def run_trials(sc: Scenario) -> tuple[list[TrialRecord], RunSummary]:
     """Replay a scenario; returns per-trial records and the summary."""
     instance = build_instance(sc)
@@ -376,8 +380,7 @@ def run_trials(sc: Scenario) -> tuple[list[TrialRecord], RunSummary]:
             if alg > opt:
                 raise RuntimeError("online gain above the offline optimum")
         else:
-            optimum = opt_tree if instance.tree is not None else opt_general
-            opt = optimum(instance, stream)
+            opt = offline_opt(instance, stream)
             if alg < opt:
                 raise RuntimeError("online cost below the offline optimum")
         millis = (time.perf_counter() - t0) * 1000.0
@@ -427,16 +430,6 @@ def gen_nonmetric_instance(n: int) -> MetricInstance:
         [0 if i == j else cost(i, j) for j in range(n)] for i in range(n)
     ]
     return matrix_unchecked(matrix)
-
-
-def gen_nonmetric_scenario(n: int, trials: int = 400, seed: int = 1) -> Scenario:
-    return Scenario(
-        metric_kind="nonmetric",
-        metric_arg=str(n),
-        algorithm="fair-bias",
-        trials=trials,
-        seed=seed,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ the wrapped route, the general offline optimum and the embedding).
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
@@ -515,6 +516,12 @@ def parse_int(text: str, where: str) -> int:
         raise ValueError(f"{where}: {text!r} is not an integer") from None
 
 
+def input_lines(path: str) -> Iterator[str]:
+    """The stripped non-blank lines of an input file, ``#`` comments cut."""
+    with open(path, encoding="utf-8") as fh:
+        yield from filter(None, (raw.split("#", 1)[0].strip() for raw in fh))
+
+
 def load_metric(path: str) -> MetricInstance:
     """Read a metric file: a kind/n/scale header then rows or edges.
 
@@ -524,19 +531,16 @@ def load_metric(path: str) -> MetricInstance:
     """
     header: dict[str, str] = {}
     body = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            t = raw.split("#", 1)[0].split()
-            if not t:
-                continue
-            if t[0] not in ("kind", "n", "scale"):
-                body.append(t)
-            elif len(t) != 2:
-                raise ValueError(f"header line {' '.join(t)!r} is not 'key value'")
-            elif t[0] in header:
-                raise ValueError(f"duplicate header line {t[0]!r}")
-            else:
-                header[t[0]] = t[1]
+    for line in input_lines(path):
+        t = line.split()
+        if t[0] not in ("kind", "n", "scale"):
+            body.append(t)
+        elif len(t) != 2:
+            raise ValueError(f"header line {' '.join(t)!r} is not 'key value'")
+        elif t[0] in header:
+            raise ValueError(f"duplicate header line {t[0]!r}")
+        else:
+            header[t[0]] = t[1]
     if "kind" not in header or "n" not in header:
         raise ValueError("metric file needs kind and n header lines")
     kind = header["kind"]

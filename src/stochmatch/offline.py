@@ -9,26 +9,16 @@ instance's matrix; opt_max_weight runs it on ``bmatching.gain_costs``
 its optimum.  On a tree optimal transport has one edge flow, the kind
 the online walk samples, and ``WeightedTree.imbalance_cost`` prices
 it: opt_tree is the sum over edges of length times |requests below -
-servers below|, the assignment optimum there.
+servers below|, the assignment optimum there.  Each optimum holds its
+stream, a sized sequence, to the episodes' ``bmatching.check_stream``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .bmatching import _units, check_points, gain_costs
+from .bmatching import _units, check_stream, gain_costs
 from .metrics import MetricInstance, WeightedTree, square_size
-
-
-def _request_counts(n: int, requests) -> Counter:
-    counts = Counter(requests)
-    m = sum(counts.values())
-    if m != n:
-        raise ValueError(
-            f"need exactly {n} requests (exactly n={n}, one per server), got {m}"
-        )
-    check_points(counts, n, "request location")
-    return counts
 
 
 def _min_assignment(cost: list[list[int]], requests) -> int:
@@ -41,8 +31,8 @@ def _min_assignment(cost: list[list[int]], requests) -> int:
     same optimum in fewer phases than a cold start.
     """
     n = square_size(cost)
-    counts = _request_counts(n, requests)
-    return _units(list(zip(*cost)), counts, [1] * n, [0] * n)[0] // n
+    check_stream(n, requests)
+    return _units(list(zip(*cost)), Counter(requests), [1] * n, [0] * n)[0] // n
 
 
 def opt_general(instance: MetricInstance, requests) -> int:
@@ -58,7 +48,8 @@ def opt_tree(tree_or_instance: WeightedTree | MetricInstance, requests) -> int:
             raise ValueError("instance has no tree backing")
     else:
         tree = tree_or_instance
-    return tree.imbalance_cost(_request_counts(tree.n_points, requests), 1, 1)
+    check_stream(tree.n_points, requests)
+    return tree.imbalance_cost(Counter(requests), 1, 1)
 
 
 def opt_max_weight(weights: list[list[int]], requests) -> int:

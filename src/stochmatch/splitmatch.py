@@ -37,7 +37,8 @@ import logging
 import random
 from dataclasses import dataclass, field
 
-from .fairbias import MatchingResult, check_stream
+from .bmatching import check_stream
+from .fairbias import MatchingResult
 from .metrics import WeightedTree
 
 log = logging.getLogger(__name__)
@@ -202,9 +203,6 @@ class OccupancyState:
         self.occupied: set[int] = set()
         self.crossed = -1
 
-    def is_vacant(self, leaf: int) -> bool:
-        return leaf not in self.occupied
-
     def occupy(self, leaf: int) -> None:
         if leaf in self.occupied:
             raise ValueError(f"leaf {leaf} already occupied")
@@ -227,7 +225,7 @@ def hmatch(
     u = leaf
     occ.crossed = -1
     for _ in range(guard):
-        if occ.is_vacant(u):
+        if u not in occ.occupied:
             return u
         chain = decomp.chains[u]
         target = -1

@@ -8,13 +8,14 @@ requests while true costs are charged against the original locations.
 The plan's mass moved, M = n * (plan LP value), prices the relocation.
 
 The plan is the plan core ``bmatching._units`` with the arrival weights
-as the server multiset and weight 1 on every location; its rows, and
-the arrival distribution itself, are ``flows.column`` sampling columns
-drawn from with ``flows.draw``.  ``run_wrapped(provider, plan, stream,
-rng)`` plays one episode from a prepared checked-metric provider and a
-plan of the same size.  It returns the ``MatchingResult`` of every route,
-with each step priced on ``provider.matrix`` at the true arrival and the
-distance the arrivals moved as ``relocation_cost``.
+as the server multiset and weight 1 on every location.  Its rows, the
+core's triples grouped by point with ``flows.columns_by_key``, and the
+arrival distribution, one ``flows.column``, are drawn from with
+``flows.draw``.  ``run_wrapped(provider, plan, stream, rng)`` plays one
+episode from a prepared checked-metric provider and a plan of the same
+size.  It returns the ``MatchingResult`` of every route, with each step
+priced on ``provider.matrix`` at the true arrival and the distance the
+arrivals moved as ``relocation_cost``.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .bmatching import _units, check_location_weights
-from .fairbias import MatchingResult, PlanProvider, check_stream, init_state, step
-from .flows import Column, column, column_units, draw
-from .metrics import MetricInstance, parse_int
+from .bmatching import _units, check_location_weights, check_stream
+from .fairbias import MatchingResult, PlanProvider, init_state, step
+from .flows import Column, column, column_units, columns_by_key, draw
+from .metrics import MetricInstance, input_lines, parse_int
 
 
 @dataclass(frozen=True)
@@ -79,22 +80,18 @@ def load_distribution(path: str, n: int) -> RequestDistribution:
     """Read "point_id weight" integer lines; absent points get weight 0."""
     weights = [0] * n
     seen: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"weight line {line!r} is not 'point weight'")
-            pid, w = parts
-            p = parse_int(pid, f"weight line {line!r}")
-            if not 0 <= p < n:
-                raise ValueError(f"point {pid} outside 0..{n - 1}")
-            if p in seen:
-                raise ValueError(f"duplicate weight line for point {p}")
-            seen.add(p)
-            weights[p] = parse_int(w, f"weight line {line!r}")
+    for line in input_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"weight line {line!r} is not 'point weight'")
+        pid, w = parts
+        p = parse_int(pid, f"weight line {line!r}")
+        if not 0 <= p < n:
+            raise ValueError(f"point {pid} outside 0..{n - 1}")
+        if p in seen:
+            raise ValueError(f"duplicate weight line for point {p}")
+        seen.add(p)
+        weights[p] = parse_int(w, f"weight line {line!r}")
     return RequestDistribution(tuple(weights))
 
 
@@ -151,10 +148,7 @@ def solve_transshipment(
     # point i ships n * w_i units, every location takes W = sum w
     weights = {i: w for i, w in enumerate(dist.weights) if w > 0}
     cost, units = _units(instance.matrix, weights, [1] * n)
-    raw: dict[int, list[tuple[int, int]]] = {i: [] for i in weights}
-    for i, j, f in units:
-        raw[i].append((j, f))
-    plan_rows = {i: column(pairs) for i, pairs in raw.items()}
+    plan_rows = columns_by_key((j, i, f) for i, j, f in units)  # rows by point
     return CouplingPlan(n, dist, plan_rows, Fraction(cost, n * dist.total))
 
 

@@ -124,6 +124,11 @@ class TestEstimates:
             estimate_Nk_multi(3, [4], 10, random.Random(0))
         with pytest.raises(ValueError, match="at least one trial"):
             monotone_indicator_comparison(10, 2, 1, 0, random.Random(0))
+        # exp(-mean) is nan, 0 or subnormal: the inverted pmf is no Poisson law
+        for mean in (math.nan, math.inf, 800.0, 745.0, 720.0):
+            with pytest.raises(ValueError, match="not finite or too large"):
+                poisson_sample(mean, random.Random(0))
+        assert 600 < poisson_sample(700.0, random.Random(0)) < 800
 
 
 class TestPoisson:

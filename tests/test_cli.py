@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from stochmatch import cli
+from stochmatch import cli, harness
+from stochmatch.bmatching import canonical_plan
 from stochmatch.cli import VERIFIERS, main
 from stochmatch.harness import gen_nonmetric_instance
 from stochmatch.metrics import (
@@ -128,6 +131,36 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "count must be >= 1" in captured.err
         assert "ok" not in captured.out
+
+    @pytest.mark.parametrize("wrong", ["value", "diagonal"])
+    def test_match_to_self_fails_on_a_wrong_plan(self, wrong, monkeypatch, capsys):
+        # a plan off the optimum, or at the optimum with an empty diagonal
+        def plan(instance, T):
+            canon = canonical_plan(instance, T)
+            if wrong == "value":
+                return dataclasses.replace(canon, value=canon.value + 1)
+            return dataclasses.replace(canon, entries=())
+
+        monkeypatch.setattr(harness, "canonical_plan", plan)
+        report = harness.verify_match_to_self(3, 1)
+        assert len(report.failures) == 3 and not report.ok
+        assert main(["verify", "match-to-self", "--count", "3", "--seed", "1"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        for case, line in enumerate(out[:3]):
+            assert line.startswith(f"case {case}: {wrong} ")
+        assert out[-1] == "match-to-self: 3 checks, FAIL"
+
+    def test_scaling_fails_on_a_false_identity(self, monkeypatch, capsys):
+        def false_identity(instance, T):
+            return 1, 2, False
+
+        monkeypatch.setattr(harness, "scaling_identity_check", false_identity)
+        report = harness.verify_scaling(3, 1)
+        assert len(report.failures) == report.checked and not report.ok
+        assert main(["verify", "scaling", "--count", "3", "--seed", "1"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "case 0: T=(0,) gives 1 vs 2"
+        assert out[-1] == f"scaling: {report.checked} checks, FAIL"
 
     @pytest.mark.parametrize("which", list(VERIFIERS))
     def test_every_verifier_runs(self, which, capsys):

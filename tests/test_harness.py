@@ -15,7 +15,6 @@ from stochmatch.harness import (
     build_distribution,
     build_instance,
     gen_nonmetric_instance,
-    gen_nonmetric_scenario,
     parse_scenario,
     random_metric,
     ratio_of_means,
@@ -305,6 +304,15 @@ class TestRatioOfMeans:
         ratio, lo, hi, _ = ratio_of_means([4.0] * 50, [2.0] * 50, seed=0)
         assert (ratio, lo, hi) == (2.0, 2.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "algs, opts",
+        [([1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 100.0]), ([], [])],
+        ids=["unequal", "empty"],
+    )
+    def test_unpaired_or_empty_samples_refused(self, algs, opts):
+        with pytest.raises(ValueError, match="need paired trials"):
+            ratio_of_means(algs, opts, 0)
+
     def test_pinned_interval_on_many_trials(self):
         # figures of the one-array draw; drawing in blocks must not move them
         algs = [float((i * 37) % 50) for i in range(5000)]
@@ -466,8 +474,8 @@ class TestNonmetric:
                 gen_nonmetric_instance(bad)
 
     def test_cost_ratio_grows_with_size(self):
-        small = run_trials(gen_nonmetric_scenario(6, trials=250, seed=3))[1]
-        large = run_trials(gen_nonmetric_scenario(10, trials=250, seed=3))[1]
+        small = run_trials(Scenario("nonmetric", "6", trials=250, seed=3))[1]
+        large = run_trials(Scenario("nonmetric", "10", trials=250, seed=3))[1]
         assert small.ratio > 1.0
         assert large.ratio > small.ratio
 

@@ -518,3 +518,31 @@ def test_random_recursive_tree_shape():
     tree = random_recursive_tree(12, rng)
     assert tree.n_points == 12
     assert sorted(tree.leaf_for_point) == list(range(12))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: WeightedTree(0, [], {}), "at least one node"),
+        (lambda: WeightedTree(2, [(0, 2, 1)], {0: 1}), r"edge \(0,2\) out of range"),
+        (lambda: WeightedTree(2, [(0, 1, 1)], {0: 5}), "leaf for point 0 out of range"),
+        (lambda: line_metric(0), "need n >= 1"),
+        (lambda: tree_from_host_edges(0, []), "need n >= 1"),
+        (lambda: star_tree(1), "need n >= 2"),
+        (lambda: random_recursive_tree(0, random.Random(0)), "need n >= 1"),
+        (lambda: solve_min_cost(line_metric(3), {0: 0, 1: 2}), "must be positive"),
+    ],
+    ids=[
+        "no-nodes", "edge-range", "leaf-range", "line-0", "host-edges-0",
+        "star-1", "recursive-0", "zero-multiplicity",
+    ],
+)
+def test_builders_refuse_degenerate_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_instance_repr_names_backing_and_check():
+    assert repr(line_metric(3)) == "MetricInstance(n=3, backing=line, metric)"
+    unchecked = matrix_unchecked([[0, 1], [1, 0]])
+    assert repr(unchecked) == "MetricInstance(n=2, backing=matrix, unchecked)"

@@ -1,10 +1,11 @@
 """Package-wide rules: no assert statements, no orphaned private code, a
-light top-level import, and every name the benchmark's tracer patches
-still exists."""
+light top-level import, every name the benchmark's tracer patches still
+exists, and the README's python examples run."""
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -180,3 +181,11 @@ def test_only_flows_and_bmatching_reference_transport():
     assert "bmatching" in users
     assert users <= {"flows", "bmatching"}
     assert {module for module, read in names.items() if "MinCostFlow" in read} == {"flows"}
+
+
+def test_readme_python_examples_run():
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
