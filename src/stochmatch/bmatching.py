@@ -33,8 +33,9 @@ release) that the caller holds across arrivals, and returns the length
 of the path it walked, the step's cost, so no distance table is read;
 ``WeightedTree.imbalance_cost`` prices it, so tree_plan is that one
 call.  solve_min_cost and canonical_plan give explicit plans on any
-instance, trees included.  ``check_stream`` is the one stream contract,
-n arrivals at points 0..n-1, of every online episode and offline optimum.
+instance, trees included.  One function per rule: ``check_stream`` (n
+arrivals at points 0..n-1, for every episode and offline optimum),
+``check_marginals`` (a plan's sums) and ``arrival_weight`` (w_r > 0).
 """
 
 from __future__ import annotations
@@ -69,21 +70,33 @@ class FractionalMatching:
 
     def validate(self) -> None:
         """Exact feasibility: marginals match the profile, mass >= 0."""
-        rows: dict[int, Fraction] = {}
-        cols: dict[int, Fraction] = {}
-        for i, j, f in self.entries:
-            if f < 0:
-                raise AssertionError(f"negative mass at ({i},{j})")
-            rows[i] = rows.get(i, Fraction(0)) + f
-            cols[j] = cols.get(j, Fraction(0)) + f
-        for i, d in self.profile.left:
-            if rows.pop(i, Fraction(0)) != d:
-                raise AssertionError(f"row {i} does not meet its demand")
-        for j, d in self.profile.right:
-            if cols.pop(j, Fraction(0)) != d:
-                raise AssertionError(f"column {j} does not meet its demand")
-        if any(rows.values()) or any(cols.values()):
-            raise AssertionError("mass on points outside the profile")
+        check_marginals(self.entries, self.profile.left, self.profile.right)
+
+
+def check_marginals(entries, left, right) -> None:
+    """Refuse negative mass, and row or column sums off the (point, demand) pairs."""
+    rows, cols = {}, {}
+    for i, j, f in entries:
+        if f < 0:
+            raise AssertionError(f"negative mass at ({i},{j})")
+        rows[i] = rows.get(i, 0) + f
+        cols[j] = cols.get(j, 0) + f
+    for i, d in left:
+        if rows.pop(i, 0) != d:
+            raise AssertionError(f"row {i} does not meet its demand")
+    for j, d in right:
+        if cols.pop(j, 0) != d:
+            raise AssertionError(f"column {j} does not meet its demand")
+    if any(rows.values()) or any(cols.values()):
+        raise AssertionError("mass on points outside the profile")
+
+
+def arrival_weight(weights, r: int) -> int:
+    """The weight w_r of an arrival's location, refusing weight 0."""
+    w_r = weights[r]
+    if w_r <= 0:
+        raise ValueError(f"arrival at zero-probability location {r}")
+    return w_r
 
 
 def check_points(points, n: int, what: str) -> None:

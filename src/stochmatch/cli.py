@@ -60,9 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a scenario file, write CSV")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("scenario", help="key = value scenario file")
 
     p = sub.add_parser("verify", help="run one of the lemma verifiers")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("which", choices=list(VERIFIERS))
     p.add_argument("--n", type=int, default=5, help="points in the fixture metric")
     p.add_argument("--trials", type=int, default=20000)
@@ -76,16 +78,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("opt", help="exact offline optimum of a request list")
+    p.set_defaults(run=_cmd_opt)
     p.add_argument("metric", help="metric file")
     p.add_argument("requests", nargs="+", type=int)
 
     p = sub.add_parser("embed", help="sample dominating trees for a metric")
+    p.set_defaults(run=_cmd_embed)
     p.add_argument("metric", help="metric file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--dump", help="write the last sampled tree as a metric file")
 
     p = sub.add_parser("ballsbins", help="mean and stderr of the top-k load")
+    p.set_defaults(run=_cmd_ballsbins)
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("trials", type=int)
@@ -163,15 +168,8 @@ def _cmd_ballsbins(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "verify": _cmd_verify,
-        "opt": _cmd_opt,
-        "embed": _cmd_embed,
-        "ballsbins": _cmd_ballsbins,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -37,8 +37,8 @@ M(T).  Tree providers keep neither memo nor duals: the walk needs neither.
 
 Every provider exposes ``sample(state, r, rng)``, which returns the
 server and the step's cost or gain, ``columns(free, duals=None)``, the
-cost-or-gain ``matrix``, the ``location_weights`` (all 1 for min-cost),
-the expected ``column_mass(r, k)``, k * w_r units, and ``canonical``.
+cost-or-gain ``matrix``, the ``location_weights`` w_r (all 1 for min-cost;
+``bmatching.arrival_weight`` refuses w_r = 0) and ``canonical``.
 On a tree ``matrix`` is the instance's table, built on first read, and
 ``columns`` is the canonical plan of that table, like any checked
 metric's; the walk never asks for either.
@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from .bmatching import (
     _canonical_units,
     _units,
+    arrival_weight,
     check_location_weights,
     check_stream,
     free_below,
@@ -161,17 +162,10 @@ class PlanProvider:
         tree = self._tree
         if tree is not None:
             return tree_walk(tree, state.below(tree), state.k, self.n, request, rng)
-        mass = self.column_mass(request, state.k)
+        mass = state.k * arrival_weight(self.location_weights, request)
         duals = None if self._memo is not None else state.plan_duals(self.n)
         server = draw(self.columns(state.free, duals)[request], mass, rng)
         return server, self.matrix[server][request]
-
-    def column_mass(self, request: int, k: int) -> int:
-        """Units in column ``request`` when k servers are free: k * w_r."""
-        w_r = self.location_weights[request]
-        if w_r <= 0:
-            raise ValueError(f"arrival at zero-probability location {request}")
-        return k * w_r
 
     def columns(
         self, free: tuple[int, ...], duals: list[int] | None = None

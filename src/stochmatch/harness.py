@@ -92,17 +92,33 @@ def _at_least_one(name: str, value: int) -> None:
 # ---------------------------------------------------------------------------
 # scenarios
 
-# metric kinds built from a size alone; "file" takes a path instead
-GENERATED_KINDS = ("line", "star", "uniform", "random", "nonmetric")
+# generated metric kind -> (scenario, size) -> instance; "file" takes a path
+_GENERATORS = {
+    "line": lambda sc, n: line_metric(n, sc.spacing),
+    "star": lambda sc, n: tree_metric(star_tree(n, sc.spacing)),
+    "uniform": lambda sc, n: uniform_metric(n, sc.spacing),
+    "random": lambda sc, n: tree_metric(
+        random_recursive_tree(n, _SetupRandom(sc.seed ^ _TREE_SALT))
+    ),
+    "nonmetric": lambda sc, n: gen_nonmetric_instance(n),
+}
+GENERATED_KINDS = tuple(_GENERATORS)
+
+# distribution name -> ((scenario, size) -> distribution, whether it takes a path)
+_DISTRIBUTIONS = {
+    "uniform": (lambda sc, n: uniform_distribution(n), False),
+    "geometric": (lambda sc, n: geometric_distribution(n), False),
+    "weights": (lambda sc, n: load_distribution(sc.dist_arg, n), True),
+}
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One reproducible experiment: metric, distribution, algorithm, seeds."""
 
-    metric_kind: str  # line | star | uniform | random | nonmetric | file
+    metric_kind: str  # a key of _GENERATORS, or file
     metric_arg: str  # size for generators, path for files
-    distribution: str = "uniform"  # uniform | geometric | weights
+    distribution: str = "uniform"  # a key of _DISTRIBUTIONS
     dist_arg: str = ""
     algorithm: str = "fair-bias"
     trials: int = 100
@@ -123,13 +139,11 @@ class Scenario:
             raise ValueError(
                 f"frt_mode applies to fair-bias-on-frt, not {self.algorithm}"
             )
-        if self.distribution not in ("uniform", "geometric", "weights"):
+        if self.distribution not in _DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.distribution == "weights":
-            if not self.dist_arg:
-                raise ValueError("distribution weights needs a path")
-        elif self.dist_arg:
-            raise ValueError(f"distribution {self.distribution} takes no argument")
+        if _DISTRIBUTIONS[self.distribution][1] != bool(self.dist_arg):
+            wrong = "takes no argument" if self.dist_arg else "needs a path"
+            raise ValueError(f"distribution {self.distribution} {wrong}")
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -161,7 +175,7 @@ def parse_scenario(path: str) -> Scenario:
 
 def build_instance(sc: Scenario) -> MetricInstance:
     kind, arg = sc.metric_kind, sc.metric_arg
-    if kind != "file" and kind not in GENERATED_KINDS:
+    if kind != "file" and kind not in _GENERATORS:
         raise ValueError(f"unknown metric kind {kind!r}")
     if sc.spacing != 1 and kind in ("random", "nonmetric", "file"):
         raise ValueError(f"spacing applies to line, star and uniform, not {kind}")
@@ -177,23 +191,11 @@ def build_instance(sc: Scenario) -> MetricInstance:
         raise ValueError(
             f"metric {kind} {arg}: the size must be an integer"
         ) from None
-    if kind == "line":
-        return line_metric(n, sc.spacing)
-    if kind == "star":
-        return tree_metric(star_tree(n, sc.spacing))
-    if kind == "uniform":
-        return uniform_metric(n, sc.spacing)
-    if kind == "random":
-        return tree_metric(random_recursive_tree(n, _SetupRandom(sc.seed ^ _TREE_SALT)))
-    return gen_nonmetric_instance(n)
+    return _GENERATORS[kind](sc, n)
 
 
 def build_distribution(sc: Scenario, n: int):
-    if sc.distribution == "uniform":
-        return uniform_distribution(n)
-    if sc.distribution == "geometric":
-        return geometric_distribution(n)
-    return load_distribution(sc.dist_arg, n)
+    return _DISTRIBUTIONS[sc.distribution][0](sc, n)
 
 
 # ---------------------------------------------------------------------------
@@ -527,22 +529,14 @@ def verify_structure_lemma(
     return RowReport(tuple(rows))
 
 
-def verify_replacement(
-    instance: MetricInstance, ks: list[int] | None = None
-) -> RowReport:
-    """Exact check that subset-average cost is at most iid-average cost."""
+def verify_replacement(instance: MetricInstance) -> RowReport:
+    """Exact check, k = 1..n, that subset-average cost is at most iid-average."""
     n = instance.n
     if n > 6:
         raise ValueError("exact enumeration is only tractable up to n=6")
-    ks = list(ks) if ks is not None else list(range(1, n + 1))
-    if not ks:
-        raise ValueError("no free-set size k to check")
-    for k in ks:
-        if not 1 <= k <= n:
-            raise ValueError(f"k={k} outside 1..{n}")
     memo: dict = {}
     rows = []
-    for k in ks:
+    for k in range(1, n + 1):
         subs = list(combinations(range(n), k))
         e_sub = sum(
             (_matching_value(instance, T, memo) for T in subs), Fraction(0)

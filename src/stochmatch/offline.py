@@ -8,8 +8,8 @@ instance's matrix; opt_max_weight runs it on ``bmatching.gain_costs``
 (shift - weight, shift the largest weight) and returns n * shift minus
 its optimum.  On a tree optimal transport has one edge flow, the kind
 the online walk samples, and ``WeightedTree.imbalance_cost`` prices
-it: opt_tree is the sum over edges of length times |requests below -
-servers below|, the assignment optimum there.  Each optimum holds its
+it: opt_tree, on a tree instance, is the sum over edges of length times
+|requests below - servers below|, the optimum there.  Each optimum holds its
 stream, a sized sequence, to the episodes' ``bmatching.check_stream``.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .bmatching import _units, check_stream, gain_costs
-from .metrics import MetricInstance, WeightedTree, square_size
+from .metrics import MetricInstance, square_size
 
 
 def _min_assignment(cost: list[list[int]], requests) -> int:
@@ -40,14 +40,11 @@ def opt_general(instance: MetricInstance, requests) -> int:
     return _min_assignment(instance.matrix, requests)
 
 
-def opt_tree(tree_or_instance: WeightedTree | MetricInstance, requests) -> int:
-    """Closed-form optimum on a tree: sum_e len_e * |X_e - n_e|."""
-    if isinstance(tree_or_instance, MetricInstance):
-        tree = tree_or_instance.tree
-        if tree is None:
-            raise ValueError("instance has no tree backing")
-    else:
-        tree = tree_or_instance
+def opt_tree(instance: MetricInstance, requests) -> int:
+    """Closed-form optimum on a tree instance: sum_e len_e * |X_e - n_e|."""
+    tree = instance.tree
+    if tree is None:
+        raise ValueError("instance has no tree backing")
     check_stream(tree.n_points, requests)
     return tree.imbalance_cost(Counter(requests), 1, 1)
 

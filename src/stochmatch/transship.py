@@ -9,13 +9,13 @@ The plan's mass moved, M = n * (plan LP value), prices the relocation.
 
 The plan is the plan core ``bmatching._units`` with the arrival weights
 as the server multiset and weight 1 on every location.  Its rows, the
-core's triples grouped by point with ``flows.columns_by_key``, and the
-arrival distribution, one ``flows.column``, are drawn from with
-``flows.draw``.  ``run_wrapped(provider, plan, stream, rng)`` plays one
-episode from a prepared checked-metric provider and a plan of the same
-size.  It returns the ``MatchingResult`` of every route, with each step
-priced on ``provider.matrix`` at the true arrival and the distance the
-arrivals moved as ``relocation_cost``.
+core's triples grouped by point with ``flows.columns_by_key`` and held
+to ``bmatching.check_marginals`` by ``validate``, and the arrival
+distribution, one ``flows.column``, are drawn from with ``flows.draw``.
+``run_wrapped(provider, plan, stream, rng)`` plays one episode from a
+prepared checked-metric provider and a plan of the same size, and returns
+the ``MatchingResult`` of every route: steps priced on ``provider.matrix``
+at the true arrival, the distance the arrivals moved as ``relocation_cost``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .bmatching import _units, check_location_weights, check_stream
+from .bmatching import (
+    _units,
+    arrival_weight,
+    check_location_weights,
+    check_marginals,
+    check_stream,
+)
 from .fairbias import MatchingResult, PlanProvider, init_state, step
 from .flows import Column, column, column_units, columns_by_key, draw
 from .metrics import MetricInstance, input_lines, parse_int
@@ -121,21 +127,11 @@ class CouplingPlan:
         }
 
     def validate(self) -> None:
-        W = self.dist.total
-        units = self.entry_units()
-        row_tot: dict[int, int] = {}
-        col_tot: dict[int, int] = {}
-        for (i, j), u in units.items():
-            if u < 0:
-                raise AssertionError("negative plan mass")
-            row_tot[i] = row_tot.get(i, 0) + u
-            col_tot[j] = col_tot.get(j, 0) + u
-        for i in range(self.n):
-            if row_tot.get(i, 0) != self.n * self.dist.weights[i]:
-                raise AssertionError(f"row {i} mass mismatch")
-        for j in range(self.n):
-            if col_tot.get(j, 0) != W:
-                raise AssertionError(f"column {j} mass mismatch")
+        check_marginals(
+            ((i, j, u) for (i, j), u in self.entry_units().items()),
+            [(i, self.n * w) for i, w in enumerate(self.dist.weights)],
+            [(j, self.dist.total) for j in range(self.n)],
+        )
 
 
 def solve_transshipment(
@@ -154,10 +150,8 @@ def solve_transshipment(
 
 def relocate(plan: CouplingPlan, r: int, rng: random.Random) -> int:
     """Sample the uniformized stand-in location for an arrival at r."""
-    w_r = plan.dist.weights[r]
-    if w_r <= 0:
-        raise ValueError(f"arrival at zero-probability location {r}")
-    return draw(plan.rows[r], plan.n * w_r, rng)
+    units = plan.n * arrival_weight(plan.dist.weights, r)  # w_r = 0 has no row
+    return draw(plan.rows[r], units, rng)
 
 
 def run_wrapped(

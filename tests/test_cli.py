@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 from stochmatch import cli, harness
-from stochmatch.bmatching import canonical_plan
+from stochmatch.bmatching import canonical_plan, solve_min_cost
 from stochmatch.cli import VERIFIERS, main
 from stochmatch.harness import gen_nonmetric_instance
 from stochmatch.metrics import (
     dump_metric,
     line_metric,
+    matrix_metric,
     star_tree,
     tree_metric,
     uniform_metric,
@@ -149,6 +151,23 @@ class TestVerify:
         for case, line in enumerate(out[:3]):
             assert line.startswith(f"case {case}: {wrong} ")
         assert out[-1] == "match-to-self: 3 checks, FAIL"
+
+    def test_match_to_self_tells_the_full_plan_from_the_canonical(
+        self, monkeypatch
+    ):
+        # on this metric both plans of T = (0, 1) are optimal, but only the
+        # canonical one keeps point 1's mass on itself
+        fixture = matrix_metric([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        full, canon = solve_min_cost(fixture, [0, 1]), canonical_plan(fixture, [0, 1])
+        assert full.value == canon.value == Fraction(1, 3)
+        assert full.entry_map()[1, 1] == Fraction(1, 6)
+        assert canon.entry_map()[1, 1] == Fraction(1, 3)
+        monkeypatch.setattr(harness, "random_metric", lambda n, rng: fixture)
+        assert harness.verify_match_to_self(20, 7).ok
+        monkeypatch.setattr(harness, "canonical_plan", solve_min_cost)
+        report = harness.verify_match_to_self(20, 7)
+        assert not report.ok
+        assert report.failures[0] == "case 12: diagonal 1 is 0, expected 1/3"
 
     def test_scaling_fails_on_a_false_identity(self, monkeypatch, capsys):
         def false_identity(instance, T):

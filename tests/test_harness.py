@@ -11,6 +11,7 @@ import pytest
 import stochmatch.harness as harness
 from stochmatch.harness import (
     ALGORITHMS,
+    GENERATED_KINDS,
     Scenario,
     build_distribution,
     build_instance,
@@ -243,6 +244,12 @@ class TestBuildInstance:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown metric kind"):
+            build_instance(Scenario("grid", "4"))
+
+    def test_listed_kind_without_a_builder_is_unknown(self, monkeypatch):
+        # a kind listed with no branch of its own built the non-metric demo
+        monkeypatch.setattr(harness, "GENERATED_KINDS", (*GENERATED_KINDS, "grid"))
+        with pytest.raises(ValueError, match="unknown metric kind 'grid'"):
             build_instance(Scenario("grid", "4"))
 
     def test_file_metric_needs_a_path(self, tmp_path):
@@ -510,17 +517,6 @@ class TestVerifiers:
             verify_structure_lemma(uniform_metric(3), 0, seed=0)
         with pytest.raises(ValueError, match="trials"):
             verify_cost_decomposition(line_metric(3), trials=0, seed=0)
-
-    @pytest.mark.parametrize(
-        "ks, message",
-        [pytest.param([1, k], f"k={k} outside 1..4", id=str(k)) for k in (0, 5, -1)]
-        + [pytest.param([], "no free-set size", id="empty")],
-    )
-    def test_replacement_k_outside_range(self, ks, message):
-        # k = n + 1 divided by zero over its empty family of subsets, and an
-        # empty ks checked nothing and still reported ok
-        with pytest.raises(ValueError, match=message):
-            verify_replacement(line_metric(4), ks=ks)
 
     def test_replacement_size_cap(self):
         with pytest.raises(ValueError, match="n=6"):

@@ -88,7 +88,7 @@ class TestOptTree:
 
     def test_accepts_bare_tree(self):
         tree = star_tree(3)
-        assert opt_tree(tree, [1, 1, 1]) == 4
+        assert opt_tree(tree_metric(tree), [1, 1, 1]) == 4
 
     def test_refuses_matrix_instance(self):
         with pytest.raises(ValueError, match="tree"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from stochmatch.fairbias import PlanProvider
+from stochmatch.flows import column
 from stochmatch.harness import random_metric
 from stochmatch.metrics import line_metric, matrix_unchecked, uniform_metric
 from stochmatch.transship import (
@@ -128,6 +130,22 @@ class TestCouplingPlan:
         assert plan.mass_moved == F(1, 2)
         assert plan.entry_units() == {(0, 0): 4, (0, 1): 2, (1, 1): 2}
         plan.validate()
+
+    @pytest.mark.parametrize(
+        "row_1, message",
+        [
+            ({1: column([(0, 2)])}, "column 0 does not meet its demand"),
+            ({1: column([(1, 1)])}, "row 1 does not meet its demand"),
+            # passed: only rows and columns 0..n-1 were summed
+            ({1: column([(1, 2)]), 2: column([(2, 1)])}, "outside the profile"),
+        ],
+        ids=["column", "row", "outside"],
+    )
+    def test_validate_refuses_wrong_marginals(self, row_1, message):
+        plan = solve_transshipment(line_metric(2), RequestDistribution((3, 1)))
+        rows = {0: plan.rows[0], **row_1}
+        with pytest.raises(AssertionError, match=message):
+            dataclasses.replace(plan, rows=rows).validate()
 
     def test_uniform_distribution_stays_put(self):
         inst = line_metric(5)

@@ -24,6 +24,7 @@ from stochmatch.fairbias import (
 )
 from stochmatch.harness import random_metric, verify_structure_lemma
 from stochmatch.metrics import (
+    WeightedTree,
     frt_embed,
     line_metric,
     random_recursive_tree,
@@ -211,12 +212,12 @@ def test_hand_set_free_set_matches_line_four():
 
 
 def test_walk_makes_no_plan(monkeypatch):
-    import stochmatch.fairbias as fairbias
-
     def forbidden(*args, **kwargs):
         raise AssertionError("a tree episode built a plan")
 
-    monkeypatch.setattr(fairbias, "tree_plan", forbidden)
+    # imbalance_cost is the closed form behind every tree plan value, so a
+    # plan is caught however it is reached (fairbias.tree_plan has no caller)
+    monkeypatch.setattr(WeightedTree, "imbalance_cost", forbidden)
     monkeypatch.setattr(PlanProvider, "columns", forbidden)
     instance = tree_metric(random_recursive_tree(30, random.Random(2)))
     stream = [random.Random(9).randrange(30) for _ in range(30)]
