@@ -145,7 +145,8 @@ def _cmd_embed(args) -> int:
                     worst = max(worst, stretch)
                     total += stretch
                     pairs += 1
-        mean = total / pairs if pairs else 1.0
+        # with no pair at a positive distance, every pair keeps its length
+        worst, mean = (worst, total / pairs) if pairs else (1.0, 1.0)
         ok = ok and dominated
         print(
             f"sample {s}: dominance {'ok' if dominated else 'VIOLATED'} "

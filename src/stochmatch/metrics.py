@@ -19,9 +19,10 @@ value of a free set's plan).
 
 Tree and line instances build no distance table up front: the tree
 routes price their steps on the tree itself, and ``matrix`` is built
-from ``WeightedTree.leaf_distance_matrix`` on its first read, for the
-callers that need the table (the explicit plan solvers, the verifiers,
-the wrapped route, the general offline optimum and the embedding).
+on its first read by ``WeightedTree.leaf_distance_matrix``, one
+bottom-up merge of the points below each node, for the callers that
+need the table (the explicit plan solvers, the verifiers, the wrapped
+route, the general offline optimum and the embedding).
 """
 
 from __future__ import annotations
@@ -159,57 +160,34 @@ class WeightedTree:
     def leaf_distance_matrix(self) -> list[list[int]]:
         """Pairwise point distances, built in one pass; cached after the first call.
 
-        Points are laid out so that every subtree's points are one slice
-        (siblings take consecutive slices in BFS order).  The root's row
-        is the leaf depths; a node's row is its parent's, plus its edge
-        length outside that slice and minus it inside.  A zero-length
-        edge shares its parent's row.
+        Bottom up, a child's (point, depth) pairs merge into its parent's,
+        the shorter list into the longer: a pair across the two first
+        meets at the parent x, so its distance is dp + dq - 2 * depth[x].
         """
         if self._matrix is None:
-            n = self.n_points
-            parent, parent_len, size = self.parent, self.parent_len, self.size
-            lo = [0] * self.num_nodes  # first slot of each subtree's slice
-            # slots taken by a node's own point and its children so far
-            used = [int(q >= 0) for q in self.node_point]
-            kids = [0] * self.num_nodes  # children whose rows are not built yet
-            for x in self.order[1:]:
-                p = parent[x]
-                lo[x] = lo[p] + used[p]
-                used[p] += size[x]
-                kids[p] += 1
-            leaves = [self.leaf_for_point[p] for p in range(n)]
-            slot = [lo[leaf] for leaf in leaves]
-            depth = self.depth
-            root_row = [0] * n
-            for p, leaf in enumerate(leaves):
-                root_row[slot[p]] = depth[leaf]
-            node_point = self.node_point
-            root = self.order[0]
-            rows: list[list[int] | None] = [None] * self.num_nodes
-            rows[root] = root_row
-            mat: list[list[int]] = [[]] * n
-            if node_point[root] >= 0:
-                mat[node_point[root]] = list(map(root_row.__getitem__, slot))
-            for x in self.order[1:]:
-                p = parent[x]
-                row = rows[p]
-                kids[p] -= 1
-                if not kids[p]:
-                    rows[p] = None
-                if not size[x]:
-                    continue
-                w = parent_len[x]
-                if w:
-                    a, b = lo[x], lo[x] + size[x]
-                    row = (
-                        [d + w for d in row[:a]]
-                        + [d - w for d in row[a:b]]
-                        + [d + w for d in row[b:]]
-                    )
-                if node_point[x] >= 0:
-                    mat[node_point[x]] = list(map(row.__getitem__, slot))
-                else:
-                    rows[x] = row
+            n, parent, depth = self.n_points, self.parent, self.depth
+            below = [[] for _ in range(self.num_nodes)]  # (point, depth) pairs
+            for p, leaf in self.leaf_for_point.items():
+                below[leaf] = [(p, depth[leaf])]
+            mat = [[0] * n for _ in range(n)]
+            for x in reversed(self.order[1:]):
+                up = parent[x]
+                mine, theirs = below[x], below[up]
+                if len(mine) > len(theirs):
+                    mine, theirs = theirs, mine
+                    below[up] = theirs
+                top = 2 * depth[up]
+                low = [(p, dp - top) for p, dp in mine]
+                # one row at a time: the shorter side's rows, then the other's
+                for p, e in low:
+                    row = mat[p]
+                    for q, dq in theirs:
+                        row[q] = e + dq
+                for q, dq in theirs:
+                    row = mat[q]
+                    for p, e in low:
+                        row[p] = e + dq
+                theirs += mine
             self._matrix = mat
         return self._matrix
 
@@ -391,7 +369,9 @@ def tree_from_host_edges(
     if n < 1:
         raise ValueError("need n >= 1")
     num_hosts = n
-    for u, v, _ in host_edges:
+    for u, v, w in host_edges:
+        if u < 0 or v < 0:
+            raise ValueError(f"edge ({u},{v},{w}) has a negative host id")
         num_hosts = max(num_hosts, u + 1, v + 1)
     degree = [0] * num_hosts
     for u, v, _ in host_edges:
@@ -447,14 +427,8 @@ def frt_embed(instance: MetricInstance, rng: random.Random) -> WeightedTree:
     """
     if not instance.verified_metric:
         raise ValueError("embedding requires a checked metric instance")
-    n = instance.n
-    if n == 1:
-        return WeightedTree(1, [], {0: 0})
-    matrix = instance.matrix
+    n, matrix = instance.n, instance.matrix
     diameter = max(max(row) for row in matrix)
-    if diameter == 0:
-        edges = [(n, p, 0) for p in range(n)]
-        return WeightedTree(n + 1, edges, {p: p for p in range(n)})
     order = list(range(n))
     rng.shuffle(order)
     beta = 2.0 ** rng.random()

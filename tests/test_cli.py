@@ -162,12 +162,25 @@ class TestVerify:
         assert full.value == canon.value == Fraction(1, 3)
         assert full.entry_map()[1, 1] == Fraction(1, 6)
         assert canon.entry_map()[1, 1] == Fraction(1, 3)
+        # every case runs on the fixture plus its twin of point 0
         monkeypatch.setattr(harness, "random_metric", lambda n, rng: fixture)
         assert harness.verify_match_to_self(20, 7).ok
         monkeypatch.setattr(harness, "canonical_plan", solve_min_cost)
         report = harness.verify_match_to_self(20, 7)
         assert not report.ok
-        assert report.failures[0] == "case 12: diagonal 1 is 0, expected 1/3"
+        assert report.failures[0] == "case 5: diagonal 1 is 0, expected 1/4"
+
+    def test_default_match_to_self_fails_the_full_plan(self, monkeypatch, capsys):
+        # the twin of point 0 gives the default random draw teeth: without
+        # it, the full plan passed all 25 cases
+        monkeypatch.setattr(harness, "canonical_plan", solve_min_cost)
+        report = harness.verify_match_to_self(25, 7)
+        assert report.checked == 25 and len(report.failures) == 6
+        assert report.failures[0] == "case 0: diagonal 4 is 0, expected 1/5"
+        assert main(["verify", "match-to-self", "--count", "25", "--seed", "7"]) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "match-to-self: 25 checks, FAIL"
+        )
 
     def test_scaling_fails_on_a_false_identity(self, monkeypatch, capsys):
         def false_identity(instance, T):
@@ -272,6 +285,15 @@ class TestEmbed:
         assert rc == 0
         assert dumped.exists()
         assert f"wrote {dumped}" in capsys.readouterr().out
+
+    def test_one_point_has_stretch_one(self, tmp_path, capsys):
+        # printed "max-stretch 0.000 mean-stretch 1.000"
+        path = tmp_path / "one.txt"
+        path.write_text("kind line\nn 1\n")
+        assert main(["embed", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "sample 0: dominance ok max-stretch 1.000 mean-stretch 1.000\n"
+        )
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_no_samples_is_an_error(self, line4_file, samples, capsys):

@@ -269,8 +269,8 @@ class TestMetricValidation:
 def scan_frt_embed(instance, rng: random.Random) -> WeightedTree:
     """Reference embedding: scans the permutation per point per level.
 
-    Same draws and clusters as ``frt_embed`` for n >= 2 and a positive
-    diameter; finds each point's center by the first-covering scan.
+    Same draws and clusters as ``frt_embed``; finds each point's center
+    by the first-covering scan.
     """
     n, matrix = instance.n, instance.matrix
     diameter = max(max(row) for row in matrix)
@@ -312,6 +312,9 @@ class TestFrtEmbedding:
         instances = [
             line_metric(256),
             tree_metric(random_recursive_tree(256, random.Random(4))),
+            matrix_metric([[0]]),
+            uniform_metric(5, 0),
+            line_metric(4, 0),
         ] + [random_metric(rng.randint(2, 30), rng) for _ in range(60)]
         for inst in instances:
             for seed in range(3):
@@ -442,6 +445,17 @@ class TestFileFormat:
         path.write_text(f"kind tree\nn 3\n0 2 4\n{line}  # an edge\n")
         with pytest.raises(ValueError, match=f"tree line '{line}'"):
             load_metric(str(path))
+
+    @pytest.mark.parametrize("line", ["0 -1 2", "-1 0 2"])
+    def test_negative_host_id_rejected(self, tmp_path, line):
+        # a negative host indexed a degree from the end; the error then
+        # blamed the node range or the edge count
+        path = tmp_path / "m.txt"
+        path.write_text(f"kind tree\nn 2\n{line}\n")
+        with pytest.raises(ValueError) as err:
+            load_metric(str(path))
+        u, v, w = line.split()
+        assert str(err.value) == f"edge ({u},{v},{w}) has a negative host id"
 
     @pytest.mark.parametrize(
         "text, message",

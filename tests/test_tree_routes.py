@@ -1,22 +1,35 @@
 """Tree routes price their steps on the tree, with no distance table.
 
 Every distance the tree routes produce (the walk's path length,
-split-match step costs, ``tree_distance`` and the one-pass table) is
-checked against a BFS over the tree's adjacency lists, on random trees
-with zero-length edges, pendant leaves, point-free Steiner leaves, stars
-that need ternarizing, and one or two points.  The run-level test makes
+split-match step costs, ``tree_distance`` and the table that one
+bottom-up merge of (point, depth) lists builds) is checked against a BFS
+over the tree's adjacency lists, on random trees with zero-length edges,
+pendant leaves, point-free Steiner leaves, stars that need ternarizing,
+and one or two points.  The table is also checked on trees of 300
+points and on an FRT tree, whose merges are wider and whose Steiner
+chains are longer than those draws reach.  The run-level test makes
 ``WeightedTree.leaf_distance_matrix`` raise, so any tree route that still
 builds a table fails.
 """
 from __future__ import annotations
+
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochmatch.bmatching import free_below, tree_walk
-from stochmatch.harness import Scenario, run_trials
-from stochmatch.metrics import WeightedTree, tree_from_host_edges, tree_metric
+from stochmatch.harness import Scenario, random_metric, run_trials
+from stochmatch.metrics import (
+    WeightedTree,
+    frt_embed,
+    line_metric,
+    random_recursive_tree,
+    star_tree,
+    tree_from_host_edges,
+    tree_metric,
+)
 from stochmatch.splitmatch import run_episode_hier, split_decomposition
 
 
@@ -68,6 +81,22 @@ def test_tree_distance_and_table_match_bfs(tree):
     instance = tree_metric(tree)
     assert [[instance.matrix[p][q] for q in range(n)] for p in range(n)] == ref
     assert instance.matrix is tree.leaf_distance_matrix()  # shared, not copied
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: frt_embed(random_metric(40, Random(1)), Random(2)),
+        lambda: random_recursive_tree(300, Random(3)),
+        lambda: line_metric(300).tree,
+        lambda: star_tree(300),
+    ],
+    ids=["frt-of-random-40", "random-300", "line-300", "star-300"],
+)
+def test_large_table_matches_bfs(build):
+    # past the sizes drawn above: Steiner chains, long paths, wide merges
+    tree = build()
+    assert tree.leaf_distance_matrix() == bfs_table(tree)
 
 
 @settings(deadline=None, max_examples=120)
