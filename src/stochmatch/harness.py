@@ -38,8 +38,6 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from random import Random as _SetupRandom
 
-import numpy as np
-
 from .ballsbins import _mean_stderr
 from .bmatching import (
     canonical_plan,
@@ -241,9 +239,19 @@ _RESAMPLES = 1000  # bootstrap resamples behind the 95% interval
 def ratio_of_means(
     algs: list[float], opts: list[float], seed: int
 ) -> tuple[float, float, float, bool]:
-    """Ratio of sample means with a bootstrap percentile interval."""
+    """Ratio of sample means with a bootstrap percentile interval.
+
+    Every value must be finite and non-negative: a NaN, an infinity or a
+    negative value would skew the interval or cancel the means silently.
+    """
     if len(algs) != len(opts) or len(algs) == 0:
         raise ValueError(f"need paired trials: {len(algs)} costs, {len(opts)} optima")
+    for side, values in (("cost", algs), ("optimum", opts)):
+        for x in values:
+            if not 0.0 <= x < math.inf:  # false for NaN too
+                raise ValueError(f"{side} {x!r} is not finite and non-negative")
+    import numpy as np  # slow to import; only the summary needs it
+
     a = np.asarray(algs, dtype=float)
     o = np.asarray(opts, dtype=float)
     ma, mo = float(a.mean()), float(o.mean())

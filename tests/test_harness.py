@@ -331,6 +331,25 @@ class TestRatioOfMeans:
             False,
         )
 
+    @pytest.mark.parametrize(
+        "algs, opts, bad",
+        [
+            ([math.nan, 1.0], [1.0, 1.0], "cost nan"),
+            ([1.0, 1.0], [math.inf, 1.0], "optimum inf"),
+            ([1.0, 1.0], [1.0, -math.inf], "optimum -inf"),
+            ([math.inf], [1.0], "cost inf"),
+            ([-1.0, 1.0], [1.0, -1.0], "cost -1.0"),
+            ([1.0, 2.0], [-1.0, 5.0], "optimum -1.0"),
+        ],
+        ids=["nan-cost", "inf-optimum", "minus-inf-optimum", "inf-cost",
+             "cancelling-negatives", "negative-optimum"],
+    )
+    def test_non_finite_or_negative_values_refused(self, algs, opts, bad):
+        # unchecked, these gave NaN figures, a 0.0 ratio or the 0/0 flag;
+        # every cost and optimum is a finite non-negative number
+        with pytest.raises(ValueError, match=f"^{bad} is not finite and non-negative$"):
+            ratio_of_means(algs, opts, 1)
+
 
 class TestCsv:
     def test_header_and_millis_format(self, tmp_path):
@@ -459,6 +478,16 @@ class TestRunTrials:
         records, summary = run_trials(Scenario("line", "4", trials=25, seed=3))
         again = summarize(records, 3)
         assert again == summary
+
+    def test_pinned_summary_on_line_8(self):
+        # the bootstrap interval end to end, so that a change to how or when
+        # the summary runs cannot move it unnoticed
+        _, summary = run_trials(Scenario("line", "8", trials=200, seed=3))
+        assert (summary.ratio, summary.ci_low, summary.ci_high) == (
+            1.2693813625685202,
+            1.2085703251259625,
+            1.3327748786465505,
+        )
 
 
 class TestNonmetric:

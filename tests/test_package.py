@@ -100,6 +100,29 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_and_verify_leave_numpy_unloaded():
+    # numpy loads only for the bootstrap summary and scipy only for
+    # verify structure, so a plain import and a short verify load neither
+    code = (
+        "import sys, stochmatch, stochmatch.cli\n"
+        "print('numpy' in sys.modules, 'scipy' in sys.modules)\n"
+        "stochmatch.cli.main(['verify', 'match-to-self', '--count', '3', '--seed', '1'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(SRC.parent)},
+    )
+    assert out.stdout.splitlines() == [
+        "False False",
+        "match-to-self: 3 checks, ok",
+        "False",
+    ]
+
+
 # every algorithm, the wrapped route skewed arrivals take, and a matrix
 # route past the plan memo's size, where every arrival warm-starts a plan
 # solve: the scenario lines that pick it, and the spans and positive
