@@ -16,7 +16,6 @@ from .ballsbins import (
     poisson_loads,
     poisson_sample,
     sample_loads,
-    top_k_sum,
 )
 from .bmatching import (
     DemandProfile,
@@ -37,14 +36,8 @@ from .harness import (
     TrialRecord,
     gen_nonmetric_instance,
     parse_scenario,
-    random_metric,
     ratio_of_means,
     run_trials,
-    verify_cost_decomposition,
-    verify_match_to_self,
-    verify_replacement,
-    verify_scaling,
-    verify_structure_lemma,
 )
 from .metrics import (
     MetricInstance,
@@ -55,6 +48,7 @@ from .metrics import (
     load_metric,
     matrix_metric,
     matrix_unchecked,
+    random_metric,
     random_recursive_tree,
     star_tree,
     tree_from_host_edges,
@@ -78,6 +72,13 @@ from .transship import (
     run_wrapped,
     solve_transshipment,
     uniform_distribution,
+)
+from .verify import (
+    verify_cost_decomposition,
+    verify_match_to_self,
+    verify_replacement,
+    verify_scaling,
+    verify_structure_lemma,
 )
 
 __all__ = [
@@ -129,7 +130,6 @@ __all__ = [
     "split_decomposition",
     "star_tree",
     "ternarize",
-    "top_k_sum",
     "tree_from_host_edges",
     "tree_metric",
     "uniform_distribution",

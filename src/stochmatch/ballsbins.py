@@ -28,13 +28,6 @@ def sample_loads(n: int, m: int, rng: random.Random) -> list[int]:
     return loads
 
 
-def top_k_sum(loads: list[int], k: int) -> int:
-    """Total balls in the k most loaded bins."""
-    if not 1 <= k <= len(loads):
-        raise ValueError(f"k={k} out of range for {len(loads)} bins")
-    return sum(sorted(loads, reverse=True)[:k])
-
-
 def kth_largest(loads: list[int], k: int) -> int:
     if not 1 <= k <= len(loads):
         raise ValueError(f"k={k} out of range for {len(loads)} bins")

@@ -1,13 +1,14 @@
 """Command line front end.
 
-Subcommands: simulate (scenario file -> CSV + summary), verify (the
-lemma verifiers; non-zero exit on failure), opt (exact offline value),
-embed (sample dominating trees, report stretch), ballsbins (top-k load
-estimate).
+Subcommands: simulate (scenario file -> CSV + summary), verify (one of
+the lemma verifiers in ``stochmatch.verify``; non-zero exit on failure),
+opt (exact offline value), embed (sample dominating trees, report
+stretch), ballsbins (top-k load estimate).
 
-``verify`` runs one entry of ``VERIFIERS`` and prints its report's
-``lines``.  The instance verifiers build their fixture with
-``build_instance``, so ``--kind`` is a scenario metric kind.
+``verify`` runs one entry of ``VERIFIERS``, which maps the parsed
+arguments to a verifier call, and prints its ``Report.lines``.  The
+instance verifiers build their fixture with ``harness.build_instance``,
+so ``--kind`` is a scenario metric kind.
 """
 
 from __future__ import annotations
@@ -24,21 +25,23 @@ from .harness import (
     offline_opt,
     parse_scenario,
     run_trials,
+)
+from .metrics import dump_metric, frt_embed, load_metric, tree_metric
+from .verify import (
     verify_cost_decomposition,
     verify_match_to_self,
     verify_replacement,
     verify_scaling,
     verify_structure_lemma,
 )
-from .metrics import dump_metric, frt_embed, load_metric, tree_metric
 
 
 def _instance(args, default: str):
     return build_instance(Scenario(args.kind or default, str(args.n), seed=args.seed))
 
 
-# verify name -> args -> report with ok and lines(name); each instance
-# verifier has its own default --kind
+# verify name -> args -> Report; each instance verifier has its own
+# default --kind
 VERIFIERS = {
     "structure": lambda a: verify_structure_lemma(
         _instance(a, "uniform"), a.trials, a.seed

@@ -1,4 +1,4 @@
-"""Scenario files, seeded trial runs, and the lemma verifiers.
+"""Scenario files and seeded trial runs: the experiments behind ``simulate``.
 
 A scenario is a small key-value text file (``key = value`` lines, ``#``
 comments).  ``run_trials`` replays it deterministically through a table
@@ -17,41 +17,22 @@ tree, the ``once`` embedding) come from ``_SetupRandom``, so a hook on
 Summaries report the ratio of sample means E[ALG]/E[OPT] with a
 bootstrap 95% interval, never a mean of ratios.
 
-The verify_* functions are the checkable counterparts of the structural
-facts the matcher relies on: free-set uniformity, cost decomposition
-across free-set sizes, subset-versus-iid monotonicity, the canonical
-self-match shape, and the complement scaling identity.  The first three
-take an instance, the last two draw ``count`` random metrics from a
-seed.  Every report has ``ok`` and ``lines(name)``, the text ``stochmatch
-verify`` prints.
+The lemma verifiers live in ``stochmatch.verify``.
 """
-
 from __future__ import annotations
 
 import csv
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
 from random import Random as _SetupRandom
 
-from .ballsbins import _mean_stderr
-from .bmatching import (
-    canonical_plan,
-    scaling_identity_check,
-    solve_min_cost,
-    tree_plan,
-)
 from .fairbias import (
     MatchingResult,
     MaxWeightProvider,
     PlanProvider,
-    init_state,
     run_episode,
-    step,
 )
 from .metrics import (
     MetricInstance,
@@ -59,7 +40,6 @@ from .metrics import (
     input_lines,
     line_metric,
     load_metric,
-    matrix_metric,
     matrix_unchecked,
     parse_int,
     random_recursive_tree,
@@ -79,7 +59,6 @@ from .transship import (
 
 _TREE_SALT = 0x7E11
 _FRT_SALT = 0x0F47
-_SUBSET_SALT = 0xD150
 
 
 def _at_least_one(name: str, value: int) -> None:
@@ -440,282 +419,3 @@ def gen_nonmetric_instance(n: int) -> MetricInstance:
         [0 if i == j else cost(i, j) for j in range(n)] for i in range(n)
     ]
     return matrix_unchecked(matrix)
-
-
-# ---------------------------------------------------------------------------
-# verifiers
-
-
-def _matching_value(instance: MetricInstance, T, memo: dict) -> Fraction:
-    key = tuple(sorted(T))
-    hit = memo.get(key)
-    if hit is None:
-        if instance.tree is not None:
-            n, k = instance.n, len(key)
-            hit = Fraction(tree_plan(instance.tree, Counter(key), k, n), n * k)
-        else:
-            hit = solve_min_cost(instance, list(key)).value
-        memo[key] = hit
-    return hit
-
-
-def _verdict(ok: bool) -> str:
-    return "ok" if ok else "FAIL"
-
-
-@dataclass(frozen=True)
-class ChiSquareRow:
-    k: int
-    categories: int
-    statistic: float
-    pvalue: float
-    ok: bool
-
-    def line(self) -> str:
-        return (
-            f"k={self.k} cells={self.categories} chi2={self.statistic:.3f} "
-            f"p={self.pvalue:.4f} {_verdict(self.ok)}"
-        )
-
-
-@dataclass(frozen=True)
-class ReplacementRow:
-    k: int
-    e_subsets: Fraction  # uniform k-subset of the servers
-    e_iid: Fraction  # k independent uniform draws (multiset)
-    ok: bool
-
-    def line(self) -> str:
-        verdict = _verdict(self.ok)
-        return f"k={self.k} subsets={self.e_subsets} iid={self.e_iid} {verdict}"
-
-
-@dataclass(frozen=True)
-class RowReport:
-    """One row per free-set size k; ok when every row is."""
-
-    rows: tuple[ChiSquareRow, ...] | tuple[ReplacementRow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-    def lines(self, name: str) -> list[str]:
-        return [r.line() for r in self.rows] + [f"{name}: {_verdict(self.ok)}"]
-
-
-def verify_structure_lemma(
-    instance: MetricInstance, trials: int, seed: int
-) -> RowReport:
-    """Chi-square test that each free set is uniform over its k-subsets."""
-    from scipy.stats import chi2  # slow to import; only this verifier needs it
-
-    n = instance.n
-    if n > 8:
-        raise ValueError("subset space too large to tabulate beyond n=8")
-    if n < 2:
-        raise ValueError(f"no free set to tabulate with n={n} < 2 points")
-    _at_least_one("trials", trials)
-    provider = PlanProvider(instance)
-    counts: dict[int, Counter] = {k: Counter() for k in range(1, n)}
-    for t in range(trials):
-        rng = random.Random(seed + t)
-        state = init_state(n)
-        for _ in range(n):
-            step(provider, state, rng.randrange(n), rng)
-            if 1 <= state.k < n:
-                counts[state.k][state.free] += 1
-    rows = []
-    for k in range(1, n):
-        cats = list(combinations(range(n), k))
-        expected = trials / len(cats)
-        stat = sum(
-            (counts[k].get(c, 0) - expected) ** 2 / expected for c in cats
-        )
-        pvalue = float(chi2.sf(stat, len(cats) - 1))
-        rows.append(ChiSquareRow(k, len(cats), stat, pvalue, pvalue > 0.01))
-    return RowReport(tuple(rows))
-
-
-def verify_replacement(instance: MetricInstance) -> RowReport:
-    """Exact check, k = 1..n, that subset-average cost is at most iid-average."""
-    n = instance.n
-    if n > 6:
-        raise ValueError("exact enumeration is only tractable up to n=6")
-    memo: dict = {}
-    rows = []
-    for k in range(1, n + 1):
-        subs = list(combinations(range(n), k))
-        e_sub = sum(
-            (_matching_value(instance, T, memo) for T in subs), Fraction(0)
-        ) / len(subs)
-        e_iid = Fraction(0)
-        total_w = Fraction(0)
-        for ms in combinations_with_replacement(range(n), k):
-            tally = Counter(ms)
-            perms = math.factorial(k)
-            for c in tally.values():
-                perms //= math.factorial(c)
-            w = Fraction(perms, n**k)
-            total_w += w
-            e_iid += w * _matching_value(instance, ms, memo)
-        if total_w != 1:
-            raise RuntimeError("multiset weights must sum to one")
-        rows.append(ReplacementRow(k, e_sub, e_iid, e_sub <= e_iid))
-    return RowReport(tuple(rows))
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    mean_alg: float
-    stderr_alg: float
-    sum_per_size: float
-    stderr_sum: float
-    per_size: tuple[tuple[int, float, float], ...]  # (k, mean, stderr)
-
-    @property
-    def combined_sigma(self) -> float:
-        return math.sqrt(self.stderr_alg**2 + self.stderr_sum**2)
-
-    @property
-    def ok(self) -> bool:
-        return abs(self.mean_alg - self.sum_per_size) <= 3 * self.combined_sigma
-
-    def lines(self, name: str) -> list[str]:
-        return [
-            f"episodes   {self.mean_alg:.4f} +- {self.stderr_alg:.4f}",
-            f"summed     {self.sum_per_size:.4f} +- {self.stderr_sum:.4f}",
-            f"3 sigma    {3 * self.combined_sigma:.4f}",
-            f"{name}: {_verdict(self.ok)}",
-        ]
-
-
-def verify_cost_decomposition(
-    instance: MetricInstance, trials: int, seed: int
-) -> DecompositionReport:
-    """Monte Carlo check of total cost against per-free-set-size costs.
-
-    The left side replays full episodes; the right side samples uniform
-    k-subsets independently for every size k and sums the matching
-    values, which is what the free-set uniformity predicts the episode
-    total should decompose into.
-    """
-    _at_least_one("trials", trials)
-    n = instance.n
-    provider = PlanProvider(instance)
-    totals = []
-    for t in range(trials):
-        rng = random.Random(seed + t)
-        stream = [rng.randrange(n) for _ in range(n)]
-        result = run_episode(provider, stream, rng)
-        totals.append(float(result.total_cost))
-    mean_alg, se_alg = _mean_stderr(totals)
-    srng = random.Random(seed ^ _SUBSET_SALT)
-    memo: dict = {}
-    per_size = []
-    var_sum = 0.0
-    rhs = 0.0
-    for k in range(1, n + 1):
-        samples = []
-        for _ in range(trials):
-            T = srng.sample(range(n), k)
-            samples.append(float(_matching_value(instance, T, memo)))
-        mean_k, se_k = _mean_stderr(samples)
-        per_size.append((k, mean_k, se_k))
-        rhs += mean_k
-        var_sum += se_k**2
-    return DecompositionReport(
-        mean_alg, se_alg, rhs, math.sqrt(var_sum), tuple(per_size)
-    )
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    checked: int
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def lines(self, name: str) -> list[str]:
-        return [*self.failures, f"{name}: {self.checked} checks, {_verdict(self.ok)}"]
-
-
-def random_metric(n: int, rng: random.Random, max_d: int = 64) -> MetricInstance:
-    """Random metric via shortest-path closure of a random complete graph."""
-    d = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i][j] = d[j][i] = rng.randint(1, max_d)
-    for via in range(n):
-        dv = d[via]
-        for i in range(n):
-            div = d[i][via]
-            row = d[i]
-            for j in range(n):
-                alt = div + dv[j]
-                if alt < row[j]:
-                    row[j] = alt
-    return matrix_metric(d)
-
-
-_CASE_MAX_N = 8  # points in the largest random case
-
-
-def _random_cases(count: int, seed: int):
-    """(case, instance, rng) per random metric; a case draws the rest from rng."""
-    _at_least_one("count", count)
-    rng = random.Random(seed)
-    for case in range(count):
-        yield case, random_metric(rng.randint(2, _CASE_MAX_N), rng), rng
-
-
-def verify_match_to_self(count: int, seed: int) -> CheckReport:
-    """The canonical plan has the optimal value and pins every diagonal entry.
-
-    Each random metric gains a twin of point 0 at distance 0, where an
-    optimal plan may ship co-located mass away; only a plan that pins
-    the diagonal passes there.
-    """
-    failures = []
-    checked = 0
-    for case, random_case, rng in _random_cases(count, seed):
-        rows = [row + [row[0]] for row in random_case.matrix]
-        instance = matrix_metric(rows + [rows[0]])
-        n = instance.n
-        k = rng.randint(1, n)
-        T = [rng.randrange(n) for _ in range(k)]
-        base = solve_min_cost(instance, T)
-        canon = canonical_plan(instance, T)
-        checked += 1
-        if canon.value != base.value:
-            failures.append(f"case {case}: value {canon.value} is not {base.value}")
-            continue
-        tally = Counter(T)
-        entries = canon.entry_map()
-        for i in range(n):
-            want = min(Fraction(tally.get(i, 0), k), Fraction(1, n))
-            got = entries.get((i, i), Fraction(0))
-            if got != want:
-                failures.append(
-                    f"case {case}: diagonal {i} is {got}, expected {want}"
-                )
-                break
-    return CheckReport(checked, tuple(failures))
-
-
-def verify_scaling(count: int, seed: int) -> CheckReport:
-    """Complement identity over every small subset of random instances."""
-    failures = []
-    checked = 0
-    for case, instance, _ in _random_cases(count, seed):
-        for k in range(1, instance.n // 2 + 1):
-            for T in combinations(range(instance.n), k):
-                lhs, rhs, ok = scaling_identity_check(instance, set(T))
-                checked += 1
-                if not ok:
-                    failures.append(
-                        f"case {case}: T={T} gives {lhs} vs {rhs}"
-                    )
-    return CheckReport(checked, tuple(failures))

@@ -411,6 +411,24 @@ def random_recursive_tree(
     return tree_from_host_edges(n, host_edges)
 
 
+def random_metric(n: int, rng: random.Random, max_d: int = 64) -> MetricInstance:
+    """Random metric via shortest-path closure of a random complete graph."""
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.randint(1, max_d)
+    for via in range(n):
+        dv = d[via]
+        for i in range(n):
+            div = d[i][via]
+            row = d[i]
+            for j in range(n):
+                alt = div + dv[j]
+                if alt < row[j]:
+                    row[j] = alt
+    return matrix_metric(d)
+
+
 # ---------------------------------------------------------------------------
 # random low-stretch tree embedding
 

@@ -12,19 +12,11 @@ import time
 
 from stochmatch.ballsbins import estimate_Nk_multi, monotone_indicator_comparison
 from stochmatch.fairbias import MaxWeightProvider, run_episode
-from stochmatch.harness import (
-    Scenario,
-    random_metric,
-    run_trials,
-    verify_cost_decomposition,
-    verify_match_to_self,
-    verify_replacement,
-    verify_scaling,
-    verify_structure_lemma,
-)
+from stochmatch.harness import Scenario, run_trials
 from stochmatch.metrics import (
     frt_embed,
     line_metric,
+    random_metric,
     random_recursive_tree,
     star_tree,
     tree_metric,
@@ -32,6 +24,13 @@ from stochmatch.metrics import (
 )
 from stochmatch.offline import opt_general, opt_max_weight, opt_tree
 from stochmatch.splitmatch import run_episode_hier, split_decomposition
+from stochmatch.verify import (
+    verify_cost_decomposition,
+    verify_match_to_self,
+    verify_replacement,
+    verify_scaling,
+    verify_structure_lemma,
+)
 
 
 def _report(name: str, ok: bool, details: str, t0: float) -> None:
@@ -103,13 +102,15 @@ def test_04_episode_cost_decomposes_by_size():
     t0 = time.perf_counter()
     instance = tree_metric(random_recursive_tree(6, random.Random(1234)))
     report = verify_cost_decomposition(instance, trials=100_000, seed=77)
-    gap = abs(report.mean_alg - report.sum_per_size)
+    episodes, summed = report.rows[:2]
+    gap = abs(episodes.mean - summed.mean)
+    sigma = math.sqrt(episodes.stderr**2 + summed.stderr**2)
     ok = report.ok
     _report(
         "cost decomposition across free-set sizes",
         ok,
-        f"episodes {report.mean_alg:.3f} vs summed {report.sum_per_size:.3f}, "
-        f"gap {gap:.3f} <= 3 sigma {3 * report.combined_sigma:.3f}",
+        f"episodes {episodes.mean:.3f} vs summed {summed.mean:.3f}, "
+        f"gap {gap:.3f} <= 3 sigma {3 * sigma:.3f}",
         t0,
     )
     assert ok
@@ -148,7 +149,7 @@ def test_06_canonical_plans_self_match_maximally():
     _report(
         "canonical self-match shape",
         ok,
-        f"{report.checked} random instances, {len(report.failures)} failures",
+        f"{report.checked} random instances, {len(report.rows)} failures",
         t0,
     )
     assert ok
@@ -162,7 +163,7 @@ def test_07_complement_scaling_identity():
         "complement scaling identity",
         ok,
         f"{report.checked} exact subset identities, "
-        f"{len(report.failures)} failures",
+        f"{len(report.rows)} failures",
         t0,
     )
     assert ok

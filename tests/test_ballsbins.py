@@ -15,7 +15,6 @@ from stochmatch.ballsbins import (
     poisson_loads,
     poisson_sample,
     sample_loads,
-    top_k_sum,
 )
 
 
@@ -60,16 +59,11 @@ class TestSampleLoads:
 
 class TestTopK:
     def test_frozen_values(self):
-        assert top_k_sum([3, 1, 0], 1) == 3
-        assert top_k_sum([2, 2, 1, 0], 2) == 4
-        assert top_k_sum([5, 0, 2], 3) == 7
         assert kth_largest([3, 1, 0], 1) == 3
         assert kth_largest([3, 1, 0], 2) == 1
 
     def test_k_range_checked(self):
         for bad in (0, 4):
-            with pytest.raises(ValueError, match="out of range"):
-                top_k_sum([1, 1, 1], bad)
             with pytest.raises(ValueError, match="out of range"):
                 kth_largest([1, 1, 1], bad)
 
@@ -84,7 +78,6 @@ class TestTopK:
         bumped = list(loads)
         bumped[bin_] += 1
         assert kth_largest(bumped, k) >= kth_largest(loads, k)
-        assert top_k_sum(bumped, k) >= top_k_sum(loads, k)
 
 
 class TestEstimates:

@@ -22,11 +22,11 @@ from stochmatch.bmatching import (
     tree_plan,
 )
 from stochmatch.fairbias import MaxWeightProvider
-from stochmatch.harness import random_metric
 from stochmatch.metrics import (
     line_metric,
     matrix_metric,
     matrix_unchecked,
+    random_metric,
     random_recursive_tree,
     star_tree,
     tree_metric,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from stochmatch import cli, harness
+from stochmatch import cli, verify
 from stochmatch.bmatching import canonical_plan, solve_min_cost
 from stochmatch.cli import VERIFIERS, main
 from stochmatch.harness import gen_nonmetric_instance
@@ -143,9 +143,9 @@ class TestVerify:
                 return dataclasses.replace(canon, value=canon.value + 1)
             return dataclasses.replace(canon, entries=())
 
-        monkeypatch.setattr(harness, "canonical_plan", plan)
-        report = harness.verify_match_to_self(3, 1)
-        assert len(report.failures) == 3 and not report.ok
+        monkeypatch.setattr(verify, "canonical_plan", plan)
+        report = verify.verify_match_to_self(3, 1)
+        assert len(report.rows) == 3 and not report.ok
         assert main(["verify", "match-to-self", "--count", "3", "--seed", "1"]) == 2
         out = capsys.readouterr().out.splitlines()
         for case, line in enumerate(out[:3]):
@@ -163,20 +163,20 @@ class TestVerify:
         assert full.entry_map()[1, 1] == Fraction(1, 6)
         assert canon.entry_map()[1, 1] == Fraction(1, 3)
         # every case runs on the fixture plus its twin of point 0
-        monkeypatch.setattr(harness, "random_metric", lambda n, rng: fixture)
-        assert harness.verify_match_to_self(20, 7).ok
-        monkeypatch.setattr(harness, "canonical_plan", solve_min_cost)
-        report = harness.verify_match_to_self(20, 7)
+        monkeypatch.setattr(verify, "random_metric", lambda n, rng: fixture)
+        assert verify.verify_match_to_self(20, 7).ok
+        monkeypatch.setattr(verify, "canonical_plan", solve_min_cost)
+        report = verify.verify_match_to_self(20, 7)
         assert not report.ok
-        assert report.failures[0] == "case 5: diagonal 1 is 0, expected 1/4"
+        assert report.rows[0] == "case 5: diagonal 1 is 0, expected 1/4"
 
     def test_default_match_to_self_fails_the_full_plan(self, monkeypatch, capsys):
         # the twin of point 0 gives the default random draw teeth: without
         # it, the full plan passed all 25 cases
-        monkeypatch.setattr(harness, "canonical_plan", solve_min_cost)
-        report = harness.verify_match_to_self(25, 7)
-        assert report.checked == 25 and len(report.failures) == 6
-        assert report.failures[0] == "case 0: diagonal 4 is 0, expected 1/5"
+        monkeypatch.setattr(verify, "canonical_plan", solve_min_cost)
+        report = verify.verify_match_to_self(25, 7)
+        assert report.checked == 25 and len(report.rows) == 6
+        assert report.rows[0] == "case 0: diagonal 4 is 0, expected 1/5"
         assert main(["verify", "match-to-self", "--count", "25", "--seed", "7"]) == 2
         assert capsys.readouterr().out.splitlines()[-1] == (
             "match-to-self: 25 checks, FAIL"
@@ -186,9 +186,9 @@ class TestVerify:
         def false_identity(instance, T):
             return 1, 2, False
 
-        monkeypatch.setattr(harness, "scaling_identity_check", false_identity)
-        report = harness.verify_scaling(3, 1)
-        assert len(report.failures) == report.checked and not report.ok
+        monkeypatch.setattr(verify, "scaling_identity_check", false_identity)
+        report = verify.verify_scaling(3, 1)
+        assert len(report.rows) == report.checked and not report.ok
         assert main(["verify", "scaling", "--count", "3", "--seed", "1"]) == 2
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "case 0: T=(0,) gives 1 vs 2"

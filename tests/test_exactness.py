@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from stochmatch import flows
 from stochmatch.bmatching import canonical_plan, solve_min_cost, tree_plan
 from stochmatch.fairbias import PlanProvider
-from stochmatch.harness import random_metric
 from stochmatch.metrics import (
     line_metric,
     load_metric,
     matrix_unchecked,
+    random_metric,
     random_recursive_tree,
     tree_from_host_edges,
     tree_metric,

@@ -19,11 +19,11 @@ from stochmatch.fairbias import (
     run_episode,
     step,
 )
-from stochmatch.harness import random_metric
 from stochmatch.metrics import (
     line_metric,
     matrix_metric,
     matrix_unchecked,
+    random_metric,
     random_recursive_tree,
     tree_metric,
     uniform_metric,

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import stochmatch.harness as harness
+import stochmatch.verify as verify
 from stochmatch.harness import (
     ALGORITHMS,
     GENERATED_KINDS,
@@ -17,24 +18,26 @@ from stochmatch.harness import (
     build_instance,
     gen_nonmetric_instance,
     parse_scenario,
-    random_metric,
     ratio_of_means,
     run_trials,
     summarize,
-    verify_cost_decomposition,
-    verify_match_to_self,
-    verify_replacement,
-    verify_scaling,
-    verify_structure_lemma,
     write_csv,
 )
 from stochmatch.metrics import (
     check_matrix,
     dump_metric,
     line_metric,
+    random_metric,
     random_recursive_tree,
     tree_metric,
     uniform_metric,
+)
+from stochmatch.verify import (
+    verify_cost_decomposition,
+    verify_match_to_self,
+    verify_replacement,
+    verify_scaling,
+    verify_structure_lemma,
 )
 
 F = Fraction
@@ -553,13 +556,30 @@ class TestVerifiers:
 
     def test_decomposition_two_point_exact(self):
         # E[episode cost] on a 2-point line with gap D is D/2, and the
-        # per-size decomposition gives D/2 + 0
+        # per-size decomposition gives D/2 + 0 on every sample
         report = verify_cost_decomposition(
             line_metric(2, spacing=6), trials=400, seed=8
         )
         assert report.ok
-        assert abs(report.mean_alg - 3.0) <= 4 * report.stderr_alg + 1e-9
-        assert len(report.per_size) == 2
+        episodes, summed = report.rows[:2]
+        assert abs(episodes.mean - 3.0) <= 4 * episodes.stderr + 1e-9
+        assert summed.mean == 3.0
+
+    def test_decomposition_memo_holds_one_size(self, monkeypatch):
+        # one memo served every size k, and a key is never looked up past
+        # its k, so the memo grew to about n * trials entries
+        real = verify._matching_value
+        sizes = []
+
+        def spy(instance, T, memo):
+            sizes.append({len(key) for key in memo} | {len(T)})
+            return real(instance, T, memo)
+
+        monkeypatch.setattr(verify, "_matching_value", spy)
+        instance = tree_metric(random_recursive_tree(6, random.Random(2)))
+        assert verify_cost_decomposition(instance, trials=50, seed=1).ok
+        assert len(sizes) == 6 * 50
+        assert all(len(seen) == 1 for seen in sizes)
 
     def test_match_to_self_random_instances(self):
         report = verify_match_to_self(10, seed=3)

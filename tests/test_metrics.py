@@ -18,6 +18,7 @@ from stochmatch.metrics import (
     load_metric,
     matrix_metric,
     matrix_unchecked,
+    random_metric,
     random_recursive_tree,
     star_tree,
     tree_from_host_edges,
@@ -306,8 +307,6 @@ def scan_frt_embed(instance, rng: random.Random) -> WeightedTree:
 
 class TestFrtEmbedding:
     def test_matches_the_permutation_scan(self):
-        from stochmatch.harness import random_metric
-
         rng = random.Random(3)
         instances = [
             line_metric(256),
@@ -346,8 +345,6 @@ class TestFrtEmbedding:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_dominance_exact_random_metric(self, seed):
-        from stochmatch.harness import random_metric
-
         rng = random.Random(100 + seed)
         inst = random_metric(rng.randint(2, 12), rng)
         tree = frt_embed(inst, random.Random(seed))

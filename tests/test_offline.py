@@ -7,9 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from stochmatch.harness import random_metric
 from stochmatch.metrics import (
     line_metric,
+    random_metric,
     random_recursive_tree,
     star_tree,
     tree_metric,

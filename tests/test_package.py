@@ -1,6 +1,7 @@
-"""Package-wide rules: no assert statements, no orphaned private code, a
-light top-level import, every name the benchmark's tracer patches still
-exists, and the README's python examples run."""
+"""Package-wide rules: no assert statements, no orphaned private code, the
+verifiers in their own module, a light top-level import, every name the
+benchmark's tracer patches still exists, and the README's python examples
+run."""
 from __future__ import annotations
 
 import ast
@@ -67,6 +68,29 @@ def test_no_orphaned_private_definitions():
         defined += [f"{path.name}:{n}" for n in _private_definitions(tree)]
         used |= _names_read(tree)
     assert [d for d in defined if d.split(":")[1] not in used] == []
+
+
+def test_verifiers_live_in_verify_and_harness_skips_bmatching():
+    # the scenario harness and the lemma verifiers share no code; a new
+    # verifier goes to verify.py, and the plan solvers stay out of harness
+    homes = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        homes += [
+            path.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_")
+        ]
+    assert homes and set(homes) == {"verify.py"}
+    tree = ast.parse((SRC / "harness.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules |= {base} | {f"{base}.{a.name}" for a in node.names}
+    assert [m for m in modules if "bmatching" in m.split(".")] == []
 
 
 def test_exports_are_exactly_the_imported_names():

@@ -9,8 +9,12 @@ import pytest
 
 from stochmatch.fairbias import PlanProvider
 from stochmatch.flows import column
-from stochmatch.harness import random_metric
-from stochmatch.metrics import line_metric, matrix_unchecked, uniform_metric
+from stochmatch.metrics import (
+    line_metric,
+    matrix_unchecked,
+    random_metric,
+    uniform_metric,
+)
 from stochmatch.transship import (
     RequestDistribution,
     geometric_distribution,

@@ -20,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochmatch.bmatching import free_below, tree_walk
-from stochmatch.harness import Scenario, random_metric, run_trials
+from stochmatch.harness import Scenario, run_trials
 from stochmatch.metrics import (
     WeightedTree,
     frt_embed,
     line_metric,
+    random_metric,
     random_recursive_tree,
     star_tree,
     tree_from_host_edges,

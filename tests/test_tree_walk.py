@@ -22,15 +22,16 @@ from stochmatch.fairbias import (
     run_episode,
     step,
 )
-from stochmatch.harness import random_metric, verify_structure_lemma
 from stochmatch.metrics import (
     WeightedTree,
     frt_embed,
     line_metric,
+    random_metric,
     random_recursive_tree,
     tree_from_host_edges,
     tree_metric,
 )
+from stochmatch.verify import verify_structure_lemma
 
 
 class Script:

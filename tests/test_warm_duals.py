@@ -18,13 +18,9 @@ from stochmatch.bmatching import (
     solve_min_cost,
 )
 from stochmatch.fairbias import MaxWeightProvider, PlanProvider, run_episode
-from stochmatch.harness import (
-    gen_nonmetric_instance,
-    random_metric,
-    verify_cost_decomposition,
-    verify_structure_lemma,
-)
-from stochmatch.metrics import uniform_metric
+from stochmatch.harness import gen_nonmetric_instance
+from stochmatch.metrics import random_metric, uniform_metric
+from stochmatch.verify import verify_cost_decomposition, verify_structure_lemma
 
 
 def _warm_calls(monkeypatch, core):
