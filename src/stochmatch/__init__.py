@@ -34,7 +34,6 @@ from .fairbias import (
 from .harness import (
     Scenario,
     TrialRecord,
-    gen_nonmetric_instance,
     parse_scenario,
     ratio_of_means,
     run_trials,
@@ -44,6 +43,7 @@ from .metrics import (
     WeightedTree,
     dump_metric,
     frt_embed,
+    gen_nonmetric_instance,
     line_metric,
     load_metric,
     matrix_metric,

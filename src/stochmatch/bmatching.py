@@ -183,8 +183,6 @@ def _canonical_units(matrix, counts, n: int, duals=None):
     """
     k = sum(counts.values())
     rows = [i for i in sorted(counts) if n * counts[i] > k]
-    if not rows:
-        return 0, []
     cols = [j for j in range(n) if n * counts.get(j, 0) < k]
     return _plan(
         rows,
@@ -241,8 +239,7 @@ def canonical_plan(instance: MetricInstance, T) -> FractionalMatching:
     keep there; the rest is ``_canonical_units``.  Needs a checked
     metric: without the triangle inequality the plan need not be optimal.
     """
-    if not instance.verified_metric:
-        raise ValueError("the canonical plan assumes a checked metric instance")
+    instance.require_metric("the canonical plan")
     n = instance.n
     counts = _counts(T, n)
     k = sum(counts.values())
@@ -274,8 +271,7 @@ def scaling_identity_check(
     instance: MetricInstance, T
 ) -> tuple[Fraction, Fraction, bool]:
     """Exact check of M(T) == (n/|T| - 1) * M(complement) for |T| <= n/2."""
-    if not instance.verified_metric:
-        raise ValueError("identity assumes a checked metric instance")
+    instance.require_metric("the scaling identity")
     n = instance.n
     tset = set(T)
     if len(tset) != len(list(T)):

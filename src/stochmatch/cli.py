@@ -21,6 +21,7 @@ from .ballsbins import estimate_Nk
 from .harness import (
     GENERATED_KINDS,
     Scenario,
+    _at_least_one,
     build_instance,
     offline_opt,
     parse_scenario,
@@ -124,8 +125,7 @@ def _cmd_opt(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    if args.samples < 1:
-        raise ValueError("samples must be >= 1")
+    _at_least_one("samples", args.samples)
     instance = load_metric(args.metric)
     n = instance.n
     dmat = instance.matrix

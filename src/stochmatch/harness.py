@@ -37,10 +37,10 @@ from .fairbias import (
 from .metrics import (
     MetricInstance,
     frt_embed,
+    gen_nonmetric_instance,
     input_lines,
     line_metric,
     load_metric,
-    matrix_unchecked,
     parse_int,
     random_recursive_tree,
     star_tree,
@@ -292,8 +292,7 @@ def _fair_bias(sc: Scenario, instance: MetricInstance, dist):
     provider = PlanProvider(instance)
     if sc.distribution == "uniform":
         return lambda stream, rng: run_episode(provider, stream, rng)
-    if not instance.verified_metric:
-        raise ValueError("fair-bias with non-uniform arrivals needs a checked metric")
+    instance.require_metric("fair-bias with non-uniform arrivals")
     plan = solve_transshipment(instance, dist)
     return lambda stream, rng: run_wrapped(provider, plan, stream, rng)
 
@@ -308,8 +307,7 @@ def _split_match(sc: Scenario, instance: MetricInstance, dist):
 
 
 def _fair_bias_on_frt(sc: Scenario, instance: MetricInstance, dist):
-    if not instance.verified_metric:
-        raise ValueError("the embedding variant needs a checked metric")
+    instance.require_metric("the embedding variant")
     if sc.distribution != "uniform":
         raise ValueError("the embedding variant is uniform-arrival only")
     # the embedding and the true step costs read the metric's table, built
@@ -382,40 +380,3 @@ def run_trials(sc: Scenario) -> tuple[list[TrialRecord], RunSummary]:
     if sc.output:
         write_csv(records, sc.output)
     return records, summarize(records, sc.seed)
-
-
-# ---------------------------------------------------------------------------
-# non-metric demonstration
-
-
-def gen_nonmetric_instance(n: int) -> MetricInstance:
-    """Cost structure with two mutually expensive request types.
-
-    Points 0..n-3 cost 1 pairwise.  Point n-2 costs 2^(n/2) against the
-    upper half of the servers, point n-1 costs 2^(n/2) against the lower
-    half, and the two special points cost 2^(n/2) to each other.  From
-    n = 6 up some expensive pairs have cheap two-hop detours, so the
-    triangle inequality fails and the cost of serving the special
-    points outruns any fixed multiple of the offline optimum.
-    """
-    if n < 4 or n % 2:
-        raise ValueError("need even n >= 4")
-    big = 2 ** (n // 2)
-    half = n // 2
-    lo_special, hi_special = n - 2, n - 1
-
-    def cost(i: int, j: int) -> int:
-        if {i, j} == {lo_special, hi_special}:
-            return big
-        if lo_special in (i, j):
-            other = i if j == lo_special else j
-            return big if other >= half else 1
-        if hi_special in (i, j):
-            other = i if j == hi_special else j
-            return big if other < half else 1
-        return 1
-
-    matrix = [
-        [0 if i == j else cost(i, j) for j in range(n)] for i in range(n)
-    ]
-    return matrix_unchecked(matrix)

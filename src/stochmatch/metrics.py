@@ -5,8 +5,10 @@ fixed-point scale upstream if fractional lengths are needed).  Whether an
 instance is a checked metric is a fact of its construction: a tree
 instance is one, and a table is one exactly when the ``check_matrix``
 pass that every table gets at construction finds no violation.
-``matrix_unchecked`` is the one way to skip that pass.  Operations that
-rely on the triangle inequality refuse unchecked instances.
+``matrix_unchecked`` is the one way to skip that pass; the
+``gen_nonmetric_instance`` table uses it.  Operations that rely on the
+triangle inequality refuse an unchecked instance through the one
+refusal, ``MetricInstance.require_metric``: "<use> needs a checked metric".
 
 Trees carry servers on leaves.  Hosts that would sit on internal nodes
 are pushed onto zero-length pendant leaves, which preserves all
@@ -266,6 +268,11 @@ class MetricInstance:
     def tree(self) -> WeightedTree | None:
         return self._tree
 
+    def require_metric(self, use: str) -> None:
+        """Refuse an unchecked instance: ValueError "<use> needs a checked metric"."""
+        if not self.verified_metric:
+            raise ValueError(f"{use} needs a checked metric")
+
     def __repr__(self) -> str:
         flag = "metric" if self.verified_metric else "unchecked"
         return f"MetricInstance(n={self.n}, backing={self.backing}, {flag})"
@@ -402,8 +409,6 @@ def random_recursive_tree(
     n: int, rng: random.Random, max_len: int = 100
 ) -> WeightedTree:
     """Uniform random recursive tree on n hosts, lengths uniform in [1, max_len]."""
-    if n < 1:
-        raise ValueError("need n >= 1")
     host_edges = []
     for i in range(1, n):
         parent = rng.randrange(i)
@@ -429,6 +434,27 @@ def random_metric(n: int, rng: random.Random, max_d: int = 64) -> MetricInstance
     return matrix_metric(d)
 
 
+def gen_nonmetric_instance(n: int) -> MetricInstance:
+    """Cost structure with two mutually expensive request types.
+
+    Points 0..n-3 cost 1 pairwise.  Point n-2 costs 2^(n/2) against the
+    upper half of the servers, point n-1 costs 2^(n/2) against the lower
+    half, and the two special points cost 2^(n/2) to each other.  From
+    n = 6 up some expensive pairs have cheap two-hop detours, so the
+    triangle inequality fails and the cost of serving the special
+    points outruns any fixed multiple of the offline optimum.
+    """
+    if n < 4 or n % 2:
+        raise ValueError("need even n >= 4")
+    big, half, lo, hi = 2 ** (n // 2), n // 2, n - 2, n - 1
+    matrix = [[int(i != j) for j in range(n)] for i in range(n)]
+    for p in range(lo):  # n-2 is far from the upper half, n-1 from the lower
+        far = lo if p >= half else hi
+        matrix[p][far] = matrix[far][p] = big
+    matrix[lo][hi] = matrix[hi][lo] = big
+    return matrix_unchecked(matrix)
+
+
 # ---------------------------------------------------------------------------
 # random low-stretch tree embedding
 
@@ -443,8 +469,7 @@ def frt_embed(instance: MetricInstance, rng: random.Random) -> WeightedTree:
     for every pair (checked property, not just expected), while the
     expected stretch stays logarithmic in n.
     """
-    if not instance.verified_metric:
-        raise ValueError("embedding requires a checked metric instance")
+    instance.require_metric("the embedding")
     n, matrix = instance.n, instance.matrix
     diameter = max(max(row) for row in matrix)
     order = list(range(n))

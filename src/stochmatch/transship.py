@@ -30,6 +30,7 @@ from .bmatching import (
     arrival_weight,
     check_location_weights,
     check_marginals,
+    check_points,
     check_stream,
 )
 from .fairbias import MatchingResult, PlanProvider, init_state, step
@@ -88,16 +89,16 @@ def load_distribution(path: str, n: int) -> RequestDistribution:
     seen: set[int] = set()
     for line in input_lines(path):
         parts = line.split()
+        where = f"weight line {line!r}"
         if len(parts) != 2:
-            raise ValueError(f"weight line {line!r} is not 'point weight'")
+            raise ValueError(f"{where} is not 'point weight'")
         pid, w = parts
-        p = parse_int(pid, f"weight line {line!r}")
-        if not 0 <= p < n:
-            raise ValueError(f"point {pid} outside 0..{n - 1}")
+        p = parse_int(pid, where)
+        check_points([p], n, f"{where}: point")
         if p in seen:
             raise ValueError(f"duplicate weight line for point {p}")
         seen.add(p)
-        weights[p] = parse_int(w, f"weight line {line!r}")
+        weights[p] = parse_int(w, where)
     return RequestDistribution(tuple(weights))
 
 

@@ -8,9 +8,9 @@ import pytest
 from stochmatch import cli, verify
 from stochmatch.bmatching import canonical_plan, solve_min_cost
 from stochmatch.cli import VERIFIERS, main
-from stochmatch.harness import gen_nonmetric_instance
 from stochmatch.metrics import (
     dump_metric,
+    gen_nonmetric_instance,
     line_metric,
     matrix_metric,
     star_tree,

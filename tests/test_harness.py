@@ -16,7 +16,6 @@ from stochmatch.harness import (
     Scenario,
     build_distribution,
     build_instance,
-    gen_nonmetric_instance,
     parse_scenario,
     ratio_of_means,
     run_trials,
@@ -26,6 +25,7 @@ from stochmatch.harness import (
 from stochmatch.metrics import (
     check_matrix,
     dump_metric,
+    gen_nonmetric_instance,
     line_metric,
     random_metric,
     random_recursive_tree,

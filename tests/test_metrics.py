@@ -7,13 +7,16 @@ from fractions import Fraction
 import pytest
 
 from stochmatch import metrics
-from stochmatch.bmatching import canonical_plan, solve_min_cost
+from stochmatch.bmatching import canonical_plan, scaling_identity_check, solve_min_cost
+from stochmatch.fairbias import PlanProvider
+from stochmatch.harness import Scenario, run_trials
 from stochmatch.metrics import (
     MetricInstance,
     WeightedTree,
     check_matrix,
     dump_metric,
     frt_embed,
+    gen_nonmetric_instance,
     line_metric,
     load_metric,
     matrix_metric,
@@ -25,6 +28,7 @@ from stochmatch.metrics import (
     tree_metric,
     uniform_metric,
 )
+from stochmatch.transship import run_wrapped, solve_transshipment, uniform_distribution
 
 
 def brute_tree_distance(tree: WeightedTree, a: int, b: int) -> int:
@@ -550,6 +554,65 @@ def test_random_recursive_tree_shape():
 )
 def test_builders_refuse_degenerate_input(call, message):
     with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_random_recursive_tree_refuses_before_any_draw():
+    rng = random.Random(5)
+    before = rng.getstate()
+    with pytest.raises(ValueError, match="need n >= 1"):
+        random_recursive_tree(0, rng)
+    assert rng.getstate() == before
+
+
+def nonmetric_cost(n: int, i: int, j: int) -> int:
+    """The rule of gen_nonmetric_instance's docstring, for one pair."""
+    big, half = 2 ** (n // 2), n // 2
+    if i == j:
+        return 0
+    if {i, j} == {n - 2, n - 1}:
+        return big
+    if n - 2 in (i, j):  # expensive against the upper half
+        return big if i + j - (n - 2) >= half else 1
+    if n - 1 in (i, j):  # expensive against the lower half
+        return big if i + j - (n - 1) < half else 1
+    return 1
+
+
+def test_nonmetric_table_follows_its_rule():
+    for n in range(4, 41, 2):
+        inst = gen_nonmetric_instance(n)
+        assert not inst.verified_metric
+        assert inst.matrix == [
+            [nonmetric_cost(n, i, j) for j in range(n)] for i in range(n)
+        ]
+
+
+def _wrapped_on_unchecked():
+    inst = gen_nonmetric_instance(4)
+    plan = solve_transshipment(inst, uniform_distribution(4))
+    run_wrapped(PlanProvider(inst), plan, [0, 1, 2, 3], random.Random(0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: canonical_plan(gen_nonmetric_instance(4), [0]),
+        lambda: scaling_identity_check(gen_nonmetric_instance(4), [0]),
+        lambda: frt_embed(gen_nonmetric_instance(4), random.Random(0)),
+        _wrapped_on_unchecked,
+        lambda: run_trials(Scenario("nonmetric", "4", "geometric", trials=1)),
+        lambda: run_trials(
+            Scenario("nonmetric", "4", algorithm="fair-bias-on-frt", trials=1)
+        ),
+    ],
+    ids=[
+        "canonical-plan", "scaling-identity", "frt-embed", "run-wrapped",
+        "wrapped-runner", "embedding-runner",
+    ],
+)
+def test_every_refusal_of_an_unchecked_instance_reads_the_same(call):
+    with pytest.raises(ValueError, match="needs a checked metric$"):
         call()
 
 

@@ -95,6 +95,16 @@ class TestLoadDistribution:
         with pytest.raises(ValueError, match="outside"):
             load_distribution(str(p), 4)
 
+    @pytest.mark.parametrize("line", ["7 1", "-1 2"])
+    def test_out_of_range_point_names_its_line(self, tmp_path, line):
+        p = tmp_path / "dist.txt"
+        p.write_text(f"0 1\n{line}\n")
+        point = line.split()[0]
+        want = f"weight line '{line}': point {point} outside the instance"
+        with pytest.raises(ValueError) as err:
+            load_distribution(str(p), 4)
+        assert str(err.value) == want
+
     def test_repeated_point_rejected(self, tmp_path):
         p = tmp_path / "dist.txt"
         p.write_text("0 3\n1 2\n0 5\n")
