@@ -20,6 +20,8 @@ A plan's column is ``(items, cumulative units)``: ``column`` builds one
 from (item, units) pairs, ``columns_by_key`` one per key from (item,
 key, units) triples, ``column_units`` decodes one, and ``draw`` samples
 an item with probability units / total from one uniform integer draw.
+``randbelow`` makes many such uniform draws in one call, with the values
+``rng.randrange`` would give; the arrival streams are drawn from it.
 """
 
 from __future__ import annotations
@@ -385,3 +387,25 @@ def draw(col: Column, total: int, rng: random.Random):
     if cum[-1] != total:
         raise ValueError(f"column holds {cum[-1]} units, expected {total}")
     return items[bisect.bisect_right(cum, rng.randrange(total))]
+
+
+def randbelow(total: int, count: int, rng: random.Random) -> list[int]:
+    """``count`` draws of ``rng.randrange(total)``, from the same bits.
+
+    CPython's ``randrange(m)`` takes k = m.bit_length() bits from
+    ``getrandbits`` and redraws while the value is >= m.  This does the
+    same without the per-call argument handling, so the values, and the
+    generator's state after them, are those of ``count`` randrange calls.
+    """
+    if total < 1:
+        raise ValueError(f"need a positive total, got {total}")
+    k = total.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    append = out.append
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= total:
+            r = getrandbits(k)
+        append(r)
+    return out

@@ -12,6 +12,11 @@ as the server multiset and weight 1 on every location.  Its rows, the
 core's triples grouped by point with ``flows.columns_by_key`` and held
 to ``bmatching.check_marginals`` by ``validate``, and the arrival
 distribution, one ``flows.column``, are drawn from with ``flows.draw``.
+A trial's whole arrival stream is one ``RequestDistribution.sample(rng,
+n)`` call: n values of ``flows.randbelow`` (the values n ``randrange(W)``
+calls give, W the total weight), each mapped to its point, r // w on a
+flat distribution and by bisection in the column otherwise.  Draws inside
+an episode (``relocate`` and the provider's) stay one ``randrange`` each.
 ``run_wrapped(provider, plan, stream, rng)`` plays one episode from a
 prepared checked-metric provider and a plan of the same size, and returns
 the ``MatchingResult`` of every route: steps priced on ``provider.matrix``
@@ -21,6 +26,7 @@ at the true arrival, the distance the arrivals moved as ``relocation_cost``.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,7 +40,7 @@ from .bmatching import (
     check_stream,
 )
 from .fairbias import MatchingResult, PlanProvider, init_state, step
-from .flows import Column, column, column_units, columns_by_key, draw
+from .flows import Column, column, column_units, columns_by_key, draw, randbelow
 from .metrics import MetricInstance, input_lines, parse_int
 
 
@@ -68,10 +74,14 @@ class RequestDistribution:
     def _flat(self) -> bool:
         return len(set(self.weights)) == 1
 
-    def sample(self, rng: random.Random) -> int:
-        if self._flat:  # the same randrange(total) draw, without the search
-            return rng.randrange(self.total) // self.weights[0]
-        return draw(self._column, self.total, rng)
+    def sample(self, rng: random.Random, count: int) -> list[int]:
+        """``count`` i.i.d. arrivals, each from one ``randrange(total)`` value."""
+        units = randbelow(self.total, count, rng)
+        if self._flat:  # the column's item, without the search
+            w = self.weights[0]
+            return units if w == 1 else [u // w for u in units]
+        items, cum = self._column
+        return [items[bisect_right(cum, u)] for u in units]
 
 
 def uniform_distribution(n: int) -> RequestDistribution:
@@ -99,6 +109,10 @@ def load_distribution(path: str, n: int) -> RequestDistribution:
             raise ValueError(f"duplicate weight line for point {p}")
         seen.add(p)
         weights[p] = parse_int(w, where)
+        if weights[p] < 0:
+            raise ValueError(f"{where}: arrival weight must be >= 0")
+    if not any(weights):
+        raise ValueError(f"arrival weights in {path} must have positive total")
     return RequestDistribution(tuple(weights))
 
 

@@ -159,13 +159,36 @@ def test_distribution_sample_is_one_inverse_cdf_draw():
     for seed in range(40):
         t = random.Random(seed).randrange(8)
         want = 1 if t < 3 else 2 if t < 4 else 4
-        assert dist.sample(random.Random(seed)) == want
+        assert dist.sample(random.Random(seed), 1) == [want]
+
+
+def _sample_is_column_draws(weights):
+    dist = RequestDistribution(weights)
+    for seed in range(40):
+        a, b = random.Random(seed), random.Random(seed)
+        want = [flows.draw(dist._column, dist.total, b) for _ in range(16)]
+        assert dist.sample(a, 16) == want
+        assert a.getstate() == b.getstate()
 
 
 @pytest.mark.parametrize("weights", [(1,) * 7, (3,) * 5, (2,)])
 def test_flat_distribution_sample_is_the_column_draw(weights):
-    dist = RequestDistribution(weights)
-    for seed in range(40):
+    _sample_is_column_draws(weights)
+
+
+@pytest.mark.parametrize("weights", [(0, 3, 1, 0, 4), tuple(2**i for i in range(16))])
+def test_weighted_distribution_sample_is_the_column_draws(weights):
+    _sample_is_column_draws(weights)
+
+
+@pytest.mark.parametrize("total", [1, 2, 3, 255, 256, 257, 512, 2**16 - 1, 2**40 + 3])
+def test_randbelow_is_randrange(total):
+    for seed in range(60):
         a, b = random.Random(seed), random.Random(seed)
-        assert dist.sample(a) == flows.draw(dist._column, dist.total, b)
+        assert flows.randbelow(total, 40, a) == [b.randrange(total) for _ in range(40)]
         assert a.getstate() == b.getstate()
+
+
+def test_randbelow_refuses_an_empty_range():
+    with pytest.raises(ValueError, match="positive total"):
+        flows.randbelow(0, 3, random.Random(0))

@@ -4,8 +4,10 @@ import csv
 import dataclasses
 import math
 import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import stochmatch.harness as harness
@@ -333,6 +335,24 @@ class TestRatioOfMeans:
             1.6031712880500966,
             False,
         )
+
+    def test_infinite_neighbours_give_an_infinite_end(self):
+        # both order statistics next to 97.5% are inf; numpy's percentile
+        # interpolated inf - inf and reported the end as NaN, with a warning
+        sc = Scenario("line", "2", distribution="geometric", trials=2, seed=18)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, summary = run_trials(sc)
+        assert (summary.ratio, summary.ci_low, summary.ci_high) == (3.0, 1.0, math.inf)
+
+    def test_interval_ends_are_numpy_percentiles(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            values = [rng.choice([rng.random(), float(rng.randrange(3))])
+                      for _ in range(rng.choice([1, 2, 7, 1000]))]
+            for q in (2.5, 97.5, 100 * rng.random()):
+                want = float(np.percentile(values, q))
+                assert harness._percentile(sorted(values), q) == want
 
     @pytest.mark.parametrize(
         "algs, opts, bad",

@@ -147,6 +147,24 @@ def test_import_and_verify_leave_numpy_unloaded():
     ]
 
 
+def test_summary_leaves_numpy_ma_unloaded():
+    # np.percentile imported numpy.ma on its first call, ~11 ms a summary
+    code = (
+        "import sys\n"
+        "from stochmatch.harness import Scenario, run_trials\n"
+        "run_trials(Scenario('line', '8', trials=20, seed=3))\n"
+        "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(SRC.parent)},
+    )
+    assert out.stdout.strip() == "True False"
+
+
 # every algorithm, the wrapped route skewed arrivals take, and a matrix
 # route past the plan memo's size, where every arrival warm-starts a plan
 # solve: the scenario lines that pick it, and the spans and positive

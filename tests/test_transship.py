@@ -31,7 +31,7 @@ F = Fraction
 def _wrapped(inst, dist, seed, plan=None):
     """An episode on n arrivals drawn from dist by the episode's generator."""
     rng = random.Random(seed)
-    stream = [dist.sample(rng) for _ in range(inst.n)]
+    stream = dist.sample(rng, inst.n)
     plan = plan or solve_transshipment(inst, dist)
     return run_wrapped(PlanProvider(inst), plan, stream, rng)
 
@@ -71,7 +71,7 @@ class TestRequestDistribution:
         d = RequestDistribution((3, 1))
         rng = random.Random(42)
         trials = 4000
-        hits = sum(1 for _ in range(trials) if d.sample(rng) == 0)
+        hits = d.sample(rng, trials).count(0)
         freq = hits / trials
         sigma = (0.75 * 0.25 / trials) ** 0.5
         assert abs(freq - 0.75) <= 3 * sigma
@@ -79,7 +79,7 @@ class TestRequestDistribution:
     def test_zero_weight_points_never_sampled(self):
         d = RequestDistribution((0, 1, 0))
         rng = random.Random(1)
-        assert all(d.sample(rng) == 1 for _ in range(50))
+        assert d.sample(rng, 50) == [1] * 50
 
 
 class TestLoadDistribution:
@@ -134,6 +134,22 @@ class TestLoadDistribution:
         p.write_text("\n")
         with pytest.raises(ValueError, match="positive"):
             load_distribution(str(p), 2)
+
+    def test_negative_weight_names_its_line(self, tmp_path):
+        # was "location weights must be >= 0", naming neither line nor file
+        p = tmp_path / "dist.txt"
+        p.write_text("0 -1\n1 2\n")
+        with pytest.raises(ValueError) as err:
+            load_distribution(str(p), 2)
+        assert str(err.value) == "weight line '0 -1': arrival weight must be >= 0"
+
+    def test_zero_weights_name_the_file(self, tmp_path):
+        # was "location weights must have positive total"
+        p = tmp_path / "dist.txt"
+        p.write_text("0 0\n1 0\n")
+        with pytest.raises(ValueError) as err:
+            load_distribution(str(p), 2)
+        assert str(err.value) == f"arrival weights in {p} must have positive total"
 
 
 class TestCouplingPlan:
@@ -193,7 +209,7 @@ class TestCouplingPlan:
         plan = solve_transshipment(inst, dist)
         rng = random.Random(7)
         trials = 4000
-        seen = Counter(relocate(plan, dist.sample(rng), rng) for _ in range(trials))
+        seen = Counter(relocate(plan, dist.sample(rng, 1)[0], rng) for _ in range(trials))
         sigma = (0.25 / trials) ** 0.5
         assert abs(seen[0] / trials - 0.5) <= 3 * sigma
 
