@@ -15,6 +15,10 @@ import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
+from .flows import randbelow
+
+_THROW_CHUNK = 1 << 16  # balls per randbelow call, so memory stays O(n)
+
 
 def sample_loads(n: int, m: int, rng: random.Random) -> list[int]:
     """Throw m balls uniformly into n bins; return per-bin counts."""
@@ -23,8 +27,9 @@ def sample_loads(n: int, m: int, rng: random.Random) -> list[int]:
     if m < 0:
         raise ValueError("ball count must be >= 0")
     loads = [0] * n
-    for _ in range(m):
-        loads[rng.randrange(n)] += 1
+    for start in range(0, m, _THROW_CHUNK):
+        for b in randbelow(n, min(_THROW_CHUNK, m - start), rng):
+            loads[b] += 1
     return loads
 
 

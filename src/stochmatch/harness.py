@@ -108,6 +108,8 @@ class Scenario:
 
     def __post_init__(self):
         _at_least_one("trials", self.trials)
+        if self.seed < 0:  # the bootstrap's numpy generator takes no negative seed
+            raise ValueError("seed must be >= 0")
         if self.spacing < 0:
             raise ValueError("spacing must be >= 0")
         if self.algorithm not in ALGORITHMS:

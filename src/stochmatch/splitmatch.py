@@ -8,9 +8,10 @@ sides carry at most 2/3 of the component's servers each (sides of
 components with fewer than two servers are unconstrained).  The cuts
 run on the copy's own rooting: a component lists its nodes in the BFS
 ``order``, is scored by one bottom-up pass and split by one top-down
-pass.  Match sends a request at an occupied leaf to the sibling side of
-the smallest-level full region containing it, picks a leaf there
-uniformly, and recurses.
+pass.  The two sides of a cut are its one record, regions 2j and 2j + 1,
+so a region's sibling is ``rid ^ 1``.  Match sends a request at an
+occupied leaf to the sibling of the smallest-level full region
+containing it, picks a leaf there uniformly, and recurses.
 
 Levels strictly increase along the recursion (all regions on the
 requester's chain below the chosen one are non-full, and region levels
@@ -23,8 +24,8 @@ laminar argument every later jump stays inside S, so the server v is in
 S and d(u, v) = d(u, e's end in R) + len(e) + d(e's end in S, v).  The
 decomposition stores, per leaf and aligned with its chain, the distance
 to the cut edge's end on the leaf's side, with len(e) folded into side
-a's; every ``hmatch`` call records R's chain index on the occupancy
-state, so a step costs two list reads and an add.
+a's; ``hmatch`` returns R's chain index with the leaf it found, so a
+step costs two list reads and an add.
 
 An episode is ``run_episode_hier(decomp, stream, rng)``: it matches on
 the ternarized copy and prices steps with those offsets, so the
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bmatching import check_stream
 from .fairbias import MatchingResult
@@ -81,25 +82,20 @@ def ternarize(tree: WeightedTree) -> WeightedTree:
 class Region:
     """One side of a marked edge, at the level the edge was marked."""
 
-    rid: int
     level: int
     leaves: tuple[int, ...]  # server-hosting leaf nodes on this side
-    sibling: int = -1
-    edge_index: int = -1
+    edge_index: int
 
 
 @dataclass
 class HierarchicalDecomposition:
     tree: WeightedTree  # the ternarized copy the regions live on
-    regions: list[Region] = field(default_factory=list)
-    chains: dict[int, list[int]] = field(default_factory=dict)
+    regions: list[Region]  # side a of each cut at an even id, side b next
+    chains: dict[int, list[int]]
     # per leaf, aligned with its chain: distance to the end of the region's
     # cut edge on the leaf's side, plus the edge's length on side a
-    offsets: dict[int, list[int]] = field(default_factory=dict)
-    edge_levels: dict[int, int] = field(default_factory=dict)
-    # (level, parent server count, side server counts) per split, for audits
-    balance_audit: list[tuple[int, int, int, int]] = field(default_factory=list)
-    top_level: int = 0  # deepest region level, recorded as regions are added
+    offsets: dict[int, list[int]]
+    top_level: int  # deepest region level
 
     @property
     def max_level(self) -> int:
@@ -113,9 +109,10 @@ def split_decomposition(tree: WeightedTree) -> HierarchicalDecomposition:
     first is its top, and every other node's parent edge lies inside it.
     """
     tern = ternarize(tree)
-    decomp = HierarchicalDecomposition(tern)
-    decomp.chains = {leaf: [] for leaf in tern.leaf_for_point.values()}
-    decomp.offsets = {leaf: [] for leaf in tern.leaf_for_point.values()}
+    regions: list[Region] = []
+    chains = {leaf: [] for leaf in tern.leaf_for_point.values()}
+    offsets = {leaf: [] for leaf in tern.leaf_for_point.values()}
+    top_level = 0
     parent, point, depth = tern.parent, tern.node_point, tern.depth
     up_edge = [-1] * tern.num_nodes  # index of the edge x - parent[x]
     for idx, (u, v, _) in enumerate(tern.edges):
@@ -166,42 +163,32 @@ def split_decomposition(tree: WeightedTree) -> HierarchicalDecomposition:
         # balance contract: neither side exceeds 2/3 of the servers here
         if total_l >= 2 and 3 * max(len(leaves_a), len(leaves_b)) > 2 * total_l:
             raise RuntimeError(f"unbalanced split at level {level}")
-        decomp.balance_audit.append(
-            (level, total_l, len(leaves_a), len(leaves_b))
-        )
         e = up_edge[cut]
-        decomp.edge_levels[e] = level
-        decomp.top_level = max(decomp.top_level, level)
-        rid = len(decomp.regions)  # side a is region rid, side b rid + 1
-        decomp.regions.append(Region(rid, level, leaves_a, rid + 1, e))
-        decomp.regions.append(Region(rid + 1, level, leaves_b, rid, e))
+        top_level = max(top_level, level)
+        rid = len(regions)  # even: side a is region rid, side b rid + 1
+        regions.append(Region(level, leaves_a, e))
+        regions.append(Region(level, leaves_b, e))
         len_e = tern.parent_len[cut]
         for leaves, rid_side, extra in ((leaves_a, rid, len_e), (leaves_b, rid + 1, 0)):
             for leaf in leaves:
-                decomp.chains[leaf].append(rid_side)
+                chains[leaf].append(rid_side)
                 if below_cut[leaf]:
                     off = depth[leaf] - depth[cut]
                 else:
                     off = depth[leaf] + depth[end] - 2 * depth[meet[leaf]]
-                decomp.offsets[leaf].append(off + extra)
+                offsets[leaf].append(off + extra)
         stack.append((side_a, level + 1))
         stack.append((side_b, level + 1))
-    return decomp
+    return HierarchicalDecomposition(tern, regions, chains, offsets, top_level)
 
 
 class OccupancyState:
-    """Vacancy bookkeeping per region for one episode.
-
-    ``crossed`` is written by every ``hmatch`` call: the chain index of
-    the first full region it crossed out of, or -1 when the request's
-    own leaf was vacant.
-    """
+    """Vacancy bookkeeping per region for one episode."""
 
     def __init__(self, decomp: HierarchicalDecomposition):
         self.decomp = decomp
         self.vacant = [len(r.leaves) for r in decomp.regions]
         self.occupied: set[int] = set()
-        self.crossed = -1
 
     def occupy(self, leaf: int) -> None:
         if leaf in self.occupied:
@@ -216,32 +203,31 @@ def hmatch(
     occ: OccupancyState,
     leaf: int,
     rng: random.Random,
-) -> int:
+) -> tuple[int, int]:
     """Find the leaf whose server takes a request arriving at ``leaf``.
 
-    Sets ``occ.crossed`` for this call (see ``OccupancyState``).
+    Returns ``(v, crossed)``: the leaf v, and the chain index of the first
+    full region the match crossed out of, or -1 when ``leaf`` was vacant.
     """
     guard = decomp.top_level + 2
     u = leaf
-    occ.crossed = -1
+    crossed = -1
     for _ in range(guard):
         if u not in occ.occupied:
-            return u
-        chain = decomp.chains[u]
-        target = -1
-        for rid in chain:
+            return u, crossed
+        for rid in decomp.chains[u]:
             if occ.vacant[rid] == 0:
-                target = rid
                 break
-        if target < 0:
+        else:
             log.warning("occupied leaf %d has no full region", u)
             raise MatchGuardError("no full region found for an occupied leaf")
-        sib = decomp.regions[decomp.regions[target].sibling]
-        if occ.vacant[sib.rid] == 0 or not sib.leaves:
-            log.warning("sibling region %d is full; laminar argument broken", sib.rid)
+        rid ^= 1  # the sibling; an empty side reads vacant 0 too
+        if occ.vacant[rid] == 0:
+            log.warning("sibling region %d is full; laminar argument broken", rid)
             raise MatchGuardError("sibling of the minimal full region is full")
+        sib = decomp.regions[rid]
         if u == leaf:  # chains hold one region per level, from level 1
-            occ.crossed = sib.level - 1
+            crossed = sib.level - 1
         u = sib.leaves[rng.randrange(len(sib.leaves))]
     log.warning("match recursion guard tripped at leaf %d", leaf)
     raise MatchGuardError("match recursion exceeded its depth bound")
@@ -264,8 +250,7 @@ def run_episode_hier(
     costs = []
     for r in stream:
         u = leaf_for_point[r]
-        v = hmatch(decomp, occ, u, rng)
-        i = occ.crossed  # this call's; -1 when v == u
+        v, i = hmatch(decomp, occ, u, rng)  # i is -1 when v == u
         costs.append(offsets[u][i] + offsets[v][i] if i >= 0 else 0)
         occ.occupy(v)
         assignments.append((r, node_point[v]))

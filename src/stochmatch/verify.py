@@ -24,6 +24,7 @@ from itertools import combinations, combinations_with_replacement
 from .ballsbins import _mean_stderr
 from .bmatching import canonical_plan, scaling_identity_check, solve_min_cost
 from .fairbias import PlanProvider, init_state, run_episode, step
+from .flows import randbelow
 from .harness import _at_least_one
 from .metrics import MetricInstance, matrix_metric, random_metric
 
@@ -179,7 +180,7 @@ def verify_cost_decomposition(
     totals = []
     for t in range(trials):
         rng = random.Random(seed + t)
-        stream = [rng.randrange(n) for _ in range(n)]
+        stream = randbelow(n, n, rng)
         result = run_episode(provider, stream, rng)
         totals.append(float(result.total_cost))
     episodes = Estimate("episodes", *_mean_stderr(totals))
@@ -223,7 +224,7 @@ def verify_match_to_self(count: int, seed: int) -> Report:
         instance = matrix_metric(rows + [rows[0]])
         n = instance.n
         k = rng.randint(1, n)
-        T = [rng.randrange(n) for _ in range(k)]
+        T = randbelow(n, k, rng)
         base = solve_min_cost(instance, T)
         canon = canonical_plan(instance, T)
         checked += 1

@@ -298,9 +298,12 @@ def test_12_split_balance_and_bounded_ratio():
     for _ in range(60):
         n = rng.randint(2, 40)
         decomp = split_decomposition(random_recursive_tree(n, rng))
-        for _, total, a, b in decomp.balance_audit:
+        for a, b in zip(decomp.regions[::2], decomp.regions[1::2]):
+            total = len(a.leaves) + len(b.leaves)
             if total >= 2:
-                worst_frac = max(worst_frac, max(a, b) / total)
+                worst_frac = max(
+                    worst_frac, max(len(a.leaves), len(b.leaves)) / total
+                )
     balanced = worst_frac <= 2 / 3
 
     matched = True

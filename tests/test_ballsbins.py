@@ -50,6 +50,20 @@ class TestSampleLoads:
         sigma = math.sqrt(8 * 0.25 * 0.75 / trials)
         assert abs(mean - 2.0) <= 3 * sigma
 
+    @pytest.mark.parametrize(
+        "n, m, seed",
+        [(1, 5, 0), (2, 2, 1), (7, 30, 2), (1000, 1000, 3), (300, 70_000, 4)],
+    )
+    def test_is_one_randrange_per_ball(self, n, m, seed):
+        # 70_000 balls span two randbelow chunks
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            want = [0] * n
+            for _ in range(m):
+                want[ref.randrange(n)] += 1
+            assert sample_loads(n, m, rng) == want
+            assert rng.getstate() == ref.getstate()
+
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one bin"):
             sample_loads(0, 1, random.Random(0))

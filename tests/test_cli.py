@@ -77,6 +77,16 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "absent.txt")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_is_refused_before_any_trial(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        scenario = tmp_path / "s.txt"
+        scenario.write_text(
+            f"metric = line 4\ntrials = 3\nseed = -1\noutput = {out}\n"
+        )
+        assert main(["simulate", str(scenario)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not out.exists()
+
     def test_bad_scenario_is_an_error(self, tmp_path, capsys):
         scenario = tmp_path / "s.txt"
         scenario.write_text("metric = line 4\nwho = knows\n")

@@ -221,6 +221,14 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match="spacing"):
             parse_scenario(_scenario_file(tmp_path, text))
 
+    def test_negative_seed_rejected(self, tmp_path):
+        # ran every trial, then failed in the bootstrap's numpy generator
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+            Scenario("line", "4", seed=-1)
+        text = "metric = line 4\ntrials = 3\nseed = -1\n"
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+            parse_scenario(_scenario_file(tmp_path, text))
+
     def test_uniform(self):
         inst = build_instance(Scenario("uniform", "4"))
         assert inst.matrix[0][1] == 1 and inst.tree is None

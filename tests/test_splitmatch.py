@@ -31,6 +31,20 @@ def _episode(tree, stream, seed):
     return run_episode_hier(decomp, stream, random.Random(seed))
 
 
+def _cuts(decomp):
+    """(edge levels, sorted balance audit), read off the region pairs.
+
+    An audit entry is (level, servers in the cut component, side a's
+    servers, side b's servers).
+    """
+    levels, audit = {}, []
+    for a, b in zip(decomp.regions[::2], decomp.regions[1::2]):
+        levels[a.edge_index] = a.level
+        na, nb = len(a.leaves), len(b.leaves)
+        audit.append((a.level, na + nb, na, nb))
+    return levels, sorted(audit)
+
+
 class TestTernarize:
     def test_star_is_chained_down(self):
         tree = star_tree(6)
@@ -69,16 +83,23 @@ class TestSplitDecomposition:
 
     def test_every_edge_gets_a_level(self):
         decomp = split_decomposition(star_tree(5))
-        assert set(decomp.edge_levels) == set(range(len(decomp.tree.edges)))
+        levels, _ = _cuts(decomp)
+        assert set(levels) == set(range(len(decomp.tree.edges)))
+        assert len(decomp.regions) == 2 * len(levels), "one pair per edge"
 
     def test_sibling_pairing(self):
-        decomp = split_decomposition(random_recursive_tree(8, random.Random(4)))
-        for r in decomp.regions:
-            sib = decomp.regions[r.sibling]
-            assert sib.sibling == r.rid
-            assert sib.level == r.level
-            assert sib.edge_index == r.edge_index
-            assert not (set(r.leaves) & set(sib.leaves))
+        # hmatch reads the sibling of region rid at rid ^ 1
+        rng = random.Random(4)
+        trees = [random_recursive_tree(8, random.Random(4)), star_tree(5)]
+        trees += [random_recursive_tree(rng.randint(2, 14), rng) for _ in range(10)]
+        for tree in trees:
+            regions = split_decomposition(tree).regions
+            assert regions and len(regions) % 2 == 0
+            for rid in range(0, len(regions), 2):
+                a, b = regions[rid], regions[rid ^ 1]
+                assert a.level == b.level
+                assert a.edge_index == b.edge_index
+                assert not (set(a.leaves) & set(b.leaves))
 
     def test_chains_strictly_increase(self):
         decomp = split_decomposition(random_recursive_tree(9, random.Random(5)))
@@ -100,10 +121,9 @@ class TestSplitDecomposition:
     def test_balance_contract(self, seed):
         rng = random.Random(60 + seed)
         n = rng.randint(2, 16)
-        decomp = split_decomposition(random_recursive_tree(n, rng))
-        assert decomp.balance_audit, "at least one split happens"
-        for level, total, a, b in decomp.balance_audit:
-            assert a + b == total
+        _, audit = _cuts(split_decomposition(random_recursive_tree(n, rng)))
+        assert audit, "at least one split happens"
+        for level, total, a, b in audit:
             if total >= 2:
                 assert 3 * max(a, b) <= 2 * total
 
@@ -171,8 +191,8 @@ def test_cuts_match_brute_force_oracle():
     for tree in _oracle_trees():
         decomp = split_decomposition(tree)
         levels, audit = _brute_force_cuts(tree)
-        assert decomp.edge_levels == levels
-        assert sorted(decomp.balance_audit) == audit
+        assert len(decomp.regions) == 2 * len(levels)
+        assert _cuts(decomp) == (levels, audit)
 
 
 class TestOccupancy:
@@ -203,7 +223,7 @@ class TestHmatch:
         tern = decomp.tree
         occ = OccupancyState(decomp)
         leaf = tern.leaf_for_point[1]
-        assert hmatch(decomp, occ, leaf, random.Random(0)) == leaf
+        assert hmatch(decomp, occ, leaf, random.Random(0)) == (leaf, -1)
 
     def test_two_points_deflect_to_the_other(self):
         decomp = split_decomposition(line_metric(2).tree)
@@ -211,7 +231,28 @@ class TestHmatch:
         a = decomp.tree.leaf_for_point[0]
         b = decomp.tree.leaf_for_point[1]
         occ.occupy(a)
-        assert hmatch(decomp, occ, a, random.Random(0)) == b
+        assert hmatch(decomp, occ, a, random.Random(0)) == (b, 0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_returns_the_first_full_region_it_crossed(self, seed):
+        rng = random.Random(900 + seed)
+        n = rng.randint(2, 14)
+        decomp = split_decomposition(random_recursive_tree(n, rng, max_len=5))
+        leaves = list(decomp.tree.leaf_for_point.values())
+        for _ in range(10):
+            occ = OccupancyState(decomp)
+            for leaf in rng.sample(leaves, rng.randrange(n)):
+                occ.occupy(leaf)
+            full = {rid for rid, free in enumerate(occ.vacant) if free == 0}
+            for leaf in leaves:
+                v, i = hmatch(decomp, occ, leaf, random.Random(rng.randrange(99)))
+                assert v not in occ.occupied
+                chain = decomp.chains[leaf]
+                if leaf not in occ.occupied:
+                    assert (v, i) == (leaf, -1)
+                    continue
+                assert i == min(j for j, rid in enumerate(chain) if rid in full)
+                assert v in decomp.regions[chain[i] ^ 1].leaves
 
     def test_exhausted_tree_trips_the_guard(self, caplog):
         decomp = split_decomposition(star_tree(3))
