@@ -21,7 +21,7 @@ from .ballsbins import estimate_Nk
 from .harness import (
     GENERATED_KINDS,
     Scenario,
-    _at_least_one,
+    _at_least,
     build_instance,
     offline_opt,
     parse_scenario,
@@ -125,7 +125,7 @@ def _cmd_opt(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    _at_least_one("samples", args.samples)
+    _at_least("samples", args.samples, 1)
     instance = load_metric(args.metric)
     n = instance.n
     dmat = instance.matrix
@@ -173,6 +173,7 @@ def _cmd_ballsbins(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _at_least("seed", getattr(args, "seed", 0), 0)  # Random(-s) is Random(s)
         return args.run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,9 +63,9 @@ _TREE_SALT = 0x7E11
 _FRT_SALT = 0x0F47
 
 
-def _at_least_one(name: str, value: int) -> None:
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
+def _at_least(name: str, value: int, floor: int) -> None:
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}")
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +107,8 @@ class Scenario:
     frt_mode: str = "per-trial"  # per-trial | once
 
     def __post_init__(self):
-        _at_least_one("trials", self.trials)
-        if self.seed < 0:  # the bootstrap's numpy generator takes no negative seed
-            raise ValueError("seed must be >= 0")
+        _at_least("trials", self.trials, 1)
+        _at_least("seed", self.seed, 0)  # numpy's bootstrap takes no negative seed
         if self.spacing < 0:
             raise ValueError("spacing must be >= 0")
         if self.algorithm not in ALGORITHMS:

@@ -127,10 +127,12 @@ class TestVerify:
             ["structure", "--trials", "0"],
             ["decomposition", "--trials", "0"],
             ["structure", "--n", "1"],
+            ["decomposition", "--trials", "1"],
         ],
     )
     def test_empty_verification_is_an_error(self, args, capsys):
-        # trials 0 ended in a ZeroDivisionError traceback; n 1 printed ok
+        # trials 0 ended in a ZeroDivisionError traceback; n 1 printed ok;
+        # one decomposition trial gave stderr 0, a 0-wide band and FAIL
         assert main(["verify", *args]) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err and ": ok" not in captured.out
@@ -263,6 +265,24 @@ class TestVerify:
         rc = main(["verify", "match-to-self", "--count", "5", "--seed", "4"])
         assert rc == 0
         assert "match-to-self: 5 checks, ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "scaling", "--count", "3", "--seed", "-7"],
+        ["verify", "match-to-self", "--count", "3", "--seed", "-7"],
+        ["embed", "absent.metric", "--seed", "-3"],
+        ["ballsbins", "10", "2", "50", "-3"],
+    ],
+    ids=["verify-scaling", "verify-match-to-self", "embed", "ballsbins"],
+)
+def test_negative_seed_is_refused(args, capsys):
+    # Random(-s) seeds like Random(s): each printed its --seed s output;
+    # the refusal comes before dispatch, so embed never reads its file
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0\n" and captured.out == ""
 
 
 class TestOpt:

@@ -554,6 +554,17 @@ class TestVerifiers:
         assert [r.k for r in report.rows] == [1]
         assert report.rows[0].categories == 2
 
+    @pytest.mark.parametrize("d", range(1, 81))
+    def test_chi2_tail_matches_scipy(self, d):
+        # closed form against scipy's incomplete gamma, from x = 0 to past
+        # where e^(-x/2) underflows; both sides print 0 there at p=%.4f
+        from scipy.stats import chi2
+
+        xs = [0.0, 1e-9, 1e-3, *(i / 4 for i in range(1, 1201)), 1500.0, 5000.0]
+        assert [verify._chi2_sf(x, d) for x in xs] == pytest.approx(
+            chi2.sf(xs, d).tolist(), rel=1e-12, abs=1e-13
+        )
+
     def test_structure_size_cap(self):
         with pytest.raises(ValueError, match="n=8"):
             verify_structure_lemma(uniform_metric(9), 10, seed=0)

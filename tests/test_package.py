@@ -125,13 +125,15 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_import_and_verify_leave_numpy_unloaded():
-    # numpy loads only for the bootstrap summary and scipy only for
-    # verify structure, so a plain import and a short verify load neither
+    # numpy loads only for the bootstrap summary and the package never
+    # loads scipy, so a plain import and a short verify load neither
     code = (
         "import sys, stochmatch, stochmatch.cli\n"
         "print('numpy' in sys.modules, 'scipy' in sys.modules)\n"
         "stochmatch.cli.main(['verify', 'match-to-self', '--count', '3', '--seed', '1'])\n"
         "print('numpy' in sys.modules)\n"
+        "stochmatch.cli.main(['verify', 'structure', '--n', '4', '--trials', '200'])\n"
+        "print('scipy' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -143,6 +145,11 @@ def test_import_and_verify_leave_numpy_unloaded():
     assert out.stdout.splitlines() == [
         "False False",
         "match-to-self: 3 checks, ok",
+        "False",
+        "k=1 cells=4 chi2=2.080 p=0.5560 ok",
+        "k=2 cells=6 chi2=7.900 p=0.1618 ok",
+        "k=3 cells=4 chi2=2.320 p=0.5087 ok",
+        "structure: ok",
         "False",
     ]
 
