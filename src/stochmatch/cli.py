@@ -21,13 +21,12 @@ from .ballsbins import estimate_Nk
 from .harness import (
     GENERATED_KINDS,
     Scenario,
-    _at_least,
     build_instance,
     offline_opt,
     parse_scenario,
     run_trials,
 )
-from .metrics import dump_metric, frt_embed, load_metric, tree_metric
+from .metrics import _at_least, dump_metric, frt_embed, load_metric, tree_metric
 from .verify import (
     verify_cost_decomposition,
     verify_match_to_self,

@@ -38,6 +38,7 @@ from .fairbias import (
 )
 from .metrics import (
     MetricInstance,
+    _at_least,
     frt_embed,
     gen_nonmetric_instance,
     input_lines,
@@ -61,11 +62,6 @@ from .transship import (
 
 _TREE_SALT = 0x7E11
 _FRT_SALT = 0x0F47
-
-
-def _at_least(name: str, value: int, floor: int) -> None:
-    if value < floor:
-        raise ValueError(f"{name} must be >= {floor}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +167,10 @@ def build_instance(sc: Scenario) -> MetricInstance:
         raise ValueError(
             f"metric {kind} {arg}: the size must be an integer"
         ) from None
-    return _GENERATORS[kind](sc, n)
+    try:
+        return _GENERATORS[kind](sc, n)
+    except ValueError as exc:
+        raise ValueError(f"metric {kind} {arg}: {exc}") from None
 
 
 def build_distribution(sc: Scenario, n: int):
@@ -374,6 +373,8 @@ def run_trials(sc: Scenario) -> tuple[list[TrialRecord], RunSummary]:
     dist = build_distribution(sc, n)
     runner, gain = _RUNNERS[sc.algorithm]
     episode = runner(sc, instance, dist)
+    if sc.output:  # an unwritable path fails here, before any trial
+        open(sc.output, "w").close()
     records: list[TrialRecord] = []
     for t in range(sc.trials):
         ep_seed = sc.seed + t

@@ -359,6 +359,8 @@ def tree_metric(tree: WeightedTree) -> MetricInstance:
 
 
 def uniform_metric(n: int, c: int = 1) -> MetricInstance:
+    if n < 1:
+        raise ValueError("need n >= 1")
     return matrix_metric(
         [[0 if i == j else c for j in range(n)] for i in range(n)]
     )
@@ -523,6 +525,12 @@ def frt_embed(instance: MetricInstance, rng: random.Random) -> WeightedTree:
 
 # ---------------------------------------------------------------------------
 # file format
+
+
+def _at_least(name: str, value: int, floor: int) -> None:
+    """The one "<name> must be >= <floor>" refusal of a count or a seed."""
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}")
 
 
 def parse_int(text: str, where: str) -> int:

@@ -22,11 +22,15 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .ballsbins import _mean_stderr
-from .bmatching import canonical_plan, scaling_identity_check, solve_min_cost
+from .bmatching import (
+    canonical_plan,
+    scaling_identity_check,
+    solve_min_cost,
+    tree_plan,
+)
 from .fairbias import PlanProvider, init_state, run_episode, step
 from .flows import randbelow
-from .harness import _at_least
-from .metrics import MetricInstance, matrix_metric, random_metric
+from .metrics import MetricInstance, _at_least, matrix_metric, random_metric
 
 _SUBSET_SALT = 0xD150
 _CASE_MAX_N = 8  # points in the largest random case
@@ -95,7 +99,7 @@ def _matching_value(instance: MetricInstance, T, memo: dict) -> Fraction:
     if hit is None:
         if instance.tree is not None:
             n, k = instance.n, len(key)
-            hit = Fraction(instance.tree.imbalance_cost(Counter(key), n, k), n * k)
+            hit = Fraction(tree_plan(instance.tree, Counter(key), k, n), n * k)
         else:
             hit = solve_min_cost(instance, list(key)).value
         memo[key] = hit

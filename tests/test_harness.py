@@ -187,6 +187,22 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match=message):
             build_instance(Scenario(kind, arg))
 
+    @pytest.mark.parametrize(
+        "kind, arg, need",
+        [
+            ("uniform", "0", "n >= 1"),
+            ("uniform", "-3", "n >= 1"),
+            ("star", "1", "n >= 2"),
+            ("nonmetric", "5", "even n >= 4"),
+            ("line", "0", "n >= 1"),
+            ("random", "0", "n >= 1"),
+        ],
+    )
+    def test_generator_refusal_names_the_metric_line(self, kind, arg, need):
+        # "uniform 0" spoke of a square table; no refusal named the line
+        with pytest.raises(ValueError, match=f"^metric {kind} {arg}: need {need}"):
+            build_instance(Scenario(kind, arg))
+
     def test_line_with_spacing(self):
         inst = build_instance(Scenario("line", "3", spacing=4))
         assert inst.matrix[0][2] == 8
@@ -416,6 +432,22 @@ class TestCsv:
         sc = Scenario("line", "3", trials=2, seed=0, output=str(out))
         run_trials(sc)
         assert out.exists()
+
+    def test_unwritable_output_fails_before_any_trial(self, tmp_path, monkeypatch):
+        # ran every trial, then failed to open the file and printed no summary
+        played = []
+        play = harness.run_episode
+        monkeypatch.setattr(
+            harness, "run_episode", lambda *args: played.append(args) or play(*args)
+        )
+        bad = tmp_path / "absent" / "rows.csv"
+        with pytest.raises(OSError):
+            run_trials(Scenario("line", "4", trials=3, output=str(bad)))
+        assert played == []
+        good = tmp_path / "rows.csv"
+        run_trials(Scenario("line", "4", trials=3, output=str(good)))
+        assert len(played) == 3
+        assert len(good.read_text().splitlines()) == 4
 
 
 class TestRunTrials:

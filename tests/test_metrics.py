@@ -542,13 +542,14 @@ def test_random_recursive_tree_shape():
         (lambda: WeightedTree(2, [(0, 2, 1)], {0: 1}), r"edge \(0,2\) out of range"),
         (lambda: WeightedTree(2, [(0, 1, 1)], {0: 5}), "leaf for point 0 out of range"),
         (lambda: line_metric(0), "need n >= 1"),
+        (lambda: uniform_metric(0), "^need n >= 1$"),
         (lambda: tree_from_host_edges(0, []), "need n >= 1"),
         (lambda: star_tree(1), "need n >= 2"),
         (lambda: random_recursive_tree(0, random.Random(0)), "need n >= 1"),
         (lambda: solve_min_cost(line_metric(3), {0: 0, 1: 2}), "must be positive"),
     ],
     ids=[
-        "no-nodes", "edge-range", "leaf-range", "line-0", "host-edges-0",
+        "no-nodes", "edge-range", "leaf-range", "line-0", "uniform-0", "host-edges-0",
         "star-1", "recursive-0", "zero-multiplicity",
     ],
 )

@@ -1,7 +1,7 @@
 """Package-wide rules: no assert statements, no orphaned private code, the
-verifiers in their own module, a light top-level import, every name the
-benchmark's tracer patches still exists, and the README's python examples
-run."""
+verifiers in their own module, light imports that load only the modules
+they use, every name the benchmark's tracer patches still exists, and the
+README's python examples run."""
 from __future__ import annotations
 
 import ast
@@ -93,23 +93,30 @@ def test_verifiers_live_in_verify_and_harness_skips_bmatching():
     assert [m for m in modules if "bmatching" in m.split(".")] == []
 
 
-def test_exports_are_exactly_the_imported_names():
-    # __all__ lists what __init__ imports, nothing more or less, and each
-    # entry resolves: a name deleted from its module must leave both
-    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    imported = set()
-    exported = None
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            imported |= {a.asname or a.name for a in node.names}
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = ast.literal_eval(node.value)
-    assert exported is not None
-    assert len(exported) == len(set(exported))
-    assert set(exported) == imported
-    assert [n for n in exported if not hasattr(stochmatch, n)] == []
+def _package_modules_loaded_by(module: str) -> set[str]:
+    code = (
+        "import importlib, sys\n"
+        "importlib.import_module(sys.argv[1])\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('stochmatch.')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, module],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(SRC.parent)},
+    )
+    return {m.removeprefix("stochmatch.") for m in out.stdout.split()}
+
+
+def test_imports_load_only_the_modules_they_use():
+    # the root re-exports nothing, and the lemma verifiers and the scenario
+    # harness share no code
+    assert _package_modules_loaded_by("stochmatch") == set()
+    harness_loads = _package_modules_loaded_by("stochmatch.harness")
+    assert harness_loads & {"verify", "ballsbins", "cli"} == set()
+    verify_loads = _package_modules_loaded_by("stochmatch.verify")
+    assert verify_loads & {"harness", "offline", "splitmatch", "transship"} == set()
 
 
 def test_import_leaves_scipy_stats_unloaded():
