@@ -349,19 +349,18 @@ def tree_walk(
     it turned at, and their distance is read off the depths there.
     """
     parent = tree.parent
-    adj = tree.adj
+    children = tree.children
     size = tree.size
     node_point = tree.node_point
     start = x = tree.leaf_for_point[request]
     top = -1  # the node the walk turned down at
     while True:
-        up = parent[x]
         arcs = []  # a loop, not a comprehension: no function call per hop
-        for c, _, _ in adj[x]:
-            if c != up:
-                f = n * below[c] - k * size[c]
-                if f > 0:
-                    arcs.append((c, f))
+        for c in children[x]:
+            f = n * below[c] - k * size[c]
+            if f > 0:
+                arcs.append((c, f))
+        up = parent[x]
         if top < 0 and up >= 0:  # no flow comes down once the walk descends
             f = k * size[x] - n * below[x]
             if f > 0:

@@ -69,9 +69,9 @@ _FRT_SALT = 0x0F47
 
 # generated metric kind -> (scenario, size) -> instance; "file" takes a path
 _GENERATORS = {
-    "line": lambda sc, n: line_metric(n, sc.spacing),
-    "star": lambda sc, n: tree_metric(star_tree(n, sc.spacing)),
-    "uniform": lambda sc, n: uniform_metric(n, sc.spacing),
+    "line": lambda sc, n: line_metric(n),
+    "star": lambda sc, n: tree_metric(star_tree(n)),
+    "uniform": lambda sc, n: uniform_metric(n),
     "random": lambda sc, n: tree_metric(
         random_recursive_tree(n, _SetupRandom(sc.seed ^ _TREE_SALT))
     ),
@@ -99,14 +99,11 @@ class Scenario:
     trials: int = 100
     seed: int = 0
     output: str | None = None
-    spacing: int = 1
     frt_mode: str = "per-trial"  # per-trial | once
 
     def __post_init__(self):
         _at_least("trials", self.trials, 1)
         _at_least("seed", self.seed, 0)  # numpy's bootstrap takes no negative seed
-        if self.spacing < 0:
-            raise ValueError("spacing must be >= 0")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.frt_mode not in ("per-trial", "once"):
@@ -141,7 +138,7 @@ def parse_scenario(path: str) -> Scenario:
     for key in ("algorithm", "frt_mode", "output"):
         if key in fields:
             keys[key] = fields.pop(key)
-    for key in ("trials", "seed", "spacing"):
+    for key in ("trials", "seed"):
         if key in fields:
             keys[key] = parse_int(fields.pop(key), f"scenario key {key}")
     if fields:
@@ -153,28 +150,27 @@ def build_instance(sc: Scenario) -> MetricInstance:
     kind, arg = sc.metric_kind, sc.metric_arg
     if kind != "file" and kind not in _GENERATORS:
         raise ValueError(f"unknown metric kind {kind!r}")
-    if sc.spacing != 1 and kind in ("random", "nonmetric", "file"):
-        raise ValueError(f"spacing applies to line, star and uniform, not {kind}")
-    if kind == "file":
-        if not arg:
-            raise ValueError("metric file needs a path")
-        return load_metric(arg)
     if not arg:
-        raise ValueError(f"metric {kind} needs a size")
+        need = "path" if kind == "file" else "size"
+        raise ValueError(f"metric {kind} needs a {need}")
     try:
-        n = int(arg)
-    except ValueError:
-        raise ValueError(
-            f"metric {kind} {arg}: the size must be an integer"
-        ) from None
-    try:
+        if kind == "file":
+            return load_metric(arg)
+        try:
+            n = int(arg)
+        except ValueError:
+            raise ValueError("the size must be an integer") from None
         return _GENERATORS[kind](sc, n)
     except ValueError as exc:
         raise ValueError(f"metric {kind} {arg}: {exc}") from None
 
 
 def build_distribution(sc: Scenario, n: int):
-    return _DISTRIBUTIONS[sc.distribution][0](sc, n)
+    try:
+        return _DISTRIBUTIONS[sc.distribution][0](sc, n)
+    except ValueError as exc:
+        where = f"distribution {sc.distribution} {sc.dist_arg}"
+        raise ValueError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,8 @@ class WeightedTree:
     node (or to the root of a single-node tree).
 
     The tree is rooted once, at node 0, by one BFS: ``parent`` (-1 at the
-    root), ``parent_len`` (length of the edge to the parent), ``order``
+    root), ``parent_len`` (length of the edge to the parent), ``children``
+    (each node's children in the order its edges are listed), ``order``
     (the BFS order, root first) and ``node_point`` (the point on each
     node, -1 where none sits).  ``size`` and ``depth`` are built on
     first use.
@@ -73,35 +74,38 @@ class WeightedTree:
         self.leaf_for_point = dict(leaf_for_point)
         if set(self.leaf_for_point) != set(range(len(self.leaf_for_point))):
             raise ValueError("point ids must be exactly 0..n-1")
-        self.adj: list[list[tuple[int, int, int]]] = [[] for _ in range(num_nodes)]
-        for idx, (u, v, w) in enumerate(self.edges):
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+        for u, v, w in self.edges:
             if not (0 <= u < num_nodes and 0 <= v < num_nodes):
                 raise ValueError(f"edge ({u},{v}) out of range")
             if w < 0:
                 raise ValueError("edge lengths must be >= 0")
-            self.adj[u].append((v, w, idx))
-            self.adj[v].append((u, w, idx))
+            adj[u].append((v, w))
+            adj[v].append((u, w))
         parent = [-1] * num_nodes
         parent_len = [0] * num_nodes
+        children: list[list[int]] = [[] for _ in range(num_nodes)]
         order = [0]
         parent[0] = 0
         for x in order:
-            for y, w, _ in self.adj[x]:
+            for y, w in adj[x]:
                 if parent[y] == -1:
                     parent[y] = x
                     parent_len[y] = w
+                    children[x].append(y)
                     order.append(y)
         parent[0] = -1
         if len(order) != num_nodes:
             raise ValueError("tree is not connected")
         self.parent = parent
         self.parent_len = parent_len
+        self.children = children
         self.order = order
         self.node_point = [-1] * num_nodes
         for p, leaf in self.leaf_for_point.items():
             if not (0 <= leaf < num_nodes):
                 raise ValueError(f"leaf for point {p} out of range")
-            if num_nodes > 1 and len(self.adj[leaf]) != 1:
+            if num_nodes > 1 and len(adj[leaf]) != 1:
                 raise ValueError(f"point {p} is hosted on a non-leaf node")
             if self.node_point[leaf] >= 0:
                 raise ValueError("two points mapped to the same leaf")

@@ -51,31 +51,20 @@ class MatchGuardError(RuntimeError):
 
 def ternarize(tree: WeightedTree) -> WeightedTree:
     """Cap every degree at 3 by chaining children over zero-length edges."""
-    parent, parent_len, order = tree.parent, tree.parent_len, tree.order
-    children: dict[int, list[int]] = {x: [] for x in range(tree.num_nodes)}
-    for x in order:
-        if parent[x] >= 0:
-            children[parent[x]].append(x)
-    edge_len = {x: parent_len[x] for x in order if parent[x] >= 0}
-    next_id = tree.num_nodes
+    children = list(tree.children)  # rows are replaced, never changed in place
+    edge_len = list(tree.parent_len)
     queue = list(range(tree.num_nodes))
     while queue:
         v = queue.pop()
         kids = children[v]
-        if len(kids) <= 2:
-            continue
-        w = next_id
-        next_id += 1
-        keep, moved = kids[0], kids[1:]
-        children[v] = [keep, w]
-        children[w] = moved
-        edge_len[w] = 0
-        queue.append(w)
-    edges = []
-    for v, kids in children.items():
-        for c in kids:
-            edges.append((v, c, edge_len[c]))
-    return WeightedTree(next_id, edges, dict(tree.leaf_for_point))
+        if len(kids) > 2:
+            w = len(children)  # the chain node takes the next free id
+            children[v] = [kids[0], w]
+            children.append(kids[1:])
+            edge_len.append(0)
+            queue.append(w)
+    edges = [(v, c, edge_len[c]) for v, kids in enumerate(children) for c in kids]
+    return WeightedTree(len(children), edges, dict(tree.leaf_for_point))
 
 
 @dataclass

@@ -93,6 +93,27 @@ class TestSimulate:
         assert main(["simulate", str(scenario)]) == 1
         assert "unknown scenario keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("metric = file {bad}",
+             "metric file {bad}: matrix row 1: 'x' is not an integer"),
+            ("metric = line 2\ndistribution = weights {bad}",
+             "distribution weights {bad}: weight line 'kind matrix': "
+             "'kind' is not an integer"),
+        ],
+    )
+    def test_file_refusal_names_the_scenario_line(
+        self, tmp_path, line, message, capsys
+    ):
+        # the loader's message alone did not say which file it had read
+        bad = tmp_path / "bad.metric"
+        bad.write_text("kind matrix\nn 2\n0 1\nx 0\n")
+        scenario = tmp_path / "s.txt"
+        scenario.write_text(line.format(bad=bad) + "\n")
+        assert main(["simulate", str(scenario)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(bad=bad)}\n"
+
 
 class TestVerify:
     def test_structure(self, capsys):
@@ -324,6 +345,12 @@ class TestEmbed:
         assert capsys.readouterr().out == (
             "sample 0: dominance ok max-stretch 1.000 mean-stretch 1.000\n"
         )
+
+    def test_dominance_failure_exits_2(self, line4_file, monkeypatch, capsys):
+        # a zero-length star puts every pair at distance 0, below the line's
+        monkeypatch.setattr(cli, "frt_embed", lambda inst, rng: star_tree(inst.n, 0))
+        assert main(["embed", line4_file]) == 2
+        assert "sample 0: dominance VIOLATED" in capsys.readouterr().out
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_no_samples_is_an_error(self, line4_file, samples, capsys):

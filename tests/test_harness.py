@@ -77,21 +77,20 @@ class TestParseScenario:
             algorithm = fair-bias
             trials = 50
             seed = 9
-            spacing = 2
             output = out.csv
             """,
         )
         sc = parse_scenario(path)
         assert sc.metric_kind == "random" and sc.metric_arg == "16"
         assert sc.distribution == "geometric"
-        assert (sc.trials, sc.seed, sc.spacing) == (50, 9, 2)
+        assert (sc.trials, sc.seed) == (50, 9)
         assert sc.output == "out.csv"
 
     def test_defaults(self, tmp_path):
         sc = parse_scenario(_scenario_file(tmp_path, "metric = line 4\n"))
         assert sc.algorithm == "fair-bias"
         assert sc.distribution == "uniform"
-        assert (sc.trials, sc.seed, sc.spacing) == (100, 0, 1)
+        assert (sc.trials, sc.seed) == (100, 0)
         assert sc.frt_mode == "per-trial"
         assert sc.output is None
 
@@ -103,6 +102,11 @@ class TestParseScenario:
         with pytest.raises(ValueError, match="unknown scenario keys"):
             parse_scenario(
                 _scenario_file(tmp_path, "metric = line 4\ncolour = red\n")
+            )
+        # a metric file's scale header is the one way to scale a metric
+        with pytest.raises(ValueError, match=r"^unknown scenario keys: \['spacing'\]$"):
+            parse_scenario(
+                _scenario_file(tmp_path, "metric = line 4\nspacing = 2\n")
             )
 
     def test_malformed_line(self, tmp_path):
@@ -117,7 +121,7 @@ class TestParseScenario:
                 )
             )
 
-    @pytest.mark.parametrize("key", ["trials", "seed", "spacing"])
+    @pytest.mark.parametrize("key", ["trials", "seed"])
     def test_bad_integer_names_its_key(self, tmp_path, key):
         # raised "invalid literal for int() with base 10" with no context
         text = f"metric = line 4\n{key} = abc\n"
@@ -203,38 +207,44 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match=f"^metric {kind} {arg}: need {need}"):
             build_instance(Scenario(kind, arg))
 
-    def test_line_with_spacing(self):
-        inst = build_instance(Scenario("line", "3", spacing=4))
+    def test_line_with_spacing(self, tmp_path):
+        # a line's spacing is its metric file's scale header
+        path = tmp_path / "line.metric"
+        path.write_text("kind line\nn 3\nscale 4\n")
+        inst = build_instance(Scenario("file", str(path)))
         assert inst.matrix[0][2] == 8
 
     def test_star(self):
-        inst = build_instance(Scenario("star", "5", spacing=2))
+        inst = build_instance(Scenario("star", "5"))
         assert inst.tree is not None
-        assert inst.matrix[1][2] == 4
+        assert inst.matrix[1][2] == 2
 
-    @pytest.mark.parametrize("kind", ["line", "star", "uniform"])
-    def test_zero_spacing_is_passed_through(self, kind):
-        inst = build_instance(Scenario(kind, "4", spacing=0))
+    @pytest.mark.parametrize(
+        "file_kind, body",
+        [
+            ("line", ""),
+            ("tree", "".join(f"4 {p} 1\n" for p in range(4))),
+            ("matrix", "0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 1 0\n"),
+        ],
+        ids=["line", "star", "uniform"],
+    )
+    def test_zero_spacing_is_passed_through(self, tmp_path, file_kind, body):
+        # each generator's file form, scaled by a zero header
+        path = tmp_path / f"{file_kind}.metric"
+        path.write_text(f"kind {file_kind}\nn 4\nscale 0\n{body}")
+        inst = build_instance(Scenario("file", str(path)))
+        assert inst.n == 4
         assert all(d == 0 for row in inst.matrix for d in row)
 
-    @pytest.mark.parametrize("kind, arg", [("random", "6"), ("nonmetric", "6")])
-    def test_spacing_refused_where_it_does_not_apply(self, kind, arg):
-        # spacing = 7 on a random tree printed the same run as without it
-        with pytest.raises(ValueError, match=f"spacing .* not {kind}"):
-            build_instance(Scenario(kind, arg, spacing=7))
-        assert build_instance(Scenario(kind, arg)).n == 6
-
-    def test_spacing_refused_on_a_file_metric(self, tmp_path):
-        path = tmp_path / "m.txt"
-        dump_metric(line_metric(3), str(path))
-        with pytest.raises(ValueError, match="not file"):
-            build_instance(Scenario("file", str(path), spacing=2))
-
     def test_negative_spacing_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="spacing"):
-            Scenario("star", "4", spacing=-3)
+        # the scale header is checked, and the refusal names the metric line
+        path = tmp_path / "line.metric"
+        path.write_text("kind line\nn 4\nscale -3\n")
+        text = f"metric = file {path}\n"
+        with pytest.raises(ValueError, match="^metric file .*: header scale: '-3' must be >= 0$"):
+            build_instance(parse_scenario(_scenario_file(tmp_path, text)))
         text = "metric = uniform 4\nspacing = -3\n"
-        with pytest.raises(ValueError, match="spacing"):
+        with pytest.raises(ValueError, match=r"^unknown scenario keys: \['spacing'\]$"):
             parse_scenario(_scenario_file(tmp_path, text))
 
     def test_negative_seed_rejected(self, tmp_path):
@@ -704,8 +714,8 @@ GOLDEN_ROUTES = {
          (96, 96, 0, [0, 0, 0, 0, 0, 0, 96]),
          (96, 96, 0, [0, 0, 91, 0, 0, 0, 5])],
     ),
-    "frt-per-trial": (
-        dict(metric_kind="line", metric_arg="7", spacing=3,
+    "frt-per-trial": (  # the metric is a file's text, written under tmp_path
+        dict(metric_kind="file", metric_arg="kind line\nn 7\nscale 3\n",
              algorithm="fair-bias-on-frt"),
         [(12, 12, 0, [0, 0, 0, 3, 3, 3, 3]),
          (27, 21, 0, [0, 0, 6, 3, 3, 0, 15]),
@@ -762,9 +772,23 @@ GOLDEN_ROUTES = {
 
 
 class TestTrialLoop:
+    def test_online_gain_above_the_optimum_raises(self, monkeypatch):
+        monkeypatch.setattr(harness, "opt_max_weight", lambda matrix, stream: -1)
+        with pytest.raises(RuntimeError, match="gain above the offline optimum"):
+            run_trials(Scenario("line", "4", algorithm="max-weight", trials=1))
+
+    def test_online_cost_below_the_optimum_raises(self, monkeypatch):
+        monkeypatch.setattr(harness, "offline_opt", lambda instance, stream: 10**9)
+        with pytest.raises(RuntimeError, match="cost below the offline optimum"):
+            run_trials(Scenario("line", "4", trials=1))
+
     @pytest.mark.parametrize("route", sorted(GOLDEN_ROUTES))
-    def test_golden_records(self, route):
+    def test_golden_records(self, tmp_path, route):
         fields, expected = GOLDEN_ROUTES[route]
+        if fields["metric_kind"] == "file":
+            path = tmp_path / "golden.metric"
+            path.write_text(fields["metric_arg"])
+            fields = {**fields, "metric_arg": str(path)}
         records, _ = run_trials(Scenario(trials=4, seed=41, **fields))
         got = [(r.alg_cost, r.opt_cost, r.reloc_cost, r.step_costs) for r in records]
         assert got == expected

@@ -32,14 +32,18 @@ from stochmatch.transship import run_wrapped, solve_transshipment, uniform_distr
 
 
 def brute_tree_distance(tree: WeightedTree, a: int, b: int) -> int:
-    """Independent distance oracle: BFS over the adjacency lists."""
+    """Independent distance oracle: a search over the tree's edge list."""
+    adj = [[] for _ in range(tree.num_nodes)]
+    for u, v, w in tree.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
     src = tree.leaf_for_point[a]
     dst = tree.leaf_for_point[b]
     dist = {src: 0}
     queue = [src]
     while queue:
         x = queue.pop()
-        for y, w, _ in tree.adj[x]:
+        for y, w in adj[x]:
             if y not in dist:
                 dist[y] = dist[x] + w
                 queue.append(y)
@@ -63,7 +67,7 @@ class TestWeightedTree:
         # zero-length pendant; distances must not change
         tree = tree_from_host_edges(3, [(0, 1, 2), (1, 2, 5)])
         leaf = tree.leaf_for_point[1]
-        assert len(tree.adj[leaf]) == 1
+        assert sum(leaf in (u, v) for u, v, _ in tree.edges) == 1
         assert tree.tree_distance(1, 0) == 2
         assert tree.tree_distance(1, 2) == 5
 
@@ -97,6 +101,21 @@ class TestWeightedTree:
         with pytest.raises(ValueError, match="integers"):
             WeightedTree(2, [(0, 1, 1.5)], {0: 0, 1: 1})
         assert WeightedTree(2, [(0, 1, 2.0)], {0: 0, 1: 1}).edges == [(0, 1, 2)]
+
+    def test_children_invert_parent(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            tree = random_recursive_tree(rng.randint(1, 12), rng)
+            kids = [[] for _ in range(tree.num_nodes)]
+            for x in tree.order[1:]:
+                kids[tree.parent[x]].append(x)
+            assert tree.children == kids
+
+    def test_imbalance_reaching_the_root_raises(self):
+        tree = line_metric(2).tree
+        assert tree.imbalance_cost({0: 1, 1: 1}, 1, 1) == 0
+        with pytest.raises(RuntimeError, match="must balance at the root"):
+            tree.imbalance_cost({0: 1}, 1, 1)
 
     def test_unmapped_point_distance_raises(self):
         tree = star_tree(3)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+from stochmatch import splitmatch
 from stochmatch.metrics import (
     WeightedTree,
     line_metric,
@@ -23,7 +25,11 @@ from stochmatch.splitmatch import (
 
 
 def _max_degree(tree: WeightedTree) -> int:
-    return max(len(tree.adj[x]) for x in range(tree.num_nodes))
+    degree = [0] * tree.num_nodes
+    for u, v, _ in tree.edges:
+        degree[u] += 1
+        degree[v] += 1
+    return max(degree)
 
 
 def _episode(tree, stream, seed):
@@ -109,6 +115,12 @@ class TestSplitDecomposition:
             for rid in chain:
                 assert leaf in decomp.regions[rid].leaves
 
+    def test_unbalanced_split_is_refused(self, monkeypatch):
+        # a 5-leaf star left untouched has no edge with both sides <= 2/3
+        monkeypatch.setattr(splitmatch, "ternarize", lambda tree: tree)
+        with pytest.raises(RuntimeError, match="^unbalanced split at level 1$"):
+            split_decomposition(star_tree(5))
+
     def test_top_level_partitions_servers(self):
         decomp = split_decomposition(random_recursive_tree(7, random.Random(6)))
         tern = decomp.tree
@@ -129,11 +141,15 @@ class TestSplitDecomposition:
 
 
 def _reachable(tree, start, edges, cut):
+    adj = [[] for _ in range(tree.num_nodes)]
+    for idx, (u, v, _) in enumerate(tree.edges):
+        adj[u].append((v, idx))
+        adj[v].append((u, idx))
     seen = {start}
     stack = [start]
     while stack:
         x = stack.pop()
-        for y, _, idx in tree.adj[x]:
+        for y, idx in adj[x]:
             if idx in edges and idx != cut and y not in seen:
                 seen.add(y)
                 stack.append(y)
@@ -217,6 +233,17 @@ class TestOccupancy:
             occ.occupy(leaf)
 
 
+class _LastLeaf:
+    """A generator stand-in that picks a region's last leaf and counts picks."""
+
+    def __init__(self):
+        self.picks = 0
+
+    def randrange(self, n):
+        self.picks += 1
+        return n - 1
+
+
 class TestHmatch:
     def test_vacant_leaf_matches_itself(self):
         decomp = split_decomposition(star_tree(3))
@@ -264,6 +291,32 @@ class TestHmatch:
             with pytest.raises(MatchGuardError):
                 hmatch(decomp, occ, tern.leaf_for_point[0], random.Random(0))
         assert caplog.records
+
+    def test_occupied_leaf_with_no_full_region_trips_the_guard(self, caplog):
+        decomp = split_decomposition(star_tree(3))
+        occ = OccupancyState(decomp)
+        leaf = decomp.tree.leaf_for_point[0]
+        occ.occupied.add(leaf)  # occupied, but no region's vacancy counts it
+        with caplog.at_level("WARNING", logger="stochmatch.splitmatch"):
+            with pytest.raises(MatchGuardError, match="no full region"):
+                hmatch(decomp, occ, leaf, random.Random(0))
+        assert "has no full region" in caplog.text
+
+    def test_recursion_guard_trips(self, caplog):
+        decomp = split_decomposition(line_metric(8).tree)
+        leaf = decomp.tree.leaf_for_point
+        occ = OccupancyState(decomp)
+        for p in range(1, 8):
+            occ.occupy(leaf[p])
+        rng = _LastLeaf()
+        assert hmatch(decomp, occ, leaf[7], rng)[0] == leaf[0]
+        assert rng.picks == 3
+        # a depth bound of two jumps cannot reach the vacant leaf
+        shallow = dataclasses.replace(decomp, top_level=0)
+        with caplog.at_level("WARNING", logger="stochmatch.splitmatch"):
+            with pytest.raises(MatchGuardError, match="exceeded its depth bound"):
+                hmatch(shallow, occ, leaf[7], _LastLeaf())
+        assert "recursion guard tripped" in caplog.text
 
 
 class TestEpisodes:

@@ -284,6 +284,17 @@ class TestRunWrapped:
         with pytest.raises(ValueError, match="checked metric"):
             run_wrapped(provider, plan, [0, 1], random.Random(0))
 
+    def test_triangle_accounting_guard(self):
+        class Skewed(PlanProvider):
+            @property
+            def matrix(self):  # d(0, 2) = 10 > d(0, 1) + d(1, 2)
+                return [[0, 1, 10], [1, 0, 1], [10, 1, 0]]
+
+        inst = line_metric(3)
+        plan = solve_transshipment(inst, RequestDistribution((0, 0, 1)))
+        with pytest.raises(RuntimeError, match="^triangle accounting$"):
+            run_wrapped(Skewed(inst), plan, [2, 2, 2], random.Random(0))
+
     def test_plan_size_must_match_the_provider(self):
         plan = solve_transshipment(line_metric(3), uniform_distribution(3))
         provider = PlanProvider(line_metric(4))

@@ -37,6 +37,10 @@ from stochmatch.splitmatch import run_episode_hier, split_decomposition
 def bfs_table(tree: WeightedTree) -> list[list[int]]:
     """Point-to-point distances by one BFS per point: the reference."""
     n = tree.n_points
+    adj = [[] for _ in range(tree.num_nodes)]
+    for u, v, w in tree.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
     table = []
     for p in range(n):
         src = tree.leaf_for_point[p]
@@ -44,7 +48,7 @@ def bfs_table(tree: WeightedTree) -> list[list[int]]:
         stack = [src]
         while stack:
             x = stack.pop()
-            for y, w, _ in tree.adj[x]:
+            for y, w in adj[x]:
                 if y not in dist:
                     dist[y] = dist[x] + w
                     stack.append(y)
