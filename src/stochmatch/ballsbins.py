@@ -1,35 +1,29 @@
 """Balls-and-bins sampling plus top-k load statistics.
 
-Loads are plain integer lists.  The exact-count sampler throws m balls
+Loads are plain integer lists.  The exact-count sampler throws n balls
 independently and uniformly into n bins; the Poisson sampler draws n
-independent counts with a fixed mean, which is the standard comparison
-distribution for heavily loaded bins.  Poisson draws use pmf inversion
-since every use here has a small mean and exactness beats speed.
+independent Poisson(1) counts, the standard comparison distribution
+for n balls in n bins.  Poisson draws use pmf inversion, since the mean
+is small and exactness beats speed.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .flows import randbelow
 
-_THROW_CHUNK = 1 << 16  # balls per randbelow call, so memory stays O(n)
 
-
-def sample_loads(n: int, m: int, rng: random.Random) -> list[int]:
-    """Throw m balls uniformly into n bins; return per-bin counts."""
+def sample_loads(n: int, rng: random.Random) -> list[int]:
+    """Throw n balls uniformly into n bins; return per-bin counts."""
     if n < 1:
         raise ValueError("need at least one bin")
-    if m < 0:
-        raise ValueError("ball count must be >= 0")
     loads = [0] * n
-    for start in range(0, m, _THROW_CHUNK):
-        for b in randbelow(n, min(_THROW_CHUNK, m - start), rng):
-            loads[b] += 1
+    for b in randbelow(n, n, rng):
+        loads[b] += 1
     return loads
 
 
@@ -66,44 +60,38 @@ def estimate_Nk_multi(
             raise ValueError(f"k={k} out of range for {n} bins")
     per_k: dict[int, list[float]] = {k: [] for k in ks}
     for _ in range(trials):
-        cuts = list(accumulate(sorted(sample_loads(n, n, rng), reverse=True)))
+        cuts = list(accumulate(sorted(sample_loads(n, rng), reverse=True)))
         for k, values in per_k.items():
             values.append(float(cuts[k - 1]))
     return {k: _mean_stderr(v) for k, v in per_k.items()}
 
 
-def poisson_sample(mean: float, rng: random.Random) -> int:
-    if mean < 0:
-        raise ValueError("mean must be >= 0")
-    if mean == 0:
-        return 0
-    p = math.exp(-mean)
-    if not p >= sys.float_info.min:  # nan, inf, or a subnormal pmf head
-        raise ValueError(f"mean {mean} is not finite or too large (> ~708)")
+def poisson_sample(rng: random.Random) -> int:
+    p = math.exp(-1.0)
     u = rng.random()
     cum = p
     x = 0
     while u > cum:
         x += 1
-        p *= mean / x
+        p *= 1.0 / x  # not p /= x, which rounds differently at some x
         cum += p
         if x > 1000:  # the summed pmf fell short of u by rounding
             raise RuntimeError("poisson inversion ran away")
     return x
 
 
-def poisson_loads(n: int, mean: float, rng: random.Random) -> list[int]:
-    """n independent Poisson(mean) counts; no sum constraint."""
+def poisson_loads(n: int, rng: random.Random) -> list[int]:
+    """n independent Poisson(1) counts; no sum constraint."""
     if n < 1:
         raise ValueError("need at least one bin")
-    return [poisson_sample(mean, rng) for _ in range(n)]
+    return [poisson_sample(rng) for _ in range(n)]
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
     """Monte Carlo estimates of a monotone indicator under both samplers.
 
-    fixed_*: m = n balls exactly.  poisson_*: independent Poisson(1)
+    fixed_*: n balls exactly.  poisson_*: independent Poisson(1)
     counts.  The domination inequality under test is
     fixed_mean <= 2 * poisson_mean + 3 * combined_sigma.
     """
@@ -141,8 +129,8 @@ def monotone_indicator_comparison(
     fixed = []
     pois = []
     for _ in range(trials):
-        fixed.append(float(kth_largest(sample_loads(n, n, rng), k) < threshold))
-        pois.append(float(kth_largest(poisson_loads(n, 1.0, rng), k) < threshold))
+        fixed.append(float(kth_largest(sample_loads(n, rng), k) < threshold))
+        pois.append(float(kth_largest(poisson_loads(n, rng), k) < threshold))
     fm, fs = _mean_stderr(fixed)
     pm, ps = _mean_stderr(pois)
     return ComparisonReport(n, k, threshold, trials, fm, fs, pm, ps)

@@ -30,12 +30,24 @@ route, the general offline optimum and the embedding).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, index
 
 PointId = int
+
+
+def _integers(values, where: str) -> tuple[int, ...]:
+    """``values`` as ints: 2.0 converts, and 1.7 or "1" is a ValueError naming ``where``."""
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != tuple(values):
+        raise ValueError(f"{where} {tuple(values)!r} is not all integers")
+    return ints
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +80,10 @@ class WeightedTree:
         if len(edges) != num_nodes - 1:
             raise ValueError("edge count must be num_nodes - 1")
         self.num_nodes = num_nodes
-        self.edges = [(int(u), int(v), int(w)) for u, v, w in edges]
-        if any(w != e[2] for (_, _, w), e in zip(edges, self.edges)):
-            raise ValueError("edge lengths must be integers")
-        self.leaf_for_point = dict(leaf_for_point)
+        self.edges = [_integers(e, "edge") for e in edges]
+        self.leaf_for_point = dict(
+            _integers(pair, "point and leaf") for pair in leaf_for_point.items()
+        )
         if set(self.leaf_for_point) != set(range(len(self.leaf_for_point))):
             raise ValueError("point ids must be exactly 0..n-1")
         adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
@@ -229,48 +241,37 @@ class Violation:
 class MetricInstance:
     """n points with an integer distance table, given as a table or a tree.
 
-    ``backing`` and ``verified_metric`` are worked out here, not passed
-    in.  A tree instance (backing "tree") is a metric by construction;
-    its ``matrix`` is the tree's ``leaf_distance_matrix``, built on the
-    first read and shared with the tree, not copied.  A table (backing
-    "matrix") is copied, must hold non-negative integers, and is a
-    checked metric exactly when one ``check_matrix`` pass finds no
-    violation; ``matrix_unchecked`` skips that pass (``_check=False``)
-    and leaves the instance unchecked.  ``line_metric`` relabels its
-    tree instance "line" and keeps its spacing as ``scale``.
+    ``tree`` and ``verified_metric`` are worked out here, not passed in.
+    A tree instance (``tree`` set) is a metric by construction; its
+    ``matrix`` is the tree's ``leaf_distance_matrix``, built on the first
+    read and shared with the tree, not copied.  A table (``tree`` None)
+    is copied, must hold non-negative integers, and is a checked metric
+    exactly when one ``check_matrix`` pass finds no violation;
+    ``matrix_unchecked`` skips that pass (``_check=False``) and leaves
+    the instance unchecked.
     """
 
     def __init__(
         self, metric: list[list[int]] | WeightedTree, *, _check: bool = True
     ):
-        self.scale = 1
         if isinstance(metric, WeightedTree):
             self.n = metric.n_points
-            self.backing = "tree"
-            self._tree = metric
-            self._matrix = None
+            self.tree: WeightedTree | None = metric
             self.verified_metric = True
             return
         self.n = square_size(metric)
-        self.backing = "matrix"
-        self._tree = None
-        self._matrix = [list(map(int, row)) for row in metric]
-        if any(a != list(b) for a, b in zip(self._matrix, metric)):
+        self.tree = None
+        self.matrix = [list(map(int, row)) for row in metric]
+        if any(a != list(b) for a, b in zip(self.matrix, metric)):
             raise ValueError("distances must be integers")
-        if any(min(row) < 0 for row in self._matrix):
+        if any(min(row) < 0 for row in self.matrix):
             raise ValueError("distances must be >= 0")
-        self.verified_metric = _check and not check_matrix(self._matrix)
+        self.verified_metric = _check and not check_matrix(self.matrix)
 
-    @property
+    @cached_property
     def matrix(self) -> list[list[int]]:
-        """The distance table; a tree-backed instance builds it on first read."""
-        if self._matrix is None:
-            self._matrix = self._tree.leaf_distance_matrix()
-        return self._matrix
-
-    @property
-    def tree(self) -> WeightedTree | None:
-        return self._tree
+        """The distance table; a tree instance builds it on first read."""
+        return self.tree.leaf_distance_matrix()
 
     def require_metric(self, use: str) -> None:
         """Refuse an unchecked instance: ValueError "<use> needs a checked metric"."""
@@ -278,8 +279,9 @@ class MetricInstance:
             raise ValueError(f"{use} needs a checked metric")
 
     def __repr__(self) -> str:
+        backing = "matrix" if self.tree is None else "tree"
         flag = "metric" if self.verified_metric else "unchecked"
-        return f"MetricInstance(n={self.n}, backing={self.backing}, {flag})"
+        return f"MetricInstance(n={self.n}, backing={backing}, {flag})"
 
 
 def square_size(table) -> int:
@@ -351,11 +353,9 @@ def matrix_unchecked(matrix: list[list[int]]) -> MetricInstance:
 def line_metric(n: int, spacing: int = 1) -> MetricInstance:
     if n < 1 or spacing < 0:
         raise ValueError("need n >= 1 and spacing >= 0")
-    instance = MetricInstance(
+    return MetricInstance(
         tree_from_host_edges(n, [(i, i + 1, spacing) for i in range(n - 1)])
     )
-    instance.backing, instance.scale = "line", spacing
-    return instance
 
 
 def tree_metric(tree: WeightedTree) -> MetricInstance:
@@ -381,16 +381,13 @@ def tree_from_host_edges(
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    edges = [_integers(e, "edge") for e in host_edges]
     num_hosts = n
-    for u, v, w in host_edges:
+    for u, v, w in edges:
         if u < 0 or v < 0:
             raise ValueError(f"edge ({u},{v},{w}) has a negative host id")
         num_hosts = max(num_hosts, u + 1, v + 1)
-    degree = [0] * num_hosts
-    for u, v, _ in host_edges:
-        degree[u] += 1
-        degree[v] += 1
-    edges = list(host_edges)
+    degree = Counter(x for u, v, _ in edges for x in (u, v))
     leaf_for_point: dict[PointId, int] = {}
     next_node = num_hosts
     for p in range(n):
@@ -532,7 +529,11 @@ def frt_embed(instance: MetricInstance, rng: random.Random) -> WeightedTree:
 
 
 def _at_least(name: str, value: int, floor: int) -> None:
-    """The one "<name> must be >= <floor>" refusal of a count or a seed."""
+    """The one refusal of a count or a seed that is no integer or below ``floor``."""
+    try:
+        index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
     if value < floor:
         raise ValueError(f"{name} must be >= {floor}")
 
@@ -610,22 +611,15 @@ def load_metric(path: str) -> MetricInstance:
 
 
 def dump_metric(instance: MetricInstance, path: str) -> None:
+    """Write ``instance`` as a ``kind tree`` or a ``kind matrix`` file."""
     with open(path, "w", encoding="utf-8") as fh:
-        if instance.backing == "line":
-            fh.write(f"kind line\nn {instance.n}\nscale {instance.scale}\n")
-            return
-        if instance.backing == "tree" and instance.tree is not None:
-            tree = instance.tree
+        tree = instance.tree
+        if tree is not None:
             fh.write(f"kind tree\nn {instance.n}\nscale 1\n")
             # leaves keep their point ids, internal nodes renumber upward
-            names: dict[int, int] = {}
-            for p, leaf in tree.leaf_for_point.items():
-                names[leaf] = p
-            nxt = instance.n
-            for node in range(tree.num_nodes):
-                if node not in names:
-                    names[node] = nxt
-                    nxt += 1
+            names = {leaf: p for p, leaf in tree.leaf_for_point.items()}
+            inner = [x for x in range(tree.num_nodes) if x not in names]
+            names.update(zip(inner, range(instance.n, tree.num_nodes)))
             for u, v, w in tree.edges:
                 fh.write(f"{names[u]} {names[v]} {w}\n")
             return

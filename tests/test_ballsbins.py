@@ -22,53 +22,46 @@ class TestSampleLoads:
     def test_conserves_balls(self):
         rng = random.Random(0)
         for _ in range(50):
-            n, m = rng.randint(1, 20), rng.randint(0, 40)
-            assert sum(sample_loads(n, m, rng)) == m
+            n = rng.randint(1, 40)
+            assert sum(sample_loads(n, rng)) == n
 
     def test_single_bin_takes_everything(self):
-        assert sample_loads(1, 7, random.Random(0)) == [7]
-
-    def test_no_balls(self):
-        assert sample_loads(4, 0, random.Random(0)) == [0, 0, 0, 0]
+        assert sample_loads(1, random.Random(0)) == [1]
 
     def test_two_balls_two_bins_distribution(self):
         # outcomes (2,0), (1,1), (0,2) arrive with probs 1/4, 1/2, 1/4
         rng = random.Random(11)
         trials = 20000
-        hits = sum(
-            1 for _ in range(trials) if sample_loads(2, 2, rng) == [2, 0]
-        )
+        hits = sum(1 for _ in range(trials) if sample_loads(2, rng) == [2, 0])
         freq = hits / trials
         sigma = (0.25 * 0.75 / trials) ** 0.5
         assert abs(freq - 0.25) <= 3 * sigma
 
     def test_first_bin_mean_is_binomial(self):
+        # the first bin's load is Binomial(n, 1/n), mean 1
         rng = random.Random(3)
         trials = 20000
-        total = sum(sample_loads(4, 8, rng)[0] for _ in range(trials))
+        total = sum(sample_loads(8, rng)[0] for _ in range(trials))
         mean = total / trials
-        sigma = math.sqrt(8 * 0.25 * 0.75 / trials)
-        assert abs(mean - 2.0) <= 3 * sigma
+        sigma = math.sqrt(8 * 0.125 * 0.875 / trials)
+        assert abs(mean - 1.0) <= 3 * sigma
 
     @pytest.mark.parametrize(
-        "n, m, seed",
-        [(1, 5, 0), (2, 2, 1), (7, 30, 2), (1000, 1000, 3), (300, 70_000, 4)],
+        "n, seed", [(1, 0), (2, 1), (7, 2), (1000, 3), (70_000, 4)]
     )
-    def test_is_one_randrange_per_ball(self, n, m, seed):
-        # 70_000 balls span two randbelow chunks
+    def test_is_one_randrange_per_ball(self, n, seed):
+        # 70_000 balls are more than 2^16, in one randbelow call
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(3):
             want = [0] * n
-            for _ in range(m):
+            for _ in range(n):
                 want[ref.randrange(n)] += 1
-            assert sample_loads(n, m, rng) == want
+            assert sample_loads(n, rng) == want
             assert rng.getstate() == ref.getstate()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one bin"):
-            sample_loads(0, 1, random.Random(0))
-        with pytest.raises(ValueError, match=">= 0"):
-            sample_loads(1, -1, random.Random(0))
+            sample_loads(0, random.Random(0))
 
 
 class TestTopK:
@@ -106,6 +99,10 @@ class TestEstimates:
         multi = estimate_Nk_multi(6, [1, 3], 500, random.Random(9))
         assert multi[1] == single
 
+    def test_one_trial_has_zero_stderr(self):
+        mean, stderr = estimate_Nk(6, 2, 1, random.Random(4))
+        assert stderr == 0.0 and mean >= 2
+
     def test_full_prefix_is_every_ball(self):
         mean, stderr = estimate_Nk(5, 5, 200, random.Random(2))
         assert (mean, stderr) == (5.0, 0.0)
@@ -131,26 +128,13 @@ class TestEstimates:
             estimate_Nk_multi(3, [4], 10, random.Random(0))
         with pytest.raises(ValueError, match="at least one trial"):
             monotone_indicator_comparison(10, 2, 1, 0, random.Random(0))
-        # exp(-mean) is nan, 0 or subnormal: the inverted pmf is no Poisson law
-        for mean in (math.nan, math.inf, 800.0, 745.0, 720.0):
-            with pytest.raises(ValueError, match="not finite or too large"):
-                poisson_sample(mean, random.Random(0))
-        assert 600 < poisson_sample(700.0, random.Random(0)) < 800
 
 
 class TestPoisson:
-    def test_zero_mean(self):
-        rng = random.Random(0)
-        assert all(poisson_sample(0, rng) == 0 for _ in range(20))
-
-    def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            poisson_sample(-1.0, random.Random(0))
-
     def test_unit_mean_zero_probability(self):
         rng = random.Random(31)
         trials = 20000
-        zeros = sum(1 for _ in range(trials) if poisson_sample(1.0, rng) == 0)
+        zeros = sum(1 for _ in range(trials) if poisson_sample(rng) == 0)
         p = math.exp(-1)
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(zeros / trials - p) <= 3 * sigma
@@ -160,7 +144,7 @@ class TestPoisson:
         trials = 40000
         counts = [0] * 5
         for _ in range(trials):
-            x = poisson_sample(1.0, rng)
+            x = poisson_sample(rng)
             if x < 5:
                 counts[x] += 1
         for x in range(5):
@@ -169,10 +153,10 @@ class TestPoisson:
             assert abs(counts[x] / trials - p) <= 4 * sigma
 
     def test_loads_shape(self):
-        loads = poisson_loads(6, 1.0, random.Random(1))
+        loads = poisson_loads(6, random.Random(1))
         assert len(loads) == 6 and all(x >= 0 for x in loads)
         with pytest.raises(ValueError, match="at least one bin"):
-            poisson_loads(0, 1.0, random.Random(1))
+            poisson_loads(0, random.Random(1))
 
 
 class TestComparison:
@@ -182,6 +166,12 @@ class TestComparison:
         assert 0 < report.fixed_mean < 1
         assert 0 < report.poisson_mean < 1
         assert report.trials == 4000
+
+    def test_draws_are_pinned(self):
+        # per trial, one randbelow call of n balls, then n Poisson(1)
+        # inversions; a change to either stream moves these counts
+        report = monotone_indicator_comparison(50, 5, 3, 400, random.Random(7))
+        assert (report.fixed_mean, report.poisson_mean) == (262 / 400, 259 / 400)
 
     def test_combined_sigma_formula(self):
         report = monotone_indicator_comparison(20, 2, 2, 500, random.Random(3))

@@ -255,6 +255,22 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
             parse_scenario(_scenario_file(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: Scenario("line", "4", seed=1.5), "seed"),
+            (lambda: Scenario("line", "4", trials=2.5), "trials"),
+            (lambda: Scenario("line", "4", trials="3"), "trials"),
+            (lambda: verify_structure_lemma(uniform_metric(3), 2.5, 7), "trials"),
+        ],
+        ids=["seed-float", "trials-float", "trials-str", "verify-trials-float"],
+    )
+    def test_count_or_seed_must_be_an_integer(self, call, name):
+        # a float seed played every trial, then failed in numpy's bootstrap;
+        # a float trial count failed after the output CSV was opened
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            call()
+
     def test_uniform(self):
         inst = build_instance(Scenario("uniform", "4"))
         assert inst.matrix[0][1] == 1 and inst.tree is None

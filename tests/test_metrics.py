@@ -102,6 +102,37 @@ class TestWeightedTree:
             WeightedTree(2, [(0, 1, 1.5)], {0: 0, 1: 1})
         assert WeightedTree(2, [(0, 1, 2.0)], {0: 0, 1: 1}).edges == [(0, 1, 2)]
 
+    def test_fractional_node_id_rejected(self):
+        # int() truncated 1.7 and built the edge (0, 1, 3)
+        with pytest.raises(ValueError, match=re.escape("edge (0, 1.7, 3)")):
+            WeightedTree(2, [(0, 1.7, 3)], {0: 0, 1: 1})
+
+    def test_string_node_id_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("edge (0, '1', 3)")):
+            WeightedTree(3, [(0, "1", 3), (1, 2, 4)], {0: 0, 1: 2})
+
+    def test_integral_float_point_ids_convert(self):
+        # float ids were kept, so episodes would report float servers
+        tree = WeightedTree(2, [(0, 1, 3)], {0.0: 0, 1.0: 1})
+        assert [type(p) for p in tree.node_point] == [int, int]
+        assert [type(p) for p in tree.leaf_for_point] == [int, int]
+        with pytest.raises(ValueError, match=re.escape("point and leaf (0.5, 0)")):
+            WeightedTree(2, [(0, 1, 3)], {0.5: 0, 1: 1})
+
+    def test_integral_float_leaf_converts(self):
+        # a leaf of 1.0 indexed a list: TypeError
+        tree = WeightedTree(2, [(0, 1, 3)], {0: 0, 1: 1.0})
+        assert tree.leaf_for_point == {0: 0, 1: 1}
+        assert tree.tree_distance(0, 1) == 3
+        with pytest.raises(ValueError, match=re.escape("point and leaf (1, 1.5)")):
+            WeightedTree(2, [(0, 1, 3)], {0: 0, 1: 1.5})
+
+    def test_host_ids_checked_before_sizing(self):
+        # num_hosts became 2.5 and [0] * 2.5 raised TypeError
+        with pytest.raises(ValueError, match=re.escape("edge (0, 1.5, 3)")):
+            tree_from_host_edges(2, [(0, 1.5, 3)])
+        assert tree_from_host_edges(2, [(0, 1.0, 3)]).edges == [(0, 1, 3)]
+
     def test_children_invert_parent(self):
         rng = random.Random(13)
         for _ in range(20):
@@ -234,7 +265,7 @@ class TestMetricValidation:
         # optimum (43/10), and the fair-bias sampler drew from it
         inst = MetricInstance(NOT_A_METRIC)
         assert not inst.verified_metric
-        assert inst.backing == "matrix"
+        assert inst.tree is None
         with pytest.raises(ValueError, match="checked metric"):
             canonical_plan(inst, (0, 4))
         assert solve_min_cost(inst, (0, 4)).value == Fraction(43, 10)
@@ -392,12 +423,48 @@ class TestFileFormat:
         assert back.verified_metric
 
     def test_line_round_trip(self, tmp_path):
+        # a line is a tree: it is written as one and read back as one
         path = tmp_path / "line.txt"
         dump_metric(line_metric(5, 4), str(path))
+        assert path.read_text().startswith("kind tree\n")
         back = load_metric(str(path))
-        assert back.backing == "line"
         assert back.matrix[0][4] == 16
         assert back.tree is not None
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(
+                pytest.param(lambda n=n, s=s: line_metric(n, s), id=f"line-{n}-{s}")
+                for n in (1, 2, 5, 17)
+                for s in (0, 1, 4)
+            ),
+            pytest.param(lambda: tree_metric(star_tree(6)), id="star-6"),
+            pytest.param(
+                lambda: tree_metric(random_recursive_tree(30, random.Random(6))),
+                id="random-tree-30",
+            ),
+            pytest.param(lambda: uniform_metric(5), id="uniform-5"),
+            pytest.param(lambda: gen_nonmetric_instance(6), id="nonmetric-6"),
+            pytest.param(
+                lambda: tree_metric(
+                    frt_embed(random_metric(8, random.Random(1)), random.Random(2))
+                ),
+                id="frt-8",
+            ),
+        ],
+    )
+    def test_round_trip(self, build, tmp_path):
+        # a tree is written as kind tree, a table as kind matrix
+        inst = build()
+        path = tmp_path / "m.txt"
+        dump_metric(inst, str(path))
+        kind = "matrix" if inst.tree is None else "tree"
+        assert path.read_text().startswith(f"kind {kind}\n")
+        back = load_metric(str(path))
+        assert back.matrix == inst.matrix
+        assert (back.tree is None) == (inst.tree is None)
+        assert back.verified_metric == inst.verified_metric
 
     def test_tree_round_trip(self, tmp_path):
         tree = random_recursive_tree(6, random.Random(2))
@@ -637,6 +704,6 @@ def test_every_refusal_of_an_unchecked_instance_reads_the_same(call):
 
 
 def test_instance_repr_names_backing_and_check():
-    assert repr(line_metric(3)) == "MetricInstance(n=3, backing=line, metric)"
+    assert repr(line_metric(3)) == "MetricInstance(n=3, backing=tree, metric)"
     unchecked = matrix_unchecked([[0, 1], [1, 0]])
     assert repr(unchecked) == "MetricInstance(n=2, backing=matrix, unchecked)"
