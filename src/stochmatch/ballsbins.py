@@ -4,7 +4,8 @@ Loads are plain integer lists.  The exact-count sampler throws n balls
 independently and uniformly into n bins; the Poisson sampler draws n
 independent Poisson(1) counts, the standard comparison distribution
 for n balls in n bins.  Poisson draws use pmf inversion, since the mean
-is small and exactness beats speed.
+is small and exactness beats speed.  Sizes, trial counts (``_at_least``)
+and ranks (``_check_rank``) are checked before the first draw.
 """
 
 from __future__ import annotations
@@ -15,21 +16,27 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .flows import randbelow
+from .metrics import _at_least
 
 
 def sample_loads(n: int, rng: random.Random) -> list[int]:
     """Throw n balls uniformly into n bins; return per-bin counts."""
-    if n < 1:
-        raise ValueError("need at least one bin")
+    _at_least("n", n, 1)
     loads = [0] * n
     for b in randbelow(n, n, rng):
         loads[b] += 1
     return loads
 
 
+def _check_rank(k: int, n: int) -> None:
+    """The one refusal of a rank k that is not 1..n."""
+    _at_least("k", k, 1)
+    if k > n:
+        raise ValueError(f"k={k} out of range for {n} bins")
+
+
 def kth_largest(loads: list[int], k: int) -> int:
-    if not 1 <= k <= len(loads):
-        raise ValueError(f"k={k} out of range for {len(loads)} bins")
+    _check_rank(k, len(loads))
     return sorted(loads, reverse=True)[k - 1]
 
 
@@ -53,11 +60,9 @@ def estimate_Nk_multi(
     n: int, ks: list[int], trials: int, rng: random.Random
 ) -> dict[int, tuple[float, float]]:
     """Top-k estimates for several k sharing one set of load samples."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _at_least("trials", trials, 1)
     for k in ks:
-        if not 1 <= k <= n:
-            raise ValueError(f"k={k} out of range for {n} bins")
+        _check_rank(k, n)
     per_k: dict[int, list[float]] = {k: [] for k in ks}
     for _ in range(trials):
         cuts = list(accumulate(sorted(sample_loads(n, rng), reverse=True)))
@@ -82,8 +87,7 @@ def poisson_sample(rng: random.Random) -> int:
 
 def poisson_loads(n: int, rng: random.Random) -> list[int]:
     """n independent Poisson(1) counts; no sum constraint."""
-    if n < 1:
-        raise ValueError("need at least one bin")
+    _at_least("n", n, 1)
     return [poisson_sample(rng) for _ in range(n)]
 
 
@@ -124,13 +128,13 @@ def monotone_indicator_comparison(
     lowers any order statistic), so the Poisson domination bound with
     factor 2 applies to it.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _at_least("trials", trials, 1)
+    _check_rank(k, n)
     fixed = []
     pois = []
-    for _ in range(trials):
-        fixed.append(float(kth_largest(sample_loads(n, rng), k) < threshold))
-        pois.append(float(kth_largest(poisson_loads(n, rng), k) < threshold))
+    for _ in range(trials):  # sorted(loads)[-k] is kth_largest(loads, k)
+        fixed.append(float(sorted(sample_loads(n, rng))[-k] < threshold))
+        pois.append(float(sorted(poisson_loads(n, rng))[-k] < threshold))
     fm, fs = _mean_stderr(fixed)
     pm, ps = _mean_stderr(pois)
     return ComparisonReport(n, k, threshold, trials, fm, fs, pm, ps)

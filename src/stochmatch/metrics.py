@@ -1,10 +1,12 @@
 """Metric instances, weighted trees and the random tree embedding.
 
 Points are integers 0..n-1.  Distances are non-negative integers (use a
-fixed-point scale upstream if fractional lengths are needed).  Whether an
-instance is a checked metric is a fact of its construction: a tree
-instance is one, and a table is one exactly when the ``check_matrix``
-pass that every table gets at construction finds no violation.
+fixed-point scale upstream if fractional lengths are needed).  Inputs are
+checked here: ``_integers`` converts table rows and tree edges, and
+``_at_least`` refuses a size, count, rank or seed below its floor or not
+an integer.  Whether an instance is a checked metric is a fact of its
+construction: a tree instance is one, and a table is one exactly when the
+``check_matrix`` pass that every table gets at construction finds no violation.
 ``matrix_unchecked`` is the one way to skip that pass; the
 ``gen_nonmetric_instance`` table uses it.  Operations that rely on the
 triangle inequality refuse an unchecked instance through the one
@@ -32,7 +34,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add, index
 
@@ -48,6 +49,16 @@ def _integers(values, where: str) -> tuple[int, ...]:
     if ints != tuple(values):
         raise ValueError(f"{where} {tuple(values)!r} is not all integers")
     return ints
+
+
+def _at_least(name: str, value: int, floor: int) -> None:
+    """The one refusal of a size, count, rank or seed that is no integer or below ``floor``."""
+    try:
+        index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}")
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +86,7 @@ class WeightedTree:
         edges: list[tuple[int, int, int]],
         leaf_for_point: dict[PointId, int],
     ):
-        if num_nodes <= 0:
-            raise ValueError("tree needs at least one node")
+        _at_least("num_nodes", num_nodes, 1)
         if len(edges) != num_nodes - 1:
             raise ValueError("edge count must be num_nodes - 1")
         self.num_nodes = num_nodes
@@ -231,13 +241,6 @@ class WeightedTree:
 # metric instances
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "triangle" | "symmetry" | "diagonal" | "negative"
-    indices: tuple[int, ...]
-    detail: str
-
-
 class MetricInstance:
     """n points with an integer distance table, given as a table or a tree.
 
@@ -261,12 +264,12 @@ class MetricInstance:
             return
         self.n = square_size(metric)
         self.tree = None
-        self.matrix = [list(map(int, row)) for row in metric]
-        if any(a != list(b) for a, b in zip(self.matrix, metric)):
-            raise ValueError("distances must be integers")
+        self.matrix = [
+            list(_integers(row, f"matrix row {i}")) for i, row in enumerate(metric)
+        ]
         if any(min(row) < 0 for row in self.matrix):
             raise ValueError("distances must be >= 0")
-        self.verified_metric = _check and not check_matrix(self.matrix)
+        self.verified_metric = _check and check_matrix(self.matrix) is None
 
     @cached_property
     def matrix(self) -> list[list[int]]:
@@ -292,52 +295,41 @@ def square_size(table) -> int:
     return n
 
 
-def check_matrix(matrix: list[list[int]]) -> list[Violation]:
-    """Every metric violation, with one triangle entry per (i, j) pair.
+def check_matrix(matrix: list[list[int]]) -> str | None:
+    """The first metric violation, "<kind> at <indices> (<detail>)", or None.
 
-    A pair (i, j) with d(i,j) > d(i,k) + d(k,j) for some k is reported
-    once, with its first such witness k.
+    The scan reads the diagonal, each pair's sign and symmetry, then each
+    (i, j) in row-major order for its first triangle witness k.
     """
     n = square_size(matrix)
-    out: list[Violation] = []
     for i in range(n):
         if matrix[i][i] != 0:
-            out.append(Violation("diagonal", (i,), f"d({i},{i})={matrix[i][i]}"))
+            return f"diagonal at {(i,)} (d({i},{i})={matrix[i][i]})"
     for i in range(n):
         for j in range(i + 1, n):
             if matrix[i][j] < 0 or matrix[j][i] < 0:
-                out.append(Violation("negative", (i, j), "negative distance"))
+                return f"negative at {(i, j)} (negative distance)"
             if matrix[i][j] != matrix[j][i]:
-                out.append(
-                    Violation(
-                        "symmetry", (i, j), f"{matrix[i][j]} != {matrix[j][i]}"
-                    )
-                )
-    columns = list(zip(*matrix))  # columns[j][k] = d(k, j)
+                return f"symmetry at {(i, j)} ({matrix[i][j]} != {matrix[j][i]})"
     for i in range(n):
         row_i = matrix[i]
         for j in range(n):
             dij = row_i[j]
-            col_j = columns[j]
-            if dij > min(map(add, row_i, col_j)):
-                k = next(k for k in range(n) if dij > row_i[k] + col_j[k])
-                out.append(
-                    Violation(
-                        "triangle",
-                        (i, k, j),
-                        f"d({i},{j})={dij} > d({i},{k})+d({k},{j})"
-                        f"={row_i[k] + col_j[k]}",
-                    )
+            row_j = matrix[j]  # row_j[k] = d(k, j): the table is symmetric here
+            if dij > min(map(add, row_i, row_j)):
+                k = next(k for k in range(n) if dij > row_i[k] + row_j[k])
+                return (
+                    f"triangle at {(i, k, j)} (d({i},{j})={dij} > "
+                    f"d({i},{k})+d({k},{j})={row_i[k] + row_j[k]})"
                 )
-    return out
+    return None
 
 
 def matrix_metric(matrix: list[list[int]]) -> MetricInstance:
     """Checked constructor: raises on the first metric violation."""
     instance = MetricInstance(matrix)
     if not instance.verified_metric:
-        v = check_matrix(instance.matrix)[0]
-        raise ValueError(f"not a metric: {v.kind} at {v.indices} ({v.detail})")
+        raise ValueError(f"not a metric: {check_matrix(instance.matrix)}")
     return instance
 
 
@@ -351,8 +343,8 @@ def matrix_unchecked(matrix: list[list[int]]) -> MetricInstance:
 
 
 def line_metric(n: int, spacing: int = 1) -> MetricInstance:
-    if n < 1 or spacing < 0:
-        raise ValueError("need n >= 1 and spacing >= 0")
+    _at_least("n", n, 1)
+    _at_least("spacing", spacing, 0)
     return MetricInstance(
         tree_from_host_edges(n, [(i, i + 1, spacing) for i in range(n - 1)])
     )
@@ -363,8 +355,7 @@ def tree_metric(tree: WeightedTree) -> MetricInstance:
 
 
 def uniform_metric(n: int, c: int = 1) -> MetricInstance:
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _at_least("n", n, 1)
     return matrix_metric(
         [[0 if i == j else c for j in range(n)] for i in range(n)]
     )
@@ -379,8 +370,7 @@ def tree_from_host_edges(
     zero-length pendant leaf so the point sits on a leaf; distances are
     unchanged.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _at_least("n", n, 1)
     edges = [_integers(e, "edge") for e in host_edges]
     num_hosts = n
     for u, v, w in edges:
@@ -402,8 +392,7 @@ def tree_from_host_edges(
 
 def star_tree(n: int, arm: int = 1) -> WeightedTree:
     """Star with n leaves at distance arm from the hub."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _at_least("n", n, 2)
     edges = [(n, p, arm) for p in range(n)]
     return WeightedTree(n + 1, edges, {p: p for p in range(n)})
 
@@ -412,6 +401,8 @@ def random_recursive_tree(
     n: int, rng: random.Random, max_len: int = 100
 ) -> WeightedTree:
     """Uniform random recursive tree on n hosts, lengths uniform in [1, max_len]."""
+    _at_least("n", n, 1)
+    _at_least("max_len", max_len, 1)
     host_edges = []
     for i in range(1, n):
         parent = rng.randrange(i)
@@ -421,6 +412,8 @@ def random_recursive_tree(
 
 def random_metric(n: int, rng: random.Random, max_d: int = 64) -> MetricInstance:
     """Random metric via shortest-path closure of a random complete graph."""
+    _at_least("n", n, 1)
+    _at_least("max_d", max_d, 1)
     d = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -447,8 +440,9 @@ def gen_nonmetric_instance(n: int) -> MetricInstance:
     triangle inequality fails and the cost of serving the special
     points outruns any fixed multiple of the offline optimum.
     """
-    if n < 4 or n % 2:
-        raise ValueError("need even n >= 4")
+    _at_least("n", n, 4)
+    if n % 2:
+        raise ValueError("n must be even")
     big, half, lo, hi = 2 ** (n // 2), n // 2, n - 2, n - 1
     matrix = [[int(i != j) for j in range(n)] for i in range(n)]
     for p in range(lo):  # n-2 is far from the upper half, n-1 from the lower
@@ -528,16 +522,6 @@ def frt_embed(instance: MetricInstance, rng: random.Random) -> WeightedTree:
 # file format
 
 
-def _at_least(name: str, value: int, floor: int) -> None:
-    """The one refusal of a count or a seed that is no integer or below ``floor``."""
-    try:
-        index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer") from None
-    if value < floor:
-        raise ValueError(f"{name} must be >= {floor}")
-
-
 def parse_int(text: str, where: str) -> int:
     """``int(text)`` from an input file; a ValueError names ``where``."""
     try:
@@ -575,11 +559,9 @@ def load_metric(path: str) -> MetricInstance:
         raise ValueError("metric file needs kind and n header lines")
     kind = header["kind"]
     n = parse_int(header["n"], "header n")
-    if n < 1:
-        raise ValueError(f"header n: {header['n']!r} must be >= 1")
+    _at_least("header n", n, 1)
     scale = parse_int(header.get("scale", "1"), "header scale")
-    if scale < 0:
-        raise ValueError(f"header scale: {header['scale']!r} must be >= 0")
+    _at_least("header scale", scale, 0)
     if kind == "line":
         if body:
             raise ValueError("a kind line metric file takes no body lines")

@@ -137,6 +137,7 @@ def verify_structure_lemma(
     if n < 2:
         raise ValueError(f"no free set to tabulate with n={n} < 2 points")
     _at_least("trials", trials, 1)
+    _at_least("seed", seed, 0)  # Random(-s) is Random(s)
     provider = PlanProvider(instance)
     counts: dict[int, Counter] = {k: Counter() for k in range(1, n)}
     for t in range(trials):
@@ -198,6 +199,7 @@ def verify_cost_decomposition(
     3 sigma of each other.
     """
     _at_least("trials", trials, 2)  # one episode has no standard error
+    _at_least("seed", seed, 0)
     n = instance.n
     provider = PlanProvider(instance)
     totals = []
@@ -228,6 +230,7 @@ def verify_cost_decomposition(
 def _random_cases(count: int, seed: int):
     """(case, instance, rng) per random metric; a case draws the rest from rng."""
     _at_least("count", count, 1)
+    _at_least("seed", seed, 0)
     rng = random.Random(seed)
     for case in range(count):
         yield case, random_metric(rng.randint(2, _CASE_MAX_N), rng), rng

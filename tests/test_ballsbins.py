@@ -60,7 +60,7 @@ class TestSampleLoads:
             assert rng.getstate() == ref.getstate()
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least one bin"):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
             sample_loads(0, random.Random(0))
 
 
@@ -70,8 +70,8 @@ class TestTopK:
         assert kth_largest([3, 1, 0], 2) == 1
 
     def test_k_range_checked(self):
-        for bad in (0, 4):
-            with pytest.raises(ValueError, match="out of range"):
+        for bad, message in ((0, "^k must be >= 1$"), (4, "^k=4 out of range for 3 bins$")):
+            with pytest.raises(ValueError, match=message):
                 kth_largest([1, 1, 1], bad)
 
     @settings(deadline=None, max_examples=60)
@@ -122,11 +122,11 @@ class TestEstimates:
         assert mean >= 2 * 10
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least one trial"):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
             estimate_Nk(2, 1, 0, random.Random(0))
         with pytest.raises(ValueError, match="out of range"):
             estimate_Nk_multi(3, [4], 10, random.Random(0))
-        with pytest.raises(ValueError, match="at least one trial"):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
             monotone_indicator_comparison(10, 2, 1, 0, random.Random(0))
 
 
@@ -155,7 +155,7 @@ class TestPoisson:
     def test_loads_shape(self):
         loads = poisson_loads(6, random.Random(1))
         assert len(loads) == 6 and all(x >= 0 for x in loads)
-        with pytest.raises(ValueError, match="at least one bin"):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
             poisson_loads(0, random.Random(1))
 
 
@@ -172,6 +172,14 @@ class TestComparison:
         # inversions; a change to either stream moves these counts
         report = monotone_indicator_comparison(50, 5, 3, 400, random.Random(7))
         assert (report.fixed_mean, report.poisson_mean) == (262 / 400, 259 / 400)
+
+    def test_rank_refused_before_any_draw(self):
+        # k was checked only inside kth_largest, after a trial's draws
+        rng = random.Random(6)
+        before = rng.getstate()
+        with pytest.raises(ValueError, match="^k=6 out of range for 5 bins$"):
+            monotone_indicator_comparison(5, 6, 1, 3, rng)
+        assert rng.getstate() == before
 
     def test_combined_sigma_formula(self):
         report = monotone_indicator_comparison(20, 2, 2, 500, random.Random(3))

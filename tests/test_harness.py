@@ -192,19 +192,24 @@ class TestBuildInstance:
             build_instance(Scenario(kind, arg))
 
     @pytest.mark.parametrize(
-        "kind, arg, need",
+        "kind, arg, message",
         [
-            ("uniform", "0", "n >= 1"),
-            ("uniform", "-3", "n >= 1"),
-            ("star", "1", "n >= 2"),
-            ("nonmetric", "5", "even n >= 4"),
-            ("line", "0", "n >= 1"),
-            ("random", "0", "n >= 1"),
+            ("uniform", "0", "n must be >= 1"),
+            ("uniform", "-3", "n must be >= 1"),
+            ("star", "1", "n must be >= 2"),
+            ("nonmetric", "5", "n must be even"),
+            ("line", "0", "n must be >= 1"),
+            ("random", "0", "n must be >= 1"),
+        ],
+        # each id names the rule the size breaks
+        ids=[
+            "uniform-0-n >= 1", "uniform--3-n >= 1", "star-1-n >= 2",
+            "nonmetric-5-even n >= 4", "line-0-n >= 1", "random-0-n >= 1",
         ],
     )
-    def test_generator_refusal_names_the_metric_line(self, kind, arg, need):
+    def test_generator_refusal_names_the_metric_line(self, kind, arg, message):
         # "uniform 0" spoke of a square table; no refusal named the line
-        with pytest.raises(ValueError, match=f"^metric {kind} {arg}: need {need}"):
+        with pytest.raises(ValueError, match=f"^metric {kind} {arg}: {message}$"):
             build_instance(Scenario(kind, arg))
 
     def test_line_with_spacing(self, tmp_path):
@@ -241,7 +246,7 @@ class TestBuildInstance:
         path = tmp_path / "line.metric"
         path.write_text("kind line\nn 4\nscale -3\n")
         text = f"metric = file {path}\n"
-        with pytest.raises(ValueError, match="^metric file .*: header scale: '-3' must be >= 0$"):
+        with pytest.raises(ValueError, match="^metric file .*: header scale must be >= 0$"):
             build_instance(parse_scenario(_scenario_file(tmp_path, text)))
         text = "metric = uniform 4\nspacing = -3\n"
         with pytest.raises(ValueError, match=r"^unknown scenario keys: \['spacing'\]$"):
@@ -594,8 +599,8 @@ class TestNonmetric:
         assert check_matrix(inst.matrix)
 
     def test_size_validation(self):
-        for bad in (2, 5):
-            with pytest.raises(ValueError, match="even n >= 4"):
+        for bad, message in ((2, "^n must be >= 4$"), (5, "^n must be even$")):
+            with pytest.raises(ValueError, match=message):
                 gen_nonmetric_instance(bad)
 
     def test_cost_ratio_grows_with_size(self):
@@ -646,6 +651,21 @@ class TestVerifiers:
             verify_structure_lemma(uniform_metric(3), 0, seed=0)
         with pytest.raises(ValueError, match="trials"):
             verify_cost_decomposition(line_metric(3), trials=0, seed=0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: verify_structure_lemma(uniform_metric(3), 10, -4),
+            lambda: verify_cost_decomposition(line_metric(3), trials=2, seed=-1),
+            lambda: verify_match_to_self(1, -1),
+            lambda: verify_scaling(1, -1),
+        ],
+        ids=["structure", "decomposition", "match-to-self", "scaling"],
+    )
+    def test_verifiers_refuse_a_negative_seed(self, call):
+        # Random(-s) seeds as Random(s): seeds -4..5 ran 4 trials twice
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            call()
 
     def test_replacement_size_cap(self):
         with pytest.raises(ValueError, match="n=6"):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from stochmatch import metrics
+from stochmatch.ballsbins import estimate_Nk, monotone_indicator_comparison, sample_loads
 from stochmatch.bmatching import canonical_plan, scaling_identity_check, solve_min_cost
 from stochmatch.fairbias import PlanProvider
 from stochmatch.harness import Scenario, run_trials
@@ -178,51 +179,52 @@ NOT_A_METRIC = [
 
 class TestMetricValidation:
     def test_line_is_metric(self):
-        assert not check_matrix(line_metric(6).matrix)
+        assert check_matrix(line_metric(6).matrix) is None
 
     def test_triangle_violation_found(self):
         bad = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
-        violations = check_matrix(bad)
-        assert violations
-        assert any(v.kind == "triangle" for v in violations)
+        assert check_matrix(bad) == "triangle at (0, 1, 2) (d(0,2)=5 > d(0,1)+d(1,2)=2)"
 
     def test_symmetry_and_diagonal(self):
-        kinds = {v.kind for v in check_matrix([[1, 2], [3, 0]])}
-        assert "diagonal" in kinds
-        assert "symmetry" in kinds
+        # the diagonal is read first; with it zeroed, the symmetry shows
+        assert check_matrix([[1, 2], [3, 0]]) == "diagonal at (0,) (d(0,0)=1)"
+        assert check_matrix([[0, 2], [3, 0]]) == "symmetry at (0, 1) (2 != 3)"
 
     def test_negative_distance(self):
-        violations = check_matrix([[0, -1], [-1, 0]])
-        assert any(v.kind == "negative" for v in violations)
+        assert check_matrix([[0, -1], [-1, 0]]) == "negative at (0, 1) (negative distance)"
 
-    def test_triangle_report_is_one_entry_per_pair(self):
-        # one Violation per violating triple made this O(n^3) in size
+    def test_triangle_report_is_the_first_pair_and_witness(self):
+        # the one report is the first violating (i, j) in row-major order,
+        # with its smallest witness k
         rng = random.Random(3)
         n = 40
         bad = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 bad[i][j] = bad[j][i] = rng.randint(1, 100)
-        triangles = [v for v in check_matrix(bad) if v.kind == "triangle"]
-        pairs = {(v.indices[0], v.indices[2]) for v in triangles}
-        assert len(triangles) == len(pairs) <= n * (n - 1)
-        for v in triangles:
-            i, k, j = v.indices
-            assert bad[i][j] > bad[i][k] + bad[j][k]
-            assert all(bad[i][j] <= bad[i][m] + bad[j][m] for m in range(k))
+        found = re.fullmatch(r"triangle at \((\d+), (\d+), (\d+)\) .*", check_matrix(bad))
+        i, k, j = map(int, found.groups())
+        witnesses = [
+            [m for m in range(n) if bad[a][b] > bad[a][m] + bad[m][b]]
+            for a in range(n)
+            for b in range(n)
+        ]
+        first = next(p for p, ms in enumerate(witnesses) if ms)
+        assert (i, j) == divmod(first, n)
+        assert k == witnesses[first][0]
 
     def test_triangle_detail_reads_what_it_prints(self):
         # d(0,1) was read as row 1, column 0 but printed as d(0,1): the
         # printed sum was not the sum of the printed terms
         bad = [[0, 5, 1], [1, 0, 1], [1, 1, 0]]
-        triangles = [v for v in check_matrix(bad) if v.kind == "triangle"]
-        assert triangles
-        for v in triangles:
-            pairs = re.findall(r"d\((\d+),(\d+)\)", v.detail)
-            d = [bad[int(a)][int(b)] for a, b in pairs]
-            lhs, total = (int(x) for x in re.findall(r"=(\d+)", v.detail))
-            assert lhs == d[0] > total == d[1] + d[2]
-        assert triangles[0].detail == "d(0,1)=5 > d(0,2)+d(2,1)=2"
+        assert check_matrix(bad) == "symmetry at (0, 1) (5 != 1)"  # read before triangles
+        bad[1][0] = 5
+        report = check_matrix(bad)
+        pairs = re.findall(r"d\((\d+),(\d+)\)", report)
+        d = [bad[int(a)][int(b)] for a, b in pairs]
+        lhs, total = (int(x) for x in re.findall(r"=(\d+)", report))
+        assert lhs == d[0] > total == d[1] + d[2]
+        assert report == "triangle at (0, 2, 1) (d(0,1)=5 > d(0,2)+d(2,1)=2)"
 
     def test_first_violation_names_the_first_witness(self):
         with pytest.raises(ValueError, match=r"triangle at \(0, 1, 2\)"):
@@ -242,6 +244,10 @@ class TestMetricValidation:
         # a checked metric in floats must not be stored truncated to ints
         with pytest.raises(ValueError, match="integers"):
             build([[0, 0.5, 1], [0.5, 0, 0.5], [1, 0.5, 0]])
+        # inf raised OverflowError, and NaN int()'s text, naming no row
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=r"^matrix row 0 .* is not all integers$"):
+                build([[0, bad], [bad, 0]])
         assert build([[0, 1.0], [1.0, 0]]).matrix == [[0, 1], [1, 0]]
 
     @pytest.mark.parametrize("build", [matrix_metric, matrix_unchecked])
@@ -568,11 +574,11 @@ class TestFileFormat:
         [
             ("kind matrix\nn 2\n0 1\n1 0 4\n", "matrix row 1 has 3 entries, expected 2"),
             ("kind matrix\nn 2\n0\n1 0\n", "matrix row 0 has 1 entries, expected 2"),
-            ("kind line\nn 0\n", "header n: '0' must be >= 1"),
-            ("kind matrix\nn -1\n", "header n: '-1' must be >= 1"),
-            ("kind line\nn 3\nscale -2\n", "header scale: '-2' must be >= 0"),
-            ("kind matrix\nn 2\nscale -1\n0 1\n1 0\n", "header scale: '-1' must be >= 0"),
-            ("kind tree\nn 2\nscale -3\n0 1 4\n", "header scale: '-3' must be >= 0"),
+            ("kind line\nn 0\n", "header n must be >= 1"),
+            ("kind matrix\nn -1\n", "header n must be >= 1"),
+            ("kind line\nn 3\nscale -2\n", "header scale must be >= 0"),
+            ("kind matrix\nn 2\nscale -1\n0 1\n1 0\n", "header scale must be >= 0"),
+            ("kind tree\nn 2\nscale -3\n0 1 4\n", "header scale must be >= 0"),
         ],
         ids=[
             "long-row",
@@ -624,19 +630,37 @@ def test_random_recursive_tree_shape():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: WeightedTree(0, [], {}), "at least one node"),
+        (lambda: WeightedTree(0, [], {}), "^num_nodes must be >= 1$"),
         (lambda: WeightedTree(2, [(0, 2, 1)], {0: 1}), r"edge \(0,2\) out of range"),
         (lambda: WeightedTree(2, [(0, 1, 1)], {0: 5}), "leaf for point 0 out of range"),
-        (lambda: line_metric(0), "need n >= 1"),
-        (lambda: uniform_metric(0), "^need n >= 1$"),
-        (lambda: tree_from_host_edges(0, []), "need n >= 1"),
-        (lambda: star_tree(1), "need n >= 2"),
-        (lambda: random_recursive_tree(0, random.Random(0)), "need n >= 1"),
+        (lambda: line_metric(0), "^n must be >= 1$"),
+        (lambda: uniform_metric(0), "^n must be >= 1$"),
+        (lambda: tree_from_host_edges(0, []), "^n must be >= 1$"),
+        (lambda: star_tree(1), "^n must be >= 2$"),
+        (lambda: random_recursive_tree(0, random.Random(0)), "^n must be >= 1$"),
         (lambda: solve_min_cost(line_metric(3), {0: 0, 1: 2}), "must be positive"),
+        # a float size failed deep inside with a TypeError naming no argument
+        (lambda: line_metric(2.5), "^n must be an integer$"),
+        (lambda: gen_nonmetric_instance(6.0), "^n must be an integer$"),
+        (lambda: tree_from_host_edges(2.0, []), "^n must be an integer$"),
+        (
+            lambda: WeightedTree(2.0, [(0, 1, 1)], {0: 0, 1: 1}),
+            "^num_nodes must be an integer$",
+        ),
+        (lambda: random_metric(2.5, random.Random(0)), "^n must be an integer$"),
+        (lambda: sample_loads(2.5, random.Random(0)), "^n must be an integer$"),
+        (lambda: estimate_Nk(2.5, 1, 3, random.Random(0)), "^n must be an integer$"),
+        (lambda: estimate_Nk(3, 1, 2.5, random.Random(0)), "^trials must be an integer$"),
+        (
+            lambda: monotone_indicator_comparison(5, 1, 1, 2.5, random.Random(0)),
+            "^trials must be an integer$",
+        ),
     ],
     ids=[
         "no-nodes", "edge-range", "leaf-range", "line-0", "uniform-0", "host-edges-0",
-        "star-1", "recursive-0", "zero-multiplicity",
+        "star-1", "recursive-0", "zero-multiplicity", "line-float", "nonmetric-float",
+        "host-edges-float", "tree-float", "random-metric-float", "loads-float",
+        "estimate-n-float", "estimate-trials-float", "comparison-trials-float",
     ],
 )
 def test_builders_refuse_degenerate_input(call, message):
@@ -647,8 +671,12 @@ def test_builders_refuse_degenerate_input(call, message):
 def test_random_recursive_tree_refuses_before_any_draw():
     rng = random.Random(5)
     before = rng.getstate()
-    with pytest.raises(ValueError, match="need n >= 1"):
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
         random_recursive_tree(0, rng)
+    assert rng.getstate() == before
+    # max_len=0 drew a parent, then failed in randint's empty range
+    with pytest.raises(ValueError, match="^max_len must be >= 1$"):
+        random_recursive_tree(5, rng, max_len=0)
     assert rng.getstate() == before
 
 

@@ -1,7 +1,7 @@
-"""Package-wide rules: no assert statements, no orphaned private code, the
-verifiers in their own module, light imports that load only the modules
-they use, every name the benchmark's tracer patches still exists, and the
-README's python examples run."""
+"""Package-wide rules: no assert statements, no hand-written floor refusals,
+no orphaned private code, the verifiers in their own module, light imports
+that load only the modules they use, every name the benchmark's tracer
+patches still exists, and the README's python examples run."""
 from __future__ import annotations
 
 import ast
@@ -30,6 +30,19 @@ def test_no_assert_statements_in_the_package():
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         ]
+    assert found == []
+
+
+def test_floors_are_refused_through_at_least():
+    # every size, count and rank floor is metrics._at_least's one text,
+    # "<name> must be >= <floor>"; ten checks once wrote their own
+    texts = ("need n >=", "need even n", "need at least one", "needs at least one")
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if any(text in line for text in texts)
+    ]
     assert found == []
 
 
