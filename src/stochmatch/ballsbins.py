@@ -35,11 +35,6 @@ def _check_rank(k: int, n: int) -> None:
         raise ValueError(f"k={k} out of range for {n} bins")
 
 
-def kth_largest(loads: list[int], k: int) -> int:
-    _check_rank(k, len(loads))
-    return sorted(loads, reverse=True)[k - 1]
-
-
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
     t = len(values)
     mean = sum(values) / t
@@ -132,7 +127,7 @@ def monotone_indicator_comparison(
     _check_rank(k, n)
     fixed = []
     pois = []
-    for _ in range(trials):  # sorted(loads)[-k] is kth_largest(loads, k)
+    for _ in range(trials):
         fixed.append(float(sorted(sample_loads(n, rng))[-k] < threshold))
         pois.append(float(sorted(poisson_loads(n, rng))[-k] < threshold))
     fm, fs = _mean_stderr(fixed)

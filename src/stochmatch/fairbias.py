@@ -45,9 +45,9 @@ metric's; the walk never asks for either.
 
 An episode is ``run_episode(provider, stream, rng)``: it holds the
 stream to ``bmatching.check_stream``, the provider is the only source of
-the instance, and the trial's generator drives every draw.  The result
-is named by ``provider.algorithm``, so the maximum-weight variant is the
-same loop over ``MaxWeightProvider``.
+the instance, and the trial's generator drives every draw, so the
+maximum-weight variant is the same loop over ``MaxWeightProvider``.
+A ``MatchingResult`` holds no route name: ``harness`` names the routes.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ class MatchingResult:
     """One episode of any route: assignments, step costs at the true
     arrivals, and how far the relocation wrapper moved them (else 0)."""
 
-    algorithm: str
     assignments: list[tuple[int, int]]  # (request, server) in arrival order
     step_costs: list[int]
     relocation_cost: int = 0
@@ -133,7 +132,6 @@ class PlanProvider:
     """Samples servers from the canonical plan of each free set, or from
     the full min-cost plan on an instance that is not a checked metric."""
 
-    algorithm = "fair-bias"
     memo_max_n = 12
 
     def __init__(self, instance: MetricInstance):
@@ -235,7 +233,7 @@ def run_episode(
         s, c = step(provider, state, r, rng)
         assignments.append((r, s))
         costs.append(c)
-    return MatchingResult(provider.algorithm, assignments, costs)
+    return MatchingResult(assignments, costs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +243,6 @@ def run_episode(
 class MaxWeightProvider(PlanProvider):
     """Plan columns for the weighted-gain variant: the min-cost plans of
     the cost table S - gain (``bmatching.gain_costs``), S the largest gain."""
-
-    algorithm = "max-weight"
 
     def __init__(self, weights: list[list[int]], location_weights: list[int]):
         _, costs = gain_costs(weights)

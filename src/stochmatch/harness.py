@@ -337,7 +337,7 @@ def _fair_bias_on_frt(sc: Scenario, instance: MetricInstance, dist):
         prov = once or PlanProvider(tree_metric(frt_embed(instance, rng)))
         on_tree = run_episode(prov, stream, rng)
         true_steps = [matrix[s][r] for r, s in on_tree.assignments]
-        return MatchingResult("fair-bias-on-frt", on_tree.assignments, true_steps)
+        return MatchingResult(on_tree.assignments, true_steps)
 
     return episode
 

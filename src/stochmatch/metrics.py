@@ -249,9 +249,9 @@ class MetricInstance:
     ``matrix`` is the tree's ``leaf_distance_matrix``, built on the first
     read and shared with the tree, not copied.  A table (``tree`` None)
     is copied, must hold non-negative integers, and is a checked metric
-    exactly when one ``check_matrix`` pass finds no violation;
-    ``matrix_unchecked`` skips that pass (``_check=False``) and leaves
-    the instance unchecked.
+    exactly when one ``check_matrix`` pass finds no violation, whose text
+    ``matrix_metric`` raises; ``matrix_unchecked`` skips that pass
+    (``_check=False``) and leaves the instance unchecked.
     """
 
     def __init__(
@@ -269,7 +269,8 @@ class MetricInstance:
         ]
         if any(min(row) < 0 for row in self.matrix):
             raise ValueError("distances must be >= 0")
-        self.verified_metric = _check and check_matrix(self.matrix) is None
+        self._violation = check_matrix(self.matrix) if _check else None
+        self.verified_metric = _check and self._violation is None
 
     @cached_property
     def matrix(self) -> list[list[int]]:
@@ -329,7 +330,7 @@ def matrix_metric(matrix: list[list[int]]) -> MetricInstance:
     """Checked constructor: raises on the first metric violation."""
     instance = MetricInstance(matrix)
     if not instance.verified_metric:
-        raise ValueError(f"not a metric: {check_matrix(instance.matrix)}")
+        raise ValueError(f"not a metric: {instance._violation}")
     return instance
 
 

@@ -5,7 +5,8 @@ uniform distribution over server locations.  Each arrival at r is
 relocated to j with probability x[r][j] / p_r; the relocated sequence
 is then exactly uniform, and the online matcher runs on the relocated
 requests while true costs are charged against the original locations.
-The plan's mass moved, M = n * (plan LP value), prices the relocation.
+A ``CouplingPlan`` stores the LP optimum as ``value``; the mass moved,
+M = n * value, is one episode's expected relocation cost.
 
 The plan is the plan core ``bmatching._units`` with the arrival weights
 as the server multiset and weight 1 on every location.  Its rows, the
@@ -19,8 +20,9 @@ flat distribution and by bisection in the column otherwise.  Draws inside
 an episode (``relocate`` and the provider's) stay one ``randrange`` each.
 ``run_wrapped(provider, plan, stream, rng)`` plays one episode from a
 prepared checked-metric provider and a plan of the same size, and returns
-the ``MatchingResult`` of every route: steps priced on ``provider.matrix``
-at the true arrival, the distance the arrivals moved as ``relocation_cost``.
+the ``MatchingResult`` of every route, which names no route: steps priced
+on ``provider.matrix`` at the true arrival, the distance the arrivals
+moved as ``relocation_cost``.
 """
 
 from __future__ import annotations
@@ -62,9 +64,6 @@ class RequestDistribution:
     @cached_property
     def total(self) -> int:
         return sum(self.weights)
-
-    def prob(self, i: int) -> Fraction:
-        return Fraction(self.weights[i], self.total)
 
     @cached_property
     def _column(self) -> Column:
@@ -127,12 +126,7 @@ class CouplingPlan:
     n: int
     dist: RequestDistribution
     rows: dict[int, Column]  # r -> (targets, cumulative units)
-    value: Fraction  # LP optimum (mass-weighted distance)
-
-    @property
-    def mass_moved(self) -> Fraction:
-        """M = n * LP value, the price of one relocated episode in expectation."""
-        return self.n * self.value
+    value: Fraction  # LP optimum; n * value is the mass moved M
 
     def entry_units(self) -> dict[tuple[int, int], int]:
         return {
@@ -200,6 +194,4 @@ def run_wrapped(
         assignments.append((a, s))
         true_costs.append(true_cost)
         relocation_cost += matrix[a][b]
-    return MatchingResult(
-        "fair-bias-wrapped", assignments, true_costs, relocation_cost
-    )
+    return MatchingResult(assignments, true_costs, relocation_cost)

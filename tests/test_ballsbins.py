@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from stochmatch.ballsbins import (
     estimate_Nk,
     estimate_Nk_multi,
-    kth_largest,
     monotone_indicator_comparison,
     poisson_loads,
     poisson_sample,
@@ -65,14 +64,13 @@ class TestSampleLoads:
 
 
 class TestTopK:
-    def test_frozen_values(self):
-        assert kth_largest([3, 1, 0], 1) == 3
-        assert kth_largest([3, 1, 0], 2) == 1
-
     def test_k_range_checked(self):
+        rng = random.Random(5)
+        before = rng.getstate()
         for bad, message in ((0, "^k must be >= 1$"), (4, "^k=4 out of range for 3 bins$")):
             with pytest.raises(ValueError, match=message):
-                kth_largest([1, 1, 1], bad)
+                estimate_Nk(3, bad, 10, rng)
+        assert rng.getstate() == before
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -84,7 +82,8 @@ class TestTopK:
         bin_ = data.draw(st.integers(0, len(loads) - 1))
         bumped = list(loads)
         bumped[bin_] += 1
-        assert kth_largest(bumped, k) >= kth_largest(loads, k)
+        # the k-th largest load as monotone_indicator_comparison reads it
+        assert sorted(bumped)[-k] >= sorted(loads)[-k]
 
 
 class TestEstimates:
@@ -174,7 +173,7 @@ class TestComparison:
         assert (report.fixed_mean, report.poisson_mean) == (262 / 400, 259 / 400)
 
     def test_rank_refused_before_any_draw(self):
-        # k was checked only inside kth_largest, after a trial's draws
+        # the rank is checked before the first trial's draws
         rng = random.Random(6)
         before = rng.getstate()
         with pytest.raises(ValueError, match="^k=6 out of range for 5 bins$"):

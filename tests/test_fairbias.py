@@ -85,10 +85,6 @@ class TestDeterministicCases:
             server, cost = step(provider, state, 2, random.Random(seed))
             assert (server, cost) == (0, 1)
 
-    def test_result_metadata(self):
-        res = _episode(line_metric(3), [0, 1, 2], 11)
-        assert res.algorithm == "fair-bias"
-
 
 class TestSamplingLaw:
     def test_forced_split_is_half_half(self):
@@ -268,7 +264,6 @@ class TestMaxWeight:
             res = _max_weight([[3, 1], [2, 4]], [1, 1], [0, 1], seed)
             assert res.total_cost == 7
             assert res.assignments == [(0, 0), (1, 1)]
-            assert res.algorithm == "max-weight"
 
     def test_gain_bookkeeping(self):
         rng = random.Random(17)

@@ -321,6 +321,10 @@ class TestMetricValidation:
             build(table)
             assert calls == [5]
         calls.clear()
+        with pytest.raises(ValueError, match="^not a metric: triangle"):
+            matrix_metric([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+        assert calls == [3]  # the refusal's text comes from the same pass
+        calls.clear()
         matrix_unchecked(table)
         tree_metric(star_tree(3))
         line_metric(3)

@@ -1,7 +1,8 @@
 """Package-wide rules: no assert statements, no hand-written floor refusals,
-no orphaned private code, the verifiers in their own module, light imports
-that load only the modules they use, every name the benchmark's tracer
-patches still exists, and the README's python examples run."""
+no orphaned private code, route names only in the harness, the verifiers in
+their own module, light imports that load only the modules they use, every
+name the benchmark's tracer patches still exists, and the README's python
+examples run."""
 from __future__ import annotations
 
 import ast
@@ -81,6 +82,40 @@ def test_no_orphaned_private_definitions():
         defined += [f"{path.name}:{n}" for n in _private_definitions(tree)]
         used |= _names_read(tree)
     assert [d for d in defined if d.split(":")[1] not in used] == []
+
+
+def _docstrings(tree: ast.Module) -> set[ast.AST]:
+    """The docstring nodes of a module and of its classes and functions."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {
+        node.body[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, owners)
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+
+
+def test_only_harness_names_routes():
+    # harness._RUNNERS owns the route names; a result or provider that
+    # spelled its own name again was read only by tests
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "harness.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        docs = _docstrings(tree)
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node not in docs
+            and node.value.startswith(harness.ALGORITHMS)
+        ]
+    assert found == []
 
 
 def test_verifiers_live_in_verify_and_harness_skips_bmatching():
